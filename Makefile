@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-search bench-serve fuzz check experiments experiments-quick cover clean
+.PHONY: all build test race vet bench bench-search bench-serve benchmark fuzz check experiments experiments-quick cover clean
 
 all: build test
 
@@ -38,6 +38,16 @@ bench-search:
 # pattern against a self-hosted fleet, written to BENCH_serve.json.
 bench-serve:
 	./scripts/bench_serve.sh
+
+# The repository's benchmark (BENCHMARK.json, benchmark/README.md): one
+# workload per run, WORKLOAD one of search-ccd-htr, search-anneal-pennant,
+# serve-fleet-mixed; TRACE=1 adds the per-layer traced pass. Equivalent to
+#   bash benchmark/run.sh --workload W --seed N --seconds 25 --trace 0|1
+WORKLOAD ?= search-ccd-htr
+SEED ?= 1
+TRACE ?= 0
+benchmark:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 25 --trace $(TRACE)
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

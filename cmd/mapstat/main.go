@@ -140,9 +140,10 @@ func cmdTop(base string) {
 		"serve.coalesce.hit_ratio": true,
 	}
 	fmt.Println("daemon:")
-	// Wall-clock pipeline telemetry (driver.* — per-worker throughput,
-	// commit-queue wait, superseded speculation) is collected by prefix:
-	// the per-worker series are labeled, so their names are open-ended.
+	// Wall-clock evaluation telemetry (driver.* — per-worker throughput,
+	// synchronous evaluations, superseded speculation) is collected by
+	// prefix: the per-worker series are labeled, so their names are
+	// open-ended.
 	var workerLines []string
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {

@@ -27,7 +27,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev := NewEvaluator(m, g, opts)
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 1 {
 		t.Fatalf("unbounded prefetch speculated %d candidates, want 1", len(ev.spec))
 	}
@@ -37,7 +36,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev.Suggested = 10
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSuggestions: 10}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 0 {
 		t.Fatal("prefetch speculated past an exhausted suggestion budget")
 	}
@@ -47,7 +45,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev.searchSec = 2
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSearchSec: 1}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 0 {
 		t.Fatal("prefetch speculated past an exhausted time budget")
 	}
@@ -58,7 +55,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev = NewEvaluator(m, g, opts)
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{Context: ctx}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 0 {
 		t.Fatal("prefetch speculated after cancellation")
 	}
@@ -80,7 +76,6 @@ func TestPrefetchCappedByRemainingSuggestions(t *testing.T) {
 	ev.Suggested = 9 // budget leaves room for exactly one more proposal
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSuggestions: 10}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 1 {
 		t.Fatalf("prefetch speculated %d candidates with room for 1", len(ev.spec))
 	}

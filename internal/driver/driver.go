@@ -89,13 +89,13 @@ type Options struct {
 	// order.
 	Workers int
 	// WallMetrics optionally receives wall-clock operational telemetry:
-	// per-worker evaluation throughput, commit-queue wait, superseded
-	// speculation (see wallstats.go). These measure real time and
-	// scheduling, so they are deliberately kept OUT of the deterministic
-	// Observer registry — two byte-identical searches will report
-	// different wall metrics. The mapd daemon passes its serve registry
-	// here so `mapstat top` and /metrics surface them; nil disables the
-	// instrumentation at zero cost.
+	// per-worker evaluation throughput, synchronous evaluations,
+	// superseded speculation (see wallstats.go). These measure real time
+	// and scheduling, so they are deliberately kept OUT of the
+	// deterministic Observer registry — two byte-identical searches will
+	// report different wall metrics. The mapd daemon passes its serve
+	// registry here so `mapstat top` and /metrics surface them; nil
+	// disables the instrumentation at zero cost.
 	WallMetrics *telemetry.Registry
 	// DisableIncremental turns off incremental re-simulation (DESIGN
 	// §14): candidates are evaluated with full simulations instead of
@@ -233,36 +233,16 @@ type Evaluator struct {
 
 	// mu guards the sequential-commit state above (byKey, counters,
 	// clocks). It orders results; it is NEVER held across a simulation —
-	// Evaluate measures (or waits for a speculative result) unlocked and
-	// re-acquires only to commit, so metric scrapes and clock reads stay
-	// responsive while candidates execute, and misuse of the commit
-	// contract shows up under -race instead of as silent corruption.
+	// Evaluate measures unlocked and re-acquires only to commit, so metric
+	// scrapes and clock reads stay responsive while candidates execute,
+	// and misuse of the commit contract shows up under -race instead of
+	// as silent corruption.
 	mu sync.Mutex
-	// spec holds speculative measurement results produced by Prefetch,
-	// keyed by mapping key, awaiting commit by Evaluate; inflight holds
-	// the jobs workers have claimed and are measuring right now. Both
-	// are guarded by specMu (never acquired while holding pfMu's critical
-	// work — lock order is pfMu before specMu).
-	specMu   sync.Mutex
-	spec     map[string]specResult
-	inflight map[string]*prefetchJob
-	// The prefetch pipeline (guarded by pfMu): Prefetch enqueues batches
-	// and returns immediately; up to `workers` pipeline goroutines drain
-	// the queue in order. A new batch replaces the queue — CCD re-batches
-	// from the new incumbent after every accept, superseding the stale
-	// candidates — and pfActive tracks live workers so re-batching never
-	// over-spawns. pfWG lets drainPrefetch wait the pipeline out.
-	// freeSlots recycles worker slot indices so the per-worker wall
-	// telemetry keys stay in [0, workers). pfGen is the batch generation:
-	// Prefetch bumps it, and an in-flight job whose generation is stale —
-	// and that no Evaluate is waiting on — abandons its remaining repeats
-	// instead of finishing a superseded measurement.
-	pfMu      sync.Mutex
-	pfQueue   []*prefetchJob
-	pfActive  int
-	freeSlots []int
-	pfWG      sync.WaitGroup
-	pfGen     atomic.Uint64
+	// spec holds the latest Prefetch batch's measurement results, keyed
+	// by mapping key, awaiting commit by Evaluate; specMu guards it
+	// against overlapping Prefetch calls.
+	specMu sync.Mutex
+	spec   map[string]specResult
 
 	// Suggested counts Evaluate calls; Evaluated counts distinct
 	// mappings actually measured (Section 5.3's accounting).
@@ -329,26 +309,18 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 	if opts.DisableIncremental {
 		runner = inst
 	}
-	// Slot stack for per-worker wall telemetry; pushed in reverse so the
-	// first spawned worker pops slot 0.
-	freeSlots := make([]int, 0, workers)
-	for i := workers - 1; i >= 0; i-- {
-		freeSlots = append(freeSlots, i)
-	}
 	return &Evaluator{
 		M: m, G: g, Opts: opts,
-		DB:        db,
-		byKey:     make(map[string]*mapping.Mapping),
-		model:     m.Model(),
-		inst:      inst,
-		delta:     delta,
-		runner:    runner,
-		sem:       make(chan struct{}, workers),
-		workers:   workers,
-		freeSlots: freeSlots,
-		spec:      make(map[string]specResult),
-		inflight:  make(map[string]*prefetchJob),
-		replay:    replay,
+		DB:      db,
+		byKey:   make(map[string]*mapping.Mapping),
+		model:   m.Model(),
+		inst:    inst,
+		delta:   delta,
+		runner:  runner,
+		sem:     make(chan struct{}, workers),
+		workers: workers,
+		spec:    make(map[string]specResult),
+		replay:  replay,
 
 		mCacheHits:   obs.Counter("search.eval.cache_hits"),
 		mFailures:    obs.Counter("search.eval.failures"),
@@ -372,17 +344,11 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 }
 
 // specResult is one speculative measurement awaiting commit: the raw
-// per-repeat results and errors of measureRuns.
+// per-repeat results and errors, as measureRuns would return them.
 type specResult struct {
 	results []*sim.Result
 	errs    []error
 }
-
-// specCacheLimit bounds the speculative-result cache; entries are normally
-// consumed immediately by Evaluate, so the cap only matters for sweeps that
-// re-batch heavily, and dropping the cache is always safe (results are
-// reproducible from the key-derived seeds).
-const specCacheLimit = 1024
 
 // repeats returns the effective per-candidate repeat count.
 func (e *Evaluator) repeats() int {
@@ -431,13 +397,16 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	// commits; it only keeps clock/metric readers and checkpoint writers
 	// responsive while a candidate executes.
 	e.mu.Unlock()
-	results, errs := e.waitSpec(key)
-	if results == nil {
+	e.specMu.Lock()
+	s, ok := e.spec[key]
+	delete(e.spec, key)
+	e.specMu.Unlock()
+	if !ok {
 		e.wall.syncEval()
-		results, errs = measureRuns(e.runner, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+		s.results, s.errs = measureRuns(e.runner, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
 	}
 	e.mu.Lock()
-	verdict := e.commitRuns(key, mp, toRuns(results, errs, e.Opts.objective()))
+	verdict := e.commitRuns(key, mp, toRuns(s.results, s.errs, e.Opts.objective()))
 	// Only fresh measurements advance the periodic-checkpoint counter:
 	// replayed commits re-cover ground an earlier snapshot already holds.
 	e.maybeCheckpointLocked()
@@ -638,44 +607,19 @@ func (e *Evaluator) CheckpointErr() error {
 	return e.ckptErr
 }
 
-// prefetchJob is one queued speculative measurement. done is closed once
-// the job's results are in the speculative cache, so an Evaluate that
-// arrives while the job is in flight can wait for it instead of
-// re-measuring.
-type prefetchJob struct {
-	key  string
-	mp   *mapping.Mapping
-	done chan struct{}
-	// gen is the batch generation the job most recently appeared in
-	// (Prefetch refreshes it when a re-batch re-requests an in-flight
-	// key). A worker whose job is behind the evaluator's pfGen knows the
-	// batch was superseded and abandons the remaining repeats — unless
-	// wanted is set, which an Evaluate blocked on done uses to say the
-	// result will commit immediately. wanted is best-effort: a worker
-	// that already decided to abandon closes done without publishing,
-	// and the waiter re-measures (bit-identical, seeds are key-derived).
-	gen    atomic.Uint64
-	wanted atomic.Bool
-}
-
-// Prefetch speculatively measures candidates concurrently, bounded by the
-// worker pool. It has no observable side effects: no counters move, no
-// search time is charged, nothing is recorded or emitted. The results wait
-// in the speculative cache for the sequential Evaluate calls that commit
-// them in enumeration order, so speculation can only change wall-clock
-// time, never the trajectory. With a single worker, speculation cannot
-// overlap anything and wasted speculative runs would cost real time, so
-// Prefetch is a no-op.
+// Prefetch speculatively measures candidates concurrently and returns once
+// the batch is measured. It has no observable side effects: no counters
+// move, no search time is charged, nothing is recorded or emitted. The
+// results wait in the speculative map for the sequential Evaluate calls
+// that commit them in enumeration order, so speculation can only change
+// wall-clock time, never the trajectory. With a single worker, speculation
+// cannot overlap anything and wasted speculative runs would cost real
+// time, so Prefetch is a no-op.
 //
-// Prefetch is asynchronous: it replaces the pipeline's queue with this
-// batch and returns without waiting. Pipeline workers (at most `workers`)
-// claim jobs in batch order and run them through the shared simulation
-// semaphore; the sequential Evaluate calls consume finished results,
-// wait for in-flight ones, and measure unclaimed ones synchronously —
-// so the search loop overlaps its commit work with speculation instead
-// of stalling behind the whole batch, and an accepted improvement (which
-// re-batches from the new incumbent) wastes only the jobs already in
-// flight, not a full batch of stale measurements.
+// The batch's results REPLACE the speculative map: an entry the new batch
+// still contains is kept rather than re-measured, and every other entry —
+// stale once CCD re-batches from a new incumbent after an accept — is
+// dropped unconsumed and counted as superseded.
 func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 	if e.workers <= 1 {
 		return
@@ -683,9 +627,8 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 	// Budget gate: speculation past the point where the search will stop
 	// is pure waste — with a cancelled context or an exhausted time
 	// budget, none of the speculative results can ever commit. Bound the
-	// batch so budget overshoot is limited to work already in flight
-	// rather than a whole speculative sweep. (Skipping speculation can
-	// never change the trajectory: Prefetch has no observable effects.)
+	// batch by what can still commit. (Skipping speculation can never
+	// change the trajectory: Prefetch has no observable effects.)
 	if e.budget.ContextStop() != "" {
 		return
 	}
@@ -718,15 +661,11 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 			limit = rem
 		}
 	}
-	// This batch starts a new generation: in-flight jobs not re-requested
-	// below become stale and abandon their remaining repeats at the next
-	// between-repeat check, so a replaced batch costs at most one repeat
-	// per worker instead of a full superseded measurement each.
-	gen := e.pfGen.Add(1)
-	jobs := make([]*prefetchJob, 0, len(cands))
+	var keep []string
+	var jobs []specJob
 	seen := make(map[string]bool, len(cands))
 	for _, mp := range cands {
-		if len(jobs) >= limit {
+		if len(keep)+len(jobs) >= limit {
 			break
 		}
 		key := mp.Key()
@@ -744,189 +683,77 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 		}
 		e.specMu.Lock()
 		_, have := e.spec[key]
-		if !have {
-			if j := e.inflight[key]; j != nil {
-				// Still wanted by the new batch: refresh its
-				// generation so the in-flight worker finishes it.
-				j.gen.Store(gen)
-				have = true
-			}
-		}
 		e.specMu.Unlock()
 		if have {
+			keep = append(keep, key)
 			continue
 		}
 		if mp.Validate(e.G, e.model) != nil {
 			continue
 		}
-		j := &prefetchJob{key: key, mp: mp, done: make(chan struct{})}
-		j.gen.Store(gen)
-		jobs = append(jobs, j)
+		jobs = append(jobs, specJob{key: key, mp: mp})
 	}
-	// Replace the queue (stale candidates are superseded) and top the
-	// worker pool up to min(workers, queue length). Dropped jobs were
-	// never claimed, so nothing waits on their done channels. Each worker
-	// takes a recycled slot index for its per-worker wall telemetry.
-	e.pfMu.Lock()
-	e.pfQueue = jobs
-	want := len(jobs)
-	if want > e.workers {
-		want = e.workers
-	}
-	if spawn := want - e.pfActive; spawn > 0 {
-		e.pfActive += spawn
-		e.pfWG.Add(spawn)
-		for i := 0; i < spawn; i++ {
-			slot := -1
-			if n := len(e.freeSlots); n > 0 {
-				slot = e.freeSlots[n-1]
-				e.freeSlots = e.freeSlots[:n-1]
-			}
-			go func(wg *sync.WaitGroup, slot int) {
-				defer wg.Done()
-				e.prefetchWorker(slot)
-			}(&e.pfWG, slot)
-		}
-	}
-	e.pfMu.Unlock()
-}
+	e.measureJobs(jobs)
 
-// claimJob pops the next unclaimed queue entry, registering it in
-// inflight. A nil return retires the calling worker (the decrement and
-// the slot recycle happen here, under pfMu, so Prefetch's spawn
-// accounting and worker exits never race).
-func (e *Evaluator) claimJob(slot int) *prefetchJob {
-	e.pfMu.Lock()
-	defer e.pfMu.Unlock()
-	for len(e.pfQueue) > 0 {
-		j := e.pfQueue[0]
-		e.pfQueue = e.pfQueue[1:]
-		e.specMu.Lock()
-		_, have := e.spec[j.key]
-		if !have {
-			_, have = e.inflight[j.key]
-		}
-		if have {
-			e.specMu.Unlock()
-			continue
-		}
-		e.inflight[j.key] = j
-		e.specMu.Unlock()
-		return j
-	}
-	e.pfActive--
-	if slot >= 0 {
-		e.freeSlots = append(e.freeSlots, slot)
-	}
-	return nil
-}
-
-// prefetchWorker drains the prefetch queue: measure, publish to the
-// speculative cache, signal waiters, repeat until the queue is empty.
-// Callers run it on a goroutine registered with pfWG (Done is the
-// spawner's deferred call).
-//
-// A worker runs its job's repeats SEQUENTIALLY (under the shared
-// semaphore): the worker pool itself is the parallelism — `workers`
-// candidates measure concurrently, one goroutine each — so fanning each
-// job out into per-repeat goroutines would only multiply scheduler load
-// without adding throughput. Sequential repeats are also what makes
-// supersede cheap: between repeats the worker checks whether its batch
-// generation is stale and, if no Evaluate is blocked on the job, abandons
-// it — publishing nothing, so abandonment is invisible to the trajectory.
-func (e *Evaluator) prefetchWorker(slot int) {
-	for {
-		j := e.claimJob(slot)
-		if j == nil {
-			return
-		}
-		repeats := e.repeats()
-		results := make([]*sim.Result, repeats)
-		errs := make([]error, repeats)
-		abandoned := false
-		start := e.wall.now()
-		for i := 0; i < repeats; i++ {
-			if i > 0 && j.gen.Load() != e.pfGen.Load() && !j.wanted.Load() {
-				abandoned = true
-				break
-			}
-			e.sem <- struct{}{}
-			results[i], errs[i] = e.runner.RunKeyed(j.key, j.mp, sim.Config{NoiseSigma: e.Opts.NoiseSigma, Seed: runSeed(e.Opts.Seed, i)})
-			<-e.sem
-		}
-		if abandoned {
-			// Retract the claim before signaling: a waiter that raced
-			// the wanted check wakes, finds no published result, and
-			// re-measures synchronously (bit-identical by seed
-			// derivation).
-			e.specMu.Lock()
-			delete(e.inflight, j.key)
-			e.specMu.Unlock()
-			close(j.done)
-			e.wall.supersede()
-			continue
-		}
-		e.wall.workerEval(slot, e.wall.now()-start)
-		e.specMu.Lock()
-		if len(e.spec) >= specCacheLimit {
-			e.spec = make(map[string]specResult)
-		}
-		e.spec[j.key] = specResult{results: results, errs: errs}
-		delete(e.inflight, j.key)
-		e.specMu.Unlock()
-		close(j.done)
-	}
-}
-
-// drainPrefetch empties the queue and waits for in-flight speculative
-// work to finish. SearchFromSpace calls it when the search phase ends so
-// the final phase never races pipeline workers; tests call it before
-// asserting on the speculative cache.
-func (e *Evaluator) drainPrefetch() {
-	e.pfMu.Lock()
-	e.pfQueue = nil
-	e.pfMu.Unlock()
-	e.pfWG.Wait()
-}
-
-// flushPrefetch waits for the pipeline to finish every queued job (test
-// hook; drainPrefetch instead abandons jobs no worker has claimed yet).
-func (e *Evaluator) flushPrefetch() { e.pfWG.Wait() }
-
-// waitSpec consumes the speculative measurement for key: immediately if
-// it is already in the cache, after a wait if a pipeline worker has it in
-// flight, and not at all (nil) if speculation never claimed it. The wait
-// is deadlock-free: workers publish without touching the evaluator's
-// commit lock.
-func (e *Evaluator) waitSpec(key string) ([]*sim.Result, []error) {
 	e.specMu.Lock()
-	if s, ok := e.spec[key]; ok {
-		delete(e.spec, key)
-		e.specMu.Unlock()
-		return s.results, s.errs
+	next := make(map[string]specResult, len(keep)+len(jobs))
+	for _, key := range keep {
+		if s, ok := e.spec[key]; ok {
+			next[key] = s
+		}
 	}
-	j := e.inflight[key]
+	e.wall.supersede(len(e.spec) - len(next))
+	for _, j := range jobs {
+		if j.res.results != nil {
+			next[j.key] = j.res
+		}
+	}
+	e.spec = next
 	e.specMu.Unlock()
-	if j == nil {
-		return nil, nil
+}
+
+// specJob is one candidate of a Prefetch batch; res stays empty if the
+// batch stopped before measuring it.
+type specJob struct {
+	key string
+	mp  *mapping.Mapping
+	res specResult
+}
+
+// measureJobs measures jobs on min(workers, len(jobs)) goroutines and
+// returns when all have finished. Each goroutine takes the next unmeasured
+// job and runs its repeats in order under the shared simulation semaphore
+// — the pool is the parallelism unit, so fanning repeats out would only
+// add scheduler load — and takes no new job once the budget's context
+// stops.
+func (e *Evaluator) measureJobs(jobs []specJob) {
+	repeats := e.repeats()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for slot := range min(e.workers, len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) || e.budget.ContextStop() != "" {
+					return
+				}
+				j := &jobs[i]
+				start := e.wall.now()
+				results := make([]*sim.Result, repeats)
+				errs := make([]error, repeats)
+				for r := range repeats {
+					e.sem <- struct{}{}
+					results[r], errs[r] = e.runner.RunKeyed(j.key, j.mp, sim.Config{NoiseSigma: e.Opts.NoiseSigma, Seed: runSeed(e.Opts.Seed, r)})
+					<-e.sem
+				}
+				j.res = specResult{results: results, errs: errs}
+				e.wall.workerEval(slot, e.wall.now()-start)
+			}
+		}()
 	}
-	// Mark the job wanted before blocking so a superseded batch doesn't
-	// abandon the one job the search is actually waiting for. Best
-	// effort — see prefetchJob.wanted.
-	j.wanted.Store(true)
-	start := e.wall.now()
-	<-j.done
-	e.wall.commitWaitSince(start)
-	e.specMu.Lock()
-	defer e.specMu.Unlock()
-	s, ok := e.spec[key]
-	if !ok {
-		// The cache was reset under pressure between publish and here;
-		// the caller re-measures (bit-identical, seeds are derived).
-		return nil, nil
-	}
-	delete(e.spec, key)
-	return s.results, s.errs
+	wg.Wait()
 }
 
 // SearchTimeSec returns the simulated search time consumed so far.
@@ -1147,9 +974,6 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	searchSpan := obs.StartSpan(rootSpan, "search_phase", "", 0)
 	prob.Span = searchSpan
 	out := alg.Search(prob, searchEv, budget)
-	// Retire the speculative pipeline before anything else reads or
-	// mutates post-search state.
-	ev.drainPrefetch()
 
 	// A cancellation that lands after the algorithm's last budget check
 	// still counts: the user asked the run to stop, so skip the final

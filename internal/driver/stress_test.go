@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"automap/internal/machine"
 	"automap/internal/mapping"
 	"automap/internal/profile"
+	"automap/internal/taskir"
 	"automap/internal/telemetry"
 )
 
@@ -110,12 +112,13 @@ func TestConcurrentPrefetchAndDB(t *testing.T) {
 }
 
 // TestConcurrentBasePublish pins the incumbent/delta-base publish path:
-// the search loop accepts improvements (SetDeltaBase) while eight prefetch
-// workers are still evaluating candidates against the OLD base — the exact
-// moment publish-by-pointer must protect. Under -race this catches any
-// mutation of a base snapshot a worker may still be reading, and the final
-// database must be byte-identical to the same trajectory at workers=1
-// (speculation and base swaps may change wall-clock time only).
+// the search loop accepts improvements (SetDeltaBase) between speculative
+// batches, and the next batch's eight workers then fold deltas against the
+// freshly published base at once — including its lazily built deep
+// record. Under -race this catches any mutation of a base snapshot a
+// worker may be reading, and the final database must be byte-identical to
+// the same trajectory at workers=1 (speculation and base swaps may change
+// wall-clock time only).
 func TestConcurrentBasePublish(t *testing.T) {
 	forceParallel(t, 8)
 	m := cluster.Shepard(2)
@@ -154,12 +157,11 @@ func TestConcurrentBasePublish(t *testing.T) {
 			v := ev.Evaluate(mp)
 			if !v.Failed && v.MeanSec < best {
 				best = v.MeanSec
-				// Publish a new incumbent while workers may still be
-				// folding deltas against the old one.
+				// Publish a new incumbent for the next batch's
+				// workers to fold deltas against.
 				ev.SetDeltaBase(mp)
 			}
 		}
-		ev.drainPrefetch()
 		return ev.DB
 	}
 
@@ -185,6 +187,141 @@ func TestConcurrentBasePublish(t *testing.T) {
 			t.Fatalf("key %s measured %v at workers=1 but %v at workers=8", key, s1.Times, s8.Times)
 		}
 	}
+}
+
+// basePublishPool returns 16 distinct candidates over the driver test
+// graph: every proc kind and distribution choice of its two tasks.
+func basePublishPool(g *taskir.Graph, md *machine.Model) []*mapping.Mapping {
+	var cands []*mapping.Mapping
+	for _, k := range []machine.ProcKind{machine.CPU, machine.GPU} {
+		for _, k2 := range []machine.ProcKind{machine.CPU, machine.GPU} {
+			for _, dist := range []bool{true, false} {
+				for _, dist2 := range []bool{true, false} {
+					mp := mapping.Default(g, md)
+					mp.SetProc(0, k)
+					mp.RebuildPriorityLists(md, 0)
+					mp.SetProc(1, k2)
+					mp.RebuildPriorityLists(md, 1)
+					mp.SetDistribute(0, dist)
+					mp.SetDistribute(1, dist2)
+					cands = append(cands, mp)
+				}
+			}
+		}
+	}
+	return cands
+}
+
+// workerEvals sums the per-slot driver.worker.evals counters: how many
+// speculative measurements the evaluator's batches completed.
+func workerEvals(snap map[string]float64) float64 {
+	var n float64
+	for name, v := range snap { //mapvet:unordered commutative sum
+		if strings.HasPrefix(name, "driver.worker.evals{") {
+			n += v
+		}
+	}
+	return n
+}
+
+// TestPrefetchThenEvaluateCommitsBatch pins the blocking batch: once
+// Prefetch returns, every valid candidate of the batch is measured exactly
+// once, so evaluating them in order never measures synchronously, and the
+// database equals the workers=1 one.
+func TestPrefetchThenEvaluateCommitsBatch(t *testing.T) {
+	forceParallel(t, 4)
+	m := cluster.Shepard(2)
+	g := driverGraph(t)
+	md := m.Model()
+	cands := basePublishPool(g, md)
+	var valid []*mapping.Mapping
+	for _, mp := range cands {
+		if mp.Validate(g, md) == nil {
+			valid = append(valid, mp)
+		}
+	}
+	if len(valid) < 2 {
+		t.Fatalf("only %d valid candidates; the test needs a batch", len(valid))
+	}
+
+	run := func(workers int) (*profile.DB, map[string]float64) {
+		opts := quickOpts()
+		opts.Workers = workers
+		opts.WallMetrics = telemetry.NewRegistry()
+		ev := NewEvaluator(m, g, opts)
+		ev.Prefetch(cands)
+		for _, mp := range valid {
+			ev.Evaluate(mp)
+		}
+		return ev.DB, opts.WallMetrics.Snapshot()
+	}
+
+	db1, _ := run(1)
+	db4, wall := run(4)
+	if got := wall["driver.commit.sync_evals"]; got != 0 {
+		t.Fatalf("driver.commit.sync_evals = %v after a completed batch, want 0", got)
+	}
+	if got := workerEvals(wall); got != float64(len(valid)) {
+		t.Fatalf("batch measured %v candidates, want each of %d valid ones once", got, len(valid))
+	}
+	for _, mp := range cands {
+		key := mp.Key()
+		s1, ok1 := db1.Lookup(key)
+		s4, ok4 := db4.Lookup(key)
+		if ok1 != ok4 || s1.Failed != s4.Failed || !reflect.DeepEqual(s1.Times, s4.Times) {
+			t.Fatalf("key %s: workers=1 %v/%+v, workers=4 %v/%+v", key, ok1, s1, ok4, s4)
+		}
+	}
+}
+
+// TestPrefetchSupersedeCountsDroppedResults pins driver.prefetch.superseded:
+// a re-batch keeps the results it still contains and drops the rest, and
+// the counter rises by exactly the number dropped.
+func TestPrefetchSupersedeCountsDroppedResults(t *testing.T) {
+	forceParallel(t, 4)
+	m := cluster.Shepard(2)
+	g := driverGraph(t)
+	md := m.Model()
+	var cands []*mapping.Mapping
+	for _, mp := range basePublishPool(g, md) {
+		if mp.Validate(g, md) == nil {
+			cands = append(cands, mp)
+		}
+	}
+	if len(cands) < 12 {
+		t.Fatalf("only %d valid candidates, want 12", len(cands))
+	}
+	opts := quickOpts()
+	opts.Workers = 4
+	opts.WallMetrics = telemetry.NewRegistry()
+	ev := NewEvaluator(m, g, opts)
+	check := func(step string, superseded, measured float64, spec int) {
+		t.Helper()
+		wall := opts.WallMetrics.Snapshot()
+		if got := wall["driver.prefetch.superseded"]; got != superseded {
+			t.Fatalf("%s: driver.prefetch.superseded = %v, want %v", step, got, superseded)
+		}
+		if got := workerEvals(wall); got != measured {
+			t.Fatalf("%s: %v speculative measurements, want %v", step, got, measured)
+		}
+		if len(ev.spec) != spec {
+			t.Fatalf("%s: %d speculative results held, want %d", step, len(ev.spec), spec)
+		}
+	}
+
+	ev.Prefetch(cands[:6])
+	check("first batch", 0, 6, 6)
+	// Overlap of 3: cands[3:6] are kept, cands[:3] dropped, cands[6:9]
+	// measured.
+	ev.Prefetch(cands[3:9])
+	check("re-batch", 3, 9, 6)
+	// Consuming a result is not superseding it.
+	ev.Evaluate(cands[3])
+	check("evaluate", 3, 9, 5)
+	// Held: cands[4:9]. The batch keeps cands[8], drops four, and
+	// measures cands[9:12]; cands[3] is in the database now.
+	ev.Prefetch(append([]*mapping.Mapping{cands[3]}, cands[8:12]...))
+	check("third batch", 7, 12, 4)
 }
 
 // TestConcurrentDBRecord pins profile.DB's own locking: concurrent Record,

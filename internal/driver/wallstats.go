@@ -1,11 +1,11 @@
-// Wall-clock operational telemetry for the parallel evaluation pipeline.
+// Wall-clock operational telemetry for parallel batch evaluation.
 //
 // Everything in this file measures REAL time and scheduling — per-worker
-// throughput, how long the sequential commit path blocked on an in-flight
-// speculative measurement, how much speculation was thrown away — so none
-// of it may enter the deterministic Observer registry: two byte-identical
-// searches on different machines (or the same machine twice) will report
-// different wall numbers. Options.WallMetrics routes these instruments to
+// throughput, how many candidates the search loop measured itself, how
+// much speculation was thrown away — so none of it may enter the
+// deterministic Observer registry: two byte-identical searches on
+// different machines (or the same machine twice) will report different
+// wall numbers. Options.WallMetrics routes these instruments to
 // a separate registry (the mapd daemon passes its serve registry, which
 // backs /metrics and `mapstat top`); without one, wallStats is nil and
 // every method is a nil-receiver no-op.
@@ -23,32 +23,23 @@ import (
 	"automap/internal/telemetry"
 )
 
-// commitWaitBuckets are the histogram bounds for how long Evaluate blocked
-// waiting on an in-flight speculative measurement: sub-millisecond when the
-// pipeline is ahead of the search, seconds when a cold candidate stalls it.
-var commitWaitBuckets = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10}
-
 // wallStats carries the wall-clock instruments. A nil *wallStats (no
 // Options.WallMetrics) disables the whole thing at the cost of a nil check.
 type wallStats struct {
 	clock telemetry.Clock
 
-	// commitWait observes seconds Evaluate spent blocked on a prefetch
-	// job's done channel (driver.commit.wait_sec).
-	commitWait *telemetry.Histogram
 	// syncEvals counts candidates the search loop had to measure
-	// synchronously because speculation never claimed them
-	// (driver.commit.sync_evals) — the "pipeline missed" indicator.
+	// synchronously because no Prefetch batch held their result
+	// (driver.commit.sync_evals) — the "speculation missed" indicator.
 	syncEvals *telemetry.Counter
-	// superseded counts speculative jobs abandoned mid-measurement after
-	// their batch was replaced (driver.prefetch.superseded).
+	// superseded counts speculative results a re-batch dropped before
+	// any Evaluate consumed them (driver.prefetch.superseded).
 	superseded *telemetry.Counter
 
-	// Per worker slot: evaluations published and busy seconds
-	// accumulated, as driver.worker.evals{worker="N"} counters and
-	// driver.worker.busy_sec{worker="N"} gauges. Slot indices are
-	// recycled (Evaluator.freeSlots), so the series count is the worker
-	// pool width, not the goroutine count.
+	// Per worker slot: speculative measurements completed and busy
+	// seconds accumulated, as driver.worker.evals{worker="N"} counters
+	// and driver.worker.busy_sec{worker="N"} gauges. A batch's goroutine
+	// i reports as slot i, so the series count is the worker pool width.
 	workerEvals []*telemetry.Counter
 	workerBusy  []*telemetry.Gauge
 }
@@ -61,7 +52,6 @@ func newWallStats(reg *telemetry.Registry, workers int) *wallStats {
 	}
 	w := &wallStats{
 		clock:      telemetry.WallClock(),
-		commitWait: reg.Histogram("driver.commit.wait_sec", commitWaitBuckets),
 		syncEvals:  reg.Counter("driver.commit.sync_evals"),
 		superseded: reg.Counter("driver.prefetch.superseded"),
 	}
@@ -89,27 +79,18 @@ func (w *wallStats) syncEval() {
 	w.syncEvals.Add(1)
 }
 
-// supersede records one speculative job abandoned as stale.
-func (w *wallStats) supersede() {
+// supersede records n speculative results dropped unconsumed.
+func (w *wallStats) supersede(n int) {
 	if w == nil {
 		return
 	}
-	w.superseded.Add(1)
+	w.superseded.Add(int64(n))
 }
 
-// commitWaitSince observes the time since start (a now() reading) that the
-// commit path spent blocked on an in-flight speculative measurement.
-func (w *wallStats) commitWaitSince(start float64) {
-	if w == nil {
-		return
-	}
-	w.commitWait.Observe(w.clock() - start)
-}
-
-// workerEval records one published speculative measurement by worker slot,
+// workerEval records one completed speculative measurement by worker slot,
 // with the busy seconds it took.
 func (w *wallStats) workerEval(slot int, busySec float64) {
-	if w == nil || slot < 0 || slot >= len(w.workerEvals) {
+	if w == nil {
 		return
 	}
 	w.workerEvals[slot].Add(1)

@@ -1,9 +1,10 @@
 // Package fsatomic is the single implementation of the repository's
 // crash-safe persistence discipline: write to a temporary file in the
-// destination directory, sync it to stable storage, then rename it over the
-// target. A crash at any point leaves either the old file or the new file,
-// never a torn mixture — the property the checkpoint/resume and
-// serve-restart guarantees are built on.
+// destination directory, sync it to stable storage, rename it over the
+// target, then sync the directory so the rename itself is durable. A crash
+// at any point leaves either the old file or the new file, never a torn
+// mixture — the property the checkpoint/resume and serve-restart
+// guarantees are built on.
 //
 // Every durable artifact of the system (search checkpoints, profile spaces
 // and databases, saved mappings, machine specs, store request/result
@@ -21,12 +22,13 @@ import (
 
 // WriteFile atomically replaces the file at path with data: the bytes are
 // written to a temporary file in path's directory, fsynced, and renamed
-// over path. The temporary file is created with mode 0o600 by os.CreateTemp
-// and the rename preserves it for new files; callers that need wider
-// permissions set them on the final file.
+// over path, and then the directory is fsynced — without that, a machine
+// crash can lose the rename and bring back the old file (or no file) even
+// after WriteFile returned. The written file has mode 0o644.
 //
-// On any error the temporary file is removed and the previous contents of
-// path are left intact.
+// On an error before the rename the temporary file is removed and the
+// previous contents of path are left intact. An error from the directory
+// sync means path already holds data but may not survive a machine crash.
 func WriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
@@ -52,6 +54,21 @@ func WriteFile(path string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs the directory dir, making the entries renamed into it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

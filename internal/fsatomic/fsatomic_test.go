@@ -75,3 +75,13 @@ func TestWriteFileMissingDirErrors(t *testing.T) {
 		t.Fatalf("failed write left %d entries behind", len(entries))
 	}
 }
+
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir(%q): %v", dir, err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncDir of a missing directory succeeded")
+	}
+}

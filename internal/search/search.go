@@ -69,15 +69,16 @@ type Evaluator interface {
 // trajectory byte-identical to not prefetching at all. Implementations are
 // free to ignore any or all candidates (Prefetch is purely advisory).
 //
-// Supersede semantics: each Prefetch call REPLACES any previous batch —
-// the contract algorithms rely on when they re-batch from a new incumbent
-// after an accept (see CCD.optimizeTask). Speculative work for candidates
-// that appear in neither the new batch nor a waiting Evaluate may be
-// abandoned mid-measurement; because speculation has no observable
-// effects, abandonment is invisible to the trajectory and shows up only
-// as reclaimed wall-clock time. Algorithms should therefore prefetch the
-// full remaining enumeration each time rather than rationing batches —
-// stale entries cost at most the work already in flight.
+// Supersede semantics: Prefetch blocks until the batch is measured, and
+// each call REPLACES the previous batch — the contract algorithms rely on
+// when they re-batch from a new incumbent after an accept (see
+// CCD.optimizeTask). Results for candidates the new batch still contains
+// are kept; the rest are dropped unconsumed, which is invisible to the
+// trajectory because speculation has no observable effects and costs only
+// the wall-clock time spent measuring them. Algorithms should prefetch the
+// full remaining enumeration each time: after an accept the remainder
+// must be rebuilt from the new incumbent anyway, so a batch is wasted only
+// from the accepted move on.
 type BatchEvaluator interface {
 	Evaluator
 	Prefetch(cands []*mapping.Mapping)

@@ -423,8 +423,8 @@ func (s *Server) runSearch(e *store.Entry, req *Request, trace string) {
 	sink.Resume(skip)
 
 	p.opts.Observer = &telemetry.Observer{Sink: sink, Metrics: telemetry.NewRegistry()}
-	// Wall-clock pipeline telemetry (per-worker throughput, commit-queue
-	// wait) goes straight to the daemon registry, not the per-search one:
+	// Wall-clock evaluation telemetry (per-worker throughput, synchronous
+	// evaluations) goes to the daemon registry, not the per-search one:
 	// it is operational, non-deterministic, and must never leak into the
 	// result document's metrics snapshot.
 	p.opts.WallMetrics = s.reg

@@ -128,16 +128,16 @@ for case in "stencil:" "circuit:n50w200"; do
 done
 
 echo "== worker scaling smoke"
-# Regression gate for parallel evaluation: a -workers 8 htr search must
-# never be meaningfully slower than -workers 1 — at worst 10% over, which
-# is pure timer-noise slack, since 8 workers on >= 4 cores should WIN and
-# the driver clamps the pool to GOMAXPROCS so extra workers cannot add
-# oversubscription overhead. Trajectory byte-identity at both worker
-# counts is proven by the smokes above; this gate is purely wall-clock.
-# Below 4 cores the comparison measures the clamp (w8 == w1) plus noise,
-# so it is skipped rather than asserted.
-cores=$( (nproc || sysctl -n hw.ncpu || echo 1) 2>/dev/null | head -n1 )
-if [ "$cores" -ge 4 ]; then
+# Regression gate for parallel evaluation: with more than one core, an htr
+# CCD search at -workers 0 (= GOMAXPROCS) must beat -workers 1 by at least
+# 1.10x. Each side is the minimum of 3 walls, the least noisy estimate of
+# a CPU-bound run; on a 2-core host the speedup measured 1.23-1.26x.
+# Trajectory byte-identity at every worker count is proven by the smokes
+# above; this gate is purely wall-clock. GOMAXPROCS is read from the
+# binary itself, since the driver clamps its pool to it; at 1 the two
+# runs are the same program and the gate is skipped with a log line.
+procs=$(./bin/automap env | awk '$1 == "gomaxprocs" { print $2 }')
+if [ "$procs" -ge 2 ]; then
     # No `time` builtin in POSIX sh; nanosecond wall-clock via GNU date.
     wall() {
         s=$(date +%s%N)
@@ -145,18 +145,26 @@ if [ "$cores" -ge 4 ]; then
         e=$(date +%s%N)
         awk -v s="$s" -v e="$e" 'BEGIN { printf "%.3f", (e - s) / 1e9 }'
     }
-    t1=$(wall ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed 7 -workers 1)
-    t8=$(wall ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed 7 -workers 8)
-    awk -v t1="$t1" -v t8="$t8" -v cores="$cores" 'BEGIN {
-        if (t8 > t1 * 1.10) {
-            printf "REGRESSION: htr -workers 8 (%.2fs) > 1.10x -workers 1 (%.2fs) on %d cores\n", t8, t1, cores
+    minwall() {
+        best=""
+        for _ in 1 2 3; do
+            t=$(wall ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed 7 -workers "$1")
+            best=$(awk -v b="$best" -v t="$t" 'BEGIN { print (b == "" || t < b) ? t : b }')
+        done
+        echo "$best"
+    }
+    t1=$(minwall 1)
+    tn=$(minwall 0)
+    awk -v t1="$t1" -v tn="$tn" -v procs="$procs" 'BEGIN {
+        speedup = (tn > 0) ? t1 / tn : 0
+        printf "htr scaling: w1 %.2fs, w%d %.2fs, speedup %.2fx (min of 3 each)\n", t1, procs, tn, speedup
+        if (speedup < 1.10) {
+            printf "REGRESSION: htr speedup %.2fx at -workers 0 (gomaxprocs %d) is below 1.10x\n", speedup, procs
             exit 1
         }
-        speedup = (t8 > 0) ? t1 / t8 : 0
-        printf "htr scaling: w1 %.2fs, w8 %.2fs, speedup %.2fx on %d cores\n", t1, t8, speedup, cores
     }'
 else
-    echo "SKIP worker-scaling gate: $cores core(s) < 4 (the clamp makes -workers 8 identical to -workers 1 here)"
+    echo "SKIP worker-scaling gate: gomaxprocs $procs (-workers 0 is -workers 1 here)"
 fi
 
 echo "== checkpoint/resume smoke"
