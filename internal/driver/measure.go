@@ -1,8 +1,8 @@
 // The shared measurement path: every repeated-run protocol in the driver —
 // candidate evaluation (7 repeats), final re-measurement (31 repeats), and
 // baseline MeasureMapping — funnels through measureRuns, which executes the
-// repeats concurrently under a worker semaphore with order-independent
-// noise seeds.
+// first repeat alone and the rest concurrently under a worker semaphore,
+// with order-independent noise seeds.
 //
 // Seed derivation: each run's seed is a hash of (base seed, repeat index).
 // This replaced a sequential runSeed++ counter, whose seeds depended on how
@@ -74,34 +74,38 @@ type simRunner interface {
 }
 
 // measureRuns executes `repeats` independent simulations of mp (whose
-// canonical key is key) with seeds runSeed(base, i), concurrently
-// bounded by the semaphore sem. Results and errors are returned in repeat
-// order; both are deterministic regardless of scheduling. A non-positive
-// repeat count returns empty slices.
+// canonical key is key) with seeds runSeed(base, i), bounded by the
+// semaphore sem. Repeat 0 runs alone first: it records the key's schedule
+// (full or delta path), so repeats 1..n-1 — run concurrently — only fold
+// it instead of racing to record it again. Results and errors are returned
+// in repeat order; both are deterministic regardless of scheduling. A
+// non-positive repeat count returns empty slices.
 func measureRuns(inst simRunner, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]*sim.Result, []error) {
 	if repeats < 1 {
 		return nil, nil
 	}
 	results := make([]*sim.Result, repeats)
 	errs := make([]error, repeats)
-	if cap(sem) <= 1 || repeats == 1 {
+	run := func(i int) {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		results[i], errs[i] = inst.RunKeyed(key, mp, sim.Config{NoiseSigma: noise, Seed: runSeed(base, i)})
+	}
+	run(0)
+	if cap(sem) <= 1 {
 		// A single worker serializes everything anyway; skip the
 		// goroutine machinery.
-		for i := 0; i < repeats; i++ {
-			sem <- struct{}{}
-			results[i], errs[i] = inst.RunKeyed(key, mp, sim.Config{NoiseSigma: noise, Seed: runSeed(base, i)})
-			<-sem
+		for i := 1; i < repeats; i++ {
+			run(i)
 		}
 		return results, errs
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < repeats; i++ {
+	for i := 1; i < repeats; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = inst.RunKeyed(key, mp, sim.Config{NoiseSigma: noise, Seed: runSeed(base, i)})
+			run(i)
 		}(i)
 	}
 	wg.Wait()

@@ -136,7 +136,7 @@ func (d *DeltaInstance) ensure(b *deltaBase) (*PlacementPlan, *schedule, error) 
 		if b.err == nil {
 			// Structure is config-independent: record once, fold under
 			// any (noise, trace) config.
-			_, sch := d.runRecorded(b.plan, Config{}, true)
+			sch := d.runRecorded(b.plan, true)
 			sch.finalize()
 			b.sch = sch
 			d.storeSched(b.key, sch)
@@ -316,10 +316,7 @@ func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []boo
 		s = &state{}
 	}
 	s.init(plan, Config{})
-	rec := newRecorder(false)
-	rec.sch.ops = make([]copyOp, 0, len(base.ops)+16)
-	rec.sch.execs = make([]execRec, 0, len(base.execs)+16)
-	rec.sch.launches = make([]launchRec, 0, len(base.launches))
+	rec := newRecorder(false, len(base.launches), len(base.execs)+16, len(base.ops)+16)
 
 	topo := d.topo
 	aliasDirty := make([]bool, len(d.g.Collections))

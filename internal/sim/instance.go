@@ -10,6 +10,11 @@
 //     function of the mapping, so the repeats of one candidate (and any
 //     revisit of the same mapping) plan placement exactly once, and OOM
 //     verdicts are cached the same way;
+//   - schedules are cached by mapping key — a candidate's first run
+//     records its structure once, noise-free, into buffers sized up front
+//     (launches and execs exactly from the plan, ops from the longest
+//     recording so far), and every repeat, the first included, takes its
+//     Result from the timing fold of that schedule;
 //   - simulation scratch (timelines, coherence state) is recycled through
 //     a sync.Pool instead of reallocated per run.
 //
@@ -114,9 +119,9 @@ type Instance struct {
 
 	pool sync.Pool // *state
 
-	// Recorded schedules by mapping key: a full run records its
-	// structure as a byproduct, and repeats of the same key replay it
-	// with the timing fold instead of re-simulating (bit-identical
+	// Recorded schedules by mapping key: a cache miss records the key's
+	// structure with a noise-free run, and every run of the key folds it
+	// under its own config instead of re-simulating (bit-identical
 	// results, see schedule.go). schedPin names the delta base key,
 	// which survives shard resets.
 	scheds   [schedShardCount]schedShard
@@ -138,6 +143,11 @@ type Instance struct {
 
 	planHits   atomic.Int64
 	planMisses atomic.Int64
+
+	// opsHigh is the longest op stream recorded so far; it sizes the op
+	// buffer of later recordings (launch and exec counts are exact per
+	// plan, op counts are not known before the run).
+	opsHigh atomic.Int64
 }
 
 // noiseCacheLimit bounds the noise-tape cache; the driver derives seeds
@@ -260,42 +270,57 @@ func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
 }
 
 // RunKeyed is Run with the mapping's canonical key (mapping.Key) supplied
-// by the caller. The key must belong to mp: it is the plan-cache identity,
-// and two mappings with equal keys have identical decisions and therefore
-// identical plans.
+// by the caller. The key must belong to mp: it is the plan- and
+// schedule-cache identity, and two mappings with equal keys have identical
+// decisions and therefore identical plans. Concurrent first runs of one
+// key each record; callers that repeat a key (the driver's measureRuns)
+// run the first repeat alone so the others only fold.
 func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Result, error) {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	if sch := in.schedFor(key); sch != nil {
-		return in.fold(sch, plan, cfg), nil
+	sch := in.schedFor(key)
+	if sch == nil {
+		sch = in.runRecorded(plan, false)
+		sch.finalize()
+		in.storeSched(key, sch)
 	}
-	res, sch := in.runRecorded(plan, cfg, false)
-	sch.finalize()
-	in.storeSched(key, sch)
-	return res, nil
+	return in.fold(sch, plan, cfg), nil
 }
 
-// runRecorded executes a full simulation of plan with schedule recording
-// on and returns the run's result plus the recorded (un-finalized)
-// schedule. deep additionally captures coherence pre-states (delta
-// bases).
-func (in *Instance) runRecorded(plan *PlacementPlan, cfg Config, deep bool) (*Result, *schedule) {
+// runRecorded executes a noise-free full simulation of plan with schedule
+// recording on and returns the recorded (un-finalized) schedule. The
+// structure does not depend on the config (TestScheduleIndependentOfNoise),
+// so one record serves every repeat's fold. deep additionally captures
+// coherence pre-states (delta bases).
+func (in *Instance) runRecorded(plan *PlacementPlan, deep bool) *schedule {
 	s, _ := in.pool.Get().(*state)
 	if s == nil {
 		s = &state{}
 	}
-	s.init(plan, cfg)
-	rec := newRecorder(deep)
+	s.init(plan, Config{})
+	rec := newRecorder(deep, in.g.Iterations*len(in.topo.launch), plan.execCount(), int(in.opsHigh.Load()))
 	s.rec = rec
 	s.run()
 	s.rec = nil
-	res := s.result
 	s.result = nil
 	s.PlacementPlan = nil
 	in.pool.Put(s)
-	return res, rec.sch
+	in.noteOps(len(rec.sch.ops))
+	return rec.sch
+}
+
+// noteOps raises the recorded-ops high-water mark to n. The mark sizes the
+// next recording's op buffer, so steady-state records append without
+// growing it.
+func (in *Instance) noteOps(n int) {
+	for {
+		hw := in.opsHigh.Load()
+		if int64(n) <= hw || in.opsHigh.CompareAndSwap(hw, int64(n)) {
+			return
+		}
+	}
 }
 
 // fold replays a recorded schedule under cfg with pooled scratch and the

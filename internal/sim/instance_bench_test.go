@@ -57,6 +57,31 @@ func BenchmarkInstanceRun(b *testing.B) {
 	}
 }
 
+// BenchmarkInstanceRecord measures a candidate's first RunKeyed: the
+// noise-free structure pass that records its schedule, then the fold of
+// that schedule under the run's config. Each iteration drops the cached
+// schedule, so every run records afresh, while the placement plan stays
+// cached (BenchmarkPlanCacheMiss prices planning). allocs/op is the
+// recorder's allocation contract: launch and exec buffers are sized
+// exactly from the plan, the op buffer from the instance's high-water
+// mark, so a steady-state record never grows a slice.
+func BenchmarkInstanceRecord(b *testing.B) {
+	m, g, mp := benchProblem(b)
+	inst := New(m, g)
+	key := mp.Key()
+	if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: 0}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst.dropSchedule(key)
+		if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: uint64(i % 7)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkInstanceRunParallel is BenchmarkInstanceRun with concurrent
 // runners sharing one Instance — the worker-pool shape the driver creates.
 // Run with -cpu 1,4,8: near-flat ns/op across the -cpu values means the

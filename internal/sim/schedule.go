@@ -14,9 +14,13 @@
 //
 // The live run/runTask path is instrumented (state.rec, nil when off) to
 // emit a schedule as a byproduct; foldSchedule then re-derives the exact
-// same Result from the records. Incremental re-simulation (delta.go)
-// splices recorded launch ranges of a base schedule with freshly
-// simulated dirty launches and folds the spliced schedule.
+// same Result from the records. Because structure never reads the clock,
+// Instance records each candidate once, noise-free (Config{}), and takes
+// every repeat's Result — the first one included — from the fold
+// (TestScheduleIndependentOfNoise pins the independence). Incremental
+// re-simulation (delta.go) splices recorded launch ranges of a base
+// schedule with freshly simulated dirty launches and folds the spliced
+// schedule.
 package sim
 
 import (
@@ -142,10 +146,16 @@ type recorder struct {
 	opCursor int
 }
 
-// newRecorder returns a recorder with an empty schedule; deep enables
+// newRecorder returns a recorder with an empty schedule whose launch, exec
+// and op buffers have the given capacities; deep enables
 // per-launch-argument pre-state capture (delta bases).
-func newRecorder(deep bool) *recorder {
-	return &recorder{sch: &schedule{deep: deep}}
+func newRecorder(deep bool, launches, execs, ops int) *recorder {
+	return &recorder{sch: &schedule{
+		deep:     deep,
+		launches: make([]launchRec, 0, launches),
+		execs:    make([]execRec, 0, execs),
+		ops:      make([]copyOp, 0, ops),
+	}}
 }
 
 // op records one copy operation, consuming a pending chain marker.

@@ -11,9 +11,9 @@ import (
 
 	"automap/internal/apps"
 	"automap/internal/cluster"
-	"automap/internal/machine"
 	"automap/internal/mapping"
 	"automap/internal/taskir"
+	"automap/internal/xrand"
 )
 
 // appProblems returns every bundled app built at its default input on a
@@ -142,4 +142,54 @@ func TestFoldMatchesLiveRun(t *testing.T) {
 	}
 }
 
-var _ = machine.NumProcKinds // keep machine imported alongside future tests
+// recordUnder runs a recorded live simulation of plan under cfg and
+// returns its finalized schedule.
+func recordUnder(plan *PlacementPlan, cfg Config) *schedule {
+	var s state
+	s.init(plan, cfg)
+	s.rec = newRecorder(false, 0, 0, 0)
+	s.run()
+	s.rec.sch.finalize()
+	return s.rec.sch
+}
+
+// TestScheduleIndependentOfNoise checks that the structure pass never
+// reads the simulated clock: a schedule recorded under noise equals the
+// noise-free one exactly, so Instance may record every candidate once
+// with Config{} and fold all repeats from it. It also pins the recorder's
+// sizing contract: the exact per-plan launch and exec counts.
+func TestScheduleIndependentOfNoise(t *testing.T) {
+	cfgs := []Config{{NoiseSigma: 0.04, Seed: 42}, {NoiseSigma: 0.1, Seed: 7}}
+	for _, nodes := range []int{1, 2, 4} {
+		for name, g := range appProblems(t, nodes) {
+			m := cluster.Shepard(nodes)
+			md := m.Model()
+			mps := []*mapping.Mapping{mapping.Default(g, md)}
+			rng := xrand.New(0x5C4ED + uint64(nodes))
+			for i := 0; i < 4; i++ {
+				mp := mps[0].CloneCOW()
+				for f := 1 + rng.Intn(4); f > 0; f-- {
+					applyRandomMove(rng, g, md, mp)
+				}
+				mps = append(mps, mp)
+			}
+			topo := newTopology(m, g)
+			for i, mp := range mps {
+				plan, err := planPlacement(topo, mp)
+				if err != nil {
+					continue // OOM: nothing is recorded
+				}
+				want := recordUnder(plan, Config{})
+				if len(want.launches) != g.Iterations*len(topo.launch) || len(want.execs) != plan.execCount() {
+					t.Fatalf("%s/%d mapping %d: %d launches, %d execs; sized for %d, %d", name, nodes, i,
+						len(want.launches), len(want.execs), g.Iterations*len(topo.launch), plan.execCount())
+				}
+				for _, cfg := range cfgs {
+					if got := recordUnder(plan, cfg); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%d mapping %d: schedule under %+v differs from the noise-free one", name, nodes, i, cfg)
+					}
+				}
+			}
+		}
+	}
+}
