@@ -93,9 +93,31 @@ func TestExecuteOOMAndFallback(t *testing.T) {
 	}
 }
 
+// heavyGraph is rtGraph's solve alone at ten times the work per point.
+// rtGraph's launch-bound touch pass costs the GPU pool 8 launch delays per
+// iteration, which on a host with four or more cores outweighs the solve;
+// here each point's compute is several launch delays long on the GPU pool,
+// so the comparison measures heavy work on any host.
+func heavyGraph() *taskir.Graph {
+	g := taskir.NewGraph("rtheavy")
+	g.Iterations = 2
+	state := g.AddCollection(taskir.Collection{
+		Name: "state", Space: "rt.state", Lo: 0, Hi: 8 << 20, Partitioned: true,
+	})
+	g.AddTask(taskir.GroupTask{Name: "solve", Points: 4,
+		Args: []taskir.Arg{
+			{Collection: state.ID, Privilege: taskir.ReadWrite, BytesPerPoint: 2 << 20},
+		},
+		Variants: map[machine.ProcKind]taskir.Variant{
+			machine.CPU: {WorkPerPoint: 4e6, Efficiency: 1},
+			machine.GPU: {WorkPerPoint: 4e6, Efficiency: 1},
+		}})
+	return g
+}
+
 func TestGPUPoolFasterOnHeavyWork(t *testing.T) {
 	m := DefaultMachine(1)
-	g := rtGraph()
+	g := heavyGraph()
 	ex := NewExecutor(m, g)
 	md := m.Model()
 	gpu := mapping.Default(g, md)
