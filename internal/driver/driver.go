@@ -186,8 +186,9 @@ type Evaluator struct {
 	evalSec   float64
 
 	// inst amortizes simulator topology tables, placement plans, and
-	// run scratch across every simulation of the search; sem bounds all
-	// concurrently executing simulations to `workers`. delta wraps inst
+	// run scratch across every simulation of the search; sem bounds the
+	// candidates measured at once to `workers` (each measureRuns call
+	// holds one slot for all its repeats). delta wraps inst
 	// with incremental re-simulation against the search incumbent
 	// (sim.DeltaInstance); runner is whichever of the two measurements go
 	// through (Options.DisableIncremental selects inst). delta is always
@@ -459,8 +460,9 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 		e.mFbEvals.Add(1)
 	}
 	// Logical cache attribution (same discipline as the delta counters
-	// above): placement is a pure function of the key, so a committed
-	// candidate's first repeat planned it and the rest hit the cache; the
+	// above): placement is a pure function of the key, so the counters
+	// charge a committed candidate's first repeat a miss and the rest hits
+	// (RunRepeats physically looks the plan up once for all of them); the
 	// noise stream is a pure function of the repeat index, so a repeat
 	// index draws its tape the first time any committed candidate reaches
 	// it (noiseSeen is that high-water mark) and replays it thereafter.
@@ -722,12 +724,10 @@ type specJob struct {
 
 // measureJobs measures jobs on min(workers, len(jobs)) goroutines and
 // returns when all have finished. Each goroutine takes the next unmeasured
-// job and runs its repeats in order under the shared simulation semaphore
-// — the pool is the parallelism unit, so fanning repeats out would only
-// add scheduler load — and takes no new job once the budget's context
+// job, measures all its repeats with one measureRuns call — the pool is
+// the parallelism unit — and takes no new job once the budget's context
 // stops.
 func (e *Evaluator) measureJobs(jobs []specJob) {
-	repeats := e.repeats()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for slot := range min(e.workers, len(jobs)) {
@@ -741,14 +741,7 @@ func (e *Evaluator) measureJobs(jobs []specJob) {
 				}
 				j := &jobs[i]
 				start := e.wall.now()
-				results := make([]*sim.Result, repeats)
-				errs := make([]error, repeats)
-				for r := range repeats {
-					e.sem <- struct{}{}
-					results[r], errs[r] = e.runner.RunKeyed(j.key, j.mp, sim.Config{NoiseSigma: e.Opts.NoiseSigma, Seed: runSeed(e.Opts.Seed, r)})
-					<-e.sem
-				}
-				j.res = specResult{results: results, errs: errs}
+				j.res.results, j.res.errs = measureRuns(e.runner, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
 				e.wall.workerEval(slot, e.wall.now()-start)
 			}
 		}()
@@ -1131,16 +1124,15 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 
 // MeasureMapping runs mp `repeats` times with distinct seeds and returns
 // the average execution time. It is the protocol used for baseline mappers
-// when comparing against AutoMap. Repeats execute concurrently (bounded by
-// GOMAXPROCS) with key-derived seeds, so the result is independent of
-// scheduling.
+// when comparing against AutoMap. The repeats are measured in one
+// simulator call (measureRuns) with index-derived seeds, so the result is
+// a pure function of its arguments.
 func MeasureMapping(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, repeats int, noise float64, seed uint64) (float64, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
 	inst := sim.New(m, g)
-	sem := make(chan struct{}, resolveWorkers(0))
-	results, errs := measureRuns(inst, mp.Key(), mp, repeats, noise, seed, sem)
+	results, errs := measureRuns(inst, mp.Key(), mp, repeats, noise, seed, make(chan struct{}, 1))
 	var sum float64
 	for i := range results {
 		if errs[i] != nil {

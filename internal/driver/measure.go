@@ -1,16 +1,19 @@
 // The shared measurement path: every repeated-run protocol in the driver —
-// candidate evaluation (7 repeats), final re-measurement (31 repeats), and
-// baseline MeasureMapping — funnels through measureRuns, which executes the
-// first repeat alone and the rest concurrently under a worker semaphore,
-// with order-independent noise seeds.
+// candidate evaluation (7 repeats), final re-measurement (31 repeats),
+// Prefetch batch jobs, and baseline MeasureMapping — funnels through
+// measureRuns, which measures all of a candidate's repeats in one
+// simulator call (one schedule, one lane-wise fold over all seeds) under
+// one slot of the worker semaphore, with order-independent noise seeds.
+// Parallelism comes from measuring different candidates at once, never
+// from splitting one candidate's repeats.
 //
 // Seed derivation: each run's seed is a hash of (base seed, repeat index).
 // This replaced a sequential runSeed++ counter, whose seeds depended on how
 // many runs had executed before — meaning the measurement of a mapping
 // changed with suggestion order, and concurrent or speculative evaluation
 // would have perturbed results. With derived seeds a mapping's measurement
-// is a pure function of (base seed, mapping), so repeats may run in any
-// order and on any number of workers, speculative results are exactly the
+// is a pure function of (base seed, mapping), so candidates may be measured
+// in any order and on any number of workers, speculative results are exactly the
 // results a later sequential evaluation would produce, and the search
 // trajectory is identical at every worker count.
 //
@@ -28,7 +31,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"runtime"
-	"sync"
 
 	"automap/internal/mapping"
 	"automap/internal/sim"
@@ -63,51 +65,38 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// simRunner is the simulator surface the measurement path needs: a keyed
-// run. Satisfied by both *sim.Instance (full simulation with schedule
-// fold) and *sim.DeltaInstance (incremental re-simulation against the
-// search incumbent); both return bit-identical results for any input, so
-// which one backs an evaluator never affects what is measured — only how
-// fast.
+// simRunner is the simulator surface the measurement path needs: all
+// repeats of one keyed candidate in one call. Satisfied by both
+// *sim.Instance (full simulation with schedule fold) and
+// *sim.DeltaInstance (incremental re-simulation against the search
+// incumbent); both return bit-identical results for any input, so which
+// one backs an evaluator never affects what is measured — only how fast.
 type simRunner interface {
-	RunKeyed(key string, mp *mapping.Mapping, cfg sim.Config) (*sim.Result, error)
+	RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*sim.Result, error)
 }
 
-// measureRuns executes `repeats` independent simulations of mp (whose
-// canonical key is key) with seeds runSeed(base, i), bounded by the
-// semaphore sem. Repeat 0 runs alone first: it records the key's schedule
-// (full or delta path), so repeats 1..n-1 — run concurrently — only fold
-// it instead of racing to record it again. Results and errors are returned
-// in repeat order; both are deterministic regardless of scheduling. A
+// measureRuns measures `repeats` simulations of mp (whose canonical key is
+// key) with seeds runSeed(base, i), in one RunRepeats call holding one slot
+// of the semaphore sem. Results and errors are returned in repeat order;
+// a simulation error (placement failure) is every repeat's error. A
 // non-positive repeat count returns empty slices.
 func measureRuns(inst simRunner, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]*sim.Result, []error) {
 	if repeats < 1 {
 		return nil, nil
 	}
-	results := make([]*sim.Result, repeats)
+	seeds := make([]uint64, repeats)
+	for i := range seeds {
+		seeds[i] = runSeed(base, i)
+	}
+	sem <- struct{}{}
+	results, err := inst.RunRepeats(key, mp, noise, seeds)
+	<-sem
 	errs := make([]error, repeats)
-	run := func(i int) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		results[i], errs[i] = inst.RunKeyed(key, mp, sim.Config{NoiseSigma: noise, Seed: runSeed(base, i)})
-	}
-	run(0)
-	if cap(sem) <= 1 {
-		// A single worker serializes everything anyway; skip the
-		// goroutine machinery.
-		for i := 1; i < repeats; i++ {
-			run(i)
+	if err != nil {
+		results = make([]*sim.Result, repeats)
+		for i := range errs {
+			errs[i] = err
 		}
-		return results, errs
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < repeats; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run(i)
-		}(i)
-	}
-	wg.Wait()
 	return results, errs
 }

@@ -15,8 +15,8 @@
 // When the candidate is not a bounded delta — too many flipped decisions,
 // placement rows of unchanged tasks moved (capacity accounting is global,
 // so a spill elsewhere invalidates recorded durations), or the estimated
-// dirty frontier exceeds MaxDirtyFrac — RunKeyed falls back to the full
-// path. Classification is a pure function of (candidate, base), exposed
+// dirty frontier exceeds MaxDirtyFrac — RunKeyed and RunRepeats fall back
+// to the full path. Classification is a pure function of (candidate, base), exposed
 // as Classify so the driver can count incremental/fallback evaluations
 // deterministically on its sequential commit path.
 package sim
@@ -32,8 +32,8 @@ import (
 
 // DeltaInstance extends Instance with incremental re-simulation against a
 // movable base mapping. All Instance methods remain available; RunKeyed
-// is overridden to try the incremental path first. Concurrent RunKeyed
-// calls are safe.
+// and RunRepeats are overridden to try the incremental path first.
+// Concurrent calls are safe.
 type DeltaInstance struct {
 	*Instance
 
@@ -154,13 +154,29 @@ func (d *DeltaInstance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*
 	if err != nil {
 		return nil, err
 	}
+	return d.fold(d.deltaSched(key, mp, plan), plan, cfg), nil
+}
+
+// RunRepeats is Instance.RunRepeats with RunKeyed's schedule source: one
+// cached, patched or recorded schedule, folded for every seed.
+func (d *DeltaInstance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*Result, error) {
+	plan, err := d.planFor(key, mp)
+	if err != nil {
+		return nil, err
+	}
+	return d.foldRepeats(d.deltaSched(key, mp, plan), plan, sigma, seeds), nil
+}
+
+// deltaSched returns key's cached schedule, else a patched one when mp is a
+// bounded delta of the base, else a full noise-free recording.
+func (d *DeltaInstance) deltaSched(key string, mp *mapping.Mapping, plan *PlacementPlan) *schedule {
 	if sch := d.schedFor(key); sch != nil {
-		return d.fold(sch, plan, cfg), nil
+		return sch
 	}
 	if sch := d.tryPatch(key, mp, plan); sch != nil {
-		return d.fold(sch, plan, cfg), nil
+		return sch
 	}
-	return d.Instance.RunKeyed(key, mp, cfg)
+	return d.recordedSched(key, plan)
 }
 
 // Classify reports whether an evaluation of (key, mp) would be served

@@ -15,10 +15,14 @@
 //     (launches and execs exactly from the plan, ops from the longest
 //     recording so far), and every repeat, the first included, takes its
 //     Result from the timing fold of that schedule;
+//   - RunRepeats measures all of a candidate's repeats in one call: one
+//     plan lookup, one schedule, and one lane-wise fold that carries up
+//     to 8 repeats' timelines side by side (foldLanes);
 //   - simulation scratch (timelines, coherence state) is recycled through
 //     a sync.Pool instead of reallocated per run.
 //
-// Run is safe for concurrent use; results are bit-identical to Simulate.
+// Run, RunKeyed and RunRepeats are safe for concurrent use; results are
+// bit-identical to Simulate.
 //
 // Concurrency design (DESIGN §15): the worker pool evaluates independent
 // candidates, so the hot path is built to share nothing mutable between
@@ -272,21 +276,41 @@ func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
 // RunKeyed is Run with the mapping's canonical key (mapping.Key) supplied
 // by the caller. The key must belong to mp: it is the plan- and
 // schedule-cache identity, and two mappings with equal keys have identical
-// decisions and therefore identical plans. Concurrent first runs of one
-// key each record; callers that repeat a key (the driver's measureRuns)
-// run the first repeat alone so the others only fold.
+// decisions and therefore identical plans. It is the single-config path,
+// and the only one that produces Trace and Explain logs; a candidate's
+// noisy repeats go through RunRepeats.
 func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Result, error) {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	sch := in.schedFor(key)
-	if sch == nil {
-		sch = in.runRecorded(plan, false)
-		sch.finalize()
-		in.storeSched(key, sch)
+	return in.fold(in.recordedSched(key, plan), plan, cfg), nil
+}
+
+// RunRepeats measures the repeats of one candidate in one call: result i
+// is bit-identical to RunKeyed(key, mp, Config{NoiseSigma: sigma, Seed:
+// seeds[i]}). It plans and fetches (or records) the schedule once and
+// folds it for all seeds together (foldRepeats). A placement failure is
+// returned as the error, with no results.
+func (in *Instance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*Result, error) {
+	plan, err := in.planFor(key, mp)
+	if err != nil {
+		return nil, err
 	}
-	return in.fold(sch, plan, cfg), nil
+	return in.foldRepeats(in.recordedSched(key, plan), plan, sigma, seeds), nil
+}
+
+// recordedSched returns key's cached schedule, recording it noise-free and
+// caching it on a miss. Concurrent first runs of one key each record; the
+// recordings are identical and the second store is harmless.
+func (in *Instance) recordedSched(key string, plan *PlacementPlan) *schedule {
+	if sch := in.schedFor(key); sch != nil {
+		return sch
+	}
+	sch := in.runRecorded(plan, false)
+	sch.finalize()
+	in.storeSched(key, sch)
+	return sch
 }
 
 // runRecorded executes a noise-free full simulation of plan with schedule
@@ -337,6 +361,57 @@ func (in *Instance) fold(sch *schedule, plan *PlacementPlan, cfg Config) *Result
 	res := foldSchedule(in.topo, plan, sch, cfg, noise, fs)
 	in.foldPool.Put(fs)
 	return res
+}
+
+// foldRepeats folds sch once per seed: blocks of laneWidth seeds go
+// through foldLanes, and a remainder shorter than laneMin folds seed by
+// seed.
+func (in *Instance) foldRepeats(sch *schedule, plan *PlacementPlan, sigma float64, seeds []uint64) []*Result {
+	out := make([]*Result, len(seeds))
+	i := 0
+	if len(seeds) >= laneMin {
+		fs, _ := in.foldPool.Get().(*foldScratch)
+		if fs == nil {
+			fs = &foldScratch{}
+		}
+		for ; len(seeds)-i >= laneMin; i += laneWidth {
+			blk := seeds[i:min(i+laneWidth, len(seeds))]
+			var noise []lanes
+			if sigma > 0 {
+				noise = in.laneTape(fs, blk, sigma, len(sch.execs))
+			}
+			foldLanes(in.topo, plan, sch, noise, out[i:i+len(blk)], fs)
+		}
+		in.foldPool.Put(fs)
+	}
+	for ; i < len(seeds); i++ {
+		out[i] = in.fold(sch, plan, Config{NoiseSigma: sigma, Seed: seeds[i]})
+	}
+	return out
+}
+
+// laneTape returns the first n draws of the noise block of seeds (at most
+// laneWidth; padding lanes repeat the last seed), transposed so that entry
+// [ex][l] is draw ex of lane l's tape, and memoized in fs.
+func (in *Instance) laneTape(fs *foldScratch, seeds []uint64, sigma float64, n int) []lanes {
+	k := laneTapeKey{sigma: sigma}
+	for l := range k.seeds {
+		k.seeds[l] = seeds[min(l, len(seeds)-1)]
+	}
+	if blk := fs.laneTapes[k]; len(blk) >= n {
+		return blk[:n]
+	}
+	blk := make([]lanes, n)
+	for l, seed := range k.seeds {
+		for ex, v := range in.noiseFactors(fs, seed, sigma, n) {
+			blk[ex][l] = v
+		}
+	}
+	if fs.laneTapes == nil || len(fs.laneTapes) >= laneTapeLimit {
+		fs.laneTapes = make(map[laneTapeKey][]lanes, laneTapeLimit)
+	}
+	fs.laneTapes[k] = blk
+	return blk
 }
 
 // schedFor returns the cached schedule for key, or nil.

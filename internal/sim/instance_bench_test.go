@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -79,6 +80,46 @@ func BenchmarkInstanceRecord(b *testing.B) {
 		if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: uint64(i % 7)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInstanceRepeats prices one candidate's measurement protocol on
+// a warm schedule: RunRepeats over n seeds against n RunKeyed calls, for
+// the repeat counts the driver and the experiments use (1, 3, 7, 31).
+// RunRepeats must not be slower than the RunKeyed loop at any n; the
+// lane-block crossover (laneMin) is set from these rows.
+func BenchmarkInstanceRepeats(b *testing.B) {
+	m, g, mp := benchProblem(b)
+	inst := New(m, g)
+	key := mp.Key()
+	for _, n := range []int{1, 3, 7, 31} {
+		seeds := make([]uint64, n)
+		for i := range seeds {
+			seeds[i] = uint64(i)
+		}
+		// Warm the plan, schedule and noise tapes: the timed loops
+		// measure only the folds.
+		if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("seeds=%d/RunRepeats", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("seeds=%d/RunKeyed", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, seed := range seeds {
+					if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: seed}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"automap/internal/cluster"
 	"automap/internal/machine"
 	"automap/internal/mapping"
+	"automap/internal/taskir"
+	"automap/internal/xrand"
 )
 
 func TestInstanceRunMatchesSimulate(t *testing.T) {
@@ -112,5 +115,122 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	hits, misses = inst.PlanCacheStats()
 	if hits != 6 || misses != 2 {
 		t.Fatalf("after new mapping: hits=%d misses=%d, want 6/2", hits, misses)
+	}
+}
+
+// repeatSeeds returns n distinct noise seeds.
+func repeatSeeds(n int) []uint64 {
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = 0x9E37 + uint64(i)*7919
+	}
+	return seeds
+}
+
+// requireRepeatsMatch checks every result of RunRepeats against a RunKeyed
+// on ref under that lane's seed.
+func requireRepeatsMatch(t *testing.T, ctx string, got []*Result, ref *Instance, mp *mapping.Mapping, sigma float64, seeds []uint64) {
+	t.Helper()
+	if len(got) != len(seeds) {
+		t.Fatalf("%s: %d results for %d seeds", ctx, len(got), len(seeds))
+	}
+	for i, seed := range seeds {
+		want, err := ref.RunKeyed(mp.Key(), mp, Config{NoiseSigma: sigma, Seed: seed})
+		if err != nil {
+			t.Fatalf("%s: RunKeyed: %v", ctx, err)
+		}
+		requireSameResult(t, fmt.Sprintf("%s lane %d", ctx, i), got[i], want)
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
+// TestRepeatsMatchRunKeyed is the oracle of the lane-wise fold: every
+// result RunRepeats returns must equal RunKeyed under that seed bit for
+// bit, for every app and node count, default and random mappings, with and
+// without noise, and seed counts on both sides of the lane-block edges
+// (scalar remainder, one partial block, full blocks, a block plus one).
+// The delta path folds a patched schedule, and an OOM mapping returns the
+// same error value from both calls.
+func TestRepeatsMatchRunKeyed(t *testing.T) {
+	counts := []int{1, 3, 7, 8, 9, 31}
+	for _, nodes := range []int{1, 2, 4} {
+		for name, g := range appProblems(t, nodes) {
+			m := cluster.Shepard(nodes)
+			md := m.Model()
+			mps := []*mapping.Mapping{mapping.Default(g, md)}
+			rng := xrand.New(0x1A4E5 + uint64(nodes))
+			for i := 0; i < 2; i++ {
+				mp := mps[0].CloneCOW()
+				for f := 1 + rng.Intn(4); f > 0; f-- {
+					applyRandomMove(rng, g, md, mp)
+				}
+				mps = append(mps, mp)
+			}
+			inst, ref := New(m, g), New(m, g)
+			for i, mp := range mps {
+				for _, sigma := range []float64{0, 0.04} {
+					for _, n := range counts {
+						ctx := fmt.Sprintf("%s/%d mapping %d sigma %v seeds %d", name, nodes, i, sigma, n)
+						got, err := inst.RunRepeats(mp.Key(), mp, sigma, repeatSeeds(n))
+						if err != nil {
+							if _, werr := ref.RunKeyed(mp.Key(), mp, Config{}); werr == nil || werr.Error() != err.Error() {
+								t.Fatalf("%s: RunRepeats err %v, RunKeyed err %v", ctx, err, werr)
+							}
+							continue
+						}
+						requireRepeatsMatch(t, ctx, got, ref, mp, sigma, repeatSeeds(n))
+					}
+				}
+			}
+
+			// Delta path: a candidate one move from the base folds the
+			// patched schedule when it classifies as a bounded delta.
+			d := NewDelta(New(m, g))
+			d.SetBase(mps[0])
+			var patched int
+			for trial := 0; trial < 4; trial++ {
+				cand := mps[0].CloneCOW()
+				applyRandomMove(rng, g, md, cand)
+				key := cand.Key()
+				if d.Classify(key, cand) {
+					patched++
+				}
+				got, err := d.RunRepeats(key, cand, 0.04, repeatSeeds(9))
+				if err != nil {
+					continue
+				}
+				requireRepeatsMatch(t, fmt.Sprintf("%s/%d delta trial %d", name, nodes, trial), got, ref, cand, 0.04, repeatSeeds(9))
+			}
+			if patched == 0 {
+				t.Logf("%s/%d: no one-move candidate classified incremental", name, nodes)
+			}
+		}
+	}
+
+	// OOM: both calls return the plan cache's one error value.
+	m := cluster.Shepard(1)
+	g := simpleGraph(4, 20<<30) // 20 GB > 16 GB FB
+	oom := mapping.Default(g, m.Model())
+	for id := range g.Tasks {
+		dec := oom.Decision(taskir.TaskID(id))
+		for a := range dec.Mems {
+			dec.Mems[a] = []machine.MemKind{machine.FrameBuffer}
+		}
+	}
+	d := NewDelta(New(m, g))
+	d.SetBase(mapping.Default(g, m.Model()))
+	for _, r := range []interface {
+		RunKeyed(string, *mapping.Mapping, Config) (*Result, error)
+		RunRepeats(string, *mapping.Mapping, float64, []uint64) ([]*Result, error)
+	}{New(m, g), d} {
+		got, err := r.RunRepeats(oom.Key(), oom, 0.04, repeatSeeds(7))
+		if _, ok := err.(*OOMError); !ok || got != nil {
+			t.Fatalf("%T.RunRepeats on an OOM mapping: results %v, err %v; want *OOMError", r, got, err)
+		}
+		if _, kerr := r.RunKeyed(oom.Key(), oom, Config{NoiseSigma: 0.04, Seed: 1}); kerr != err {
+			t.Fatalf("%T: RunKeyed err %v is not RunRepeats err %v", r, kerr, err)
+		}
 	}
 }

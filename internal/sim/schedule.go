@@ -17,10 +17,13 @@
 // same Result from the records. Because structure never reads the clock,
 // Instance records each candidate once, noise-free (Config{}), and takes
 // every repeat's Result — the first one included — from the fold
-// (TestScheduleIndependentOfNoise pins the independence). Incremental
-// re-simulation (delta.go) splices recorded launch ranges of a base
-// schedule with freshly simulated dirty launches and folds the spliced
-// schedule.
+// (TestScheduleIndependentOfNoise pins the independence). The repeats of
+// one candidate differ only in their noise tape, so foldLanes folds up to
+// laneWidth of them in one pass over the schedule, each lane repeating
+// foldSchedule's float operations exactly (TestRepeatsMatchRunKeyed).
+// Incremental re-simulation (delta.go) splices recorded launch ranges of a
+// base schedule with freshly simulated dirty launches and folds the
+// spliced schedule.
 package sim
 
 import (
@@ -251,17 +254,56 @@ type foldScratch struct {
 	taskWall   []float64 // per task, summed into TaskWallSec at the end
 	busy       [machine.NumProcKinds]float64
 	seen       [machine.NumProcKinds]bool
+
+	// laneTapes is the transposed-noise memo of foldLanes: entry [ex][l]
+	// is draw ex of lane l's tape. Like noise, an entry is a pure function
+	// of its key and never stale.
+	laneTapes map[laneTapeKey][]lanes
+
+	// The same timelines, one lane block per element, for foldLanes.
+	laneProc   []lanes
+	laneCopy   []lanes
+	laneWrite  []lanes
+	laneAccess []lanes
+	laneWall   []lanes
+	laneBusy   [machine.NumProcKinds]lanes
 }
 
+// laneWidth is the number of repeats one foldLanes pass carries. The
+// timelines are fixed-size arrays rather than slices: with the width a
+// compile-time constant the per-lane loops carry no bounds checks, which
+// is what makes one pass over the schedule cheaper than laneWidth folds.
+const laneWidth = 8
+
+// laneMin is the smallest number of repeats worth a lane block; fewer
+// fold one at a time through foldSchedule. A block does the work of
+// laneWidth lanes whatever the number of real ones, and on a 2-vCPU
+// x86-64 host it cost 4.3–5.2 scalar folds (pennant 320x720 on 1 and 4
+// nodes, htr 32x256y36z on 2): at 5 seeds a block beat 5 scalar folds on
+// pennant but broke even or lost on htr, and at 6 it won on all three.
+const laneMin = 6
+
+// lanes holds one timeline value per repeat of a lane block.
+type lanes [laneWidth]float64
+
+// laneTapeKey identifies the noise block of one lane block's seeds.
+type laneTapeKey struct {
+	seeds [laneWidth]uint64
+	sigma float64
+}
+
+// laneTapeLimit bounds a fold scratch's laneTapes memo. The driver's seeds
+// depend only on the repeat index, so a search folds one block per 8
+// repeats plus the final phase's blocks.
+const laneTapeLimit = 16
+
 // resetZero returns s resized to n with every element zeroed.
-func resetZero(s []float64, n int) []float64 {
+func resetZero[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -416,4 +458,163 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 	}
 	res.EnergyJoules = energy + float64(res.BytesCopied)*topo.m.CopyEnergyPerByte
 	return res
+}
+
+// foldLanes is foldSchedule for up to laneWidth repeats at once: one pass
+// over the schedule's ops, execs and launches drives one timeline per lane,
+// lane l multiplying execution ex's duration by noise[ex][l] (noise is nil
+// without noise). Every lane performs exactly foldSchedule's float
+// operations in the same order, so out[l] is bit-identical to foldSchedule
+// under lane l's tape. Lanes past len(out) are padding: their results are
+// discarded. Trace and Explain logs are not produced; RunKeyed serves
+// those configs.
+func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes, out []*Result, fs *foldScratch) {
+	g := topo.g
+	nc := len(g.Collections)
+	fs.laneProc = resetZero(fs.laneProc, topo.nodes*machine.NumProcKinds)
+	fs.laneCopy = resetZero(fs.laneCopy, topo.nodes)
+	fs.laneWrite = resetZero(fs.laneWrite, nc)
+	fs.laneAccess = resetZero(fs.laneAccess, nc)
+	fs.laneWall = resetZero(fs.laneWall, len(g.Tasks))
+	clear(fs.laneBusy[:])
+	clear(fs.seen[:])
+	noisy := noise != nil
+
+	var netAvail, energy, makespan, t, copyDone lanes
+	perIter := len(topo.launch)
+	opIdx, exIdx := 0, 0
+	for li := range sch.launches {
+		tid := topo.launch[li%perIter]
+		deps := topo.argDeps[tid]
+		var ready lanes
+		for _, dp := range deps {
+			if dp.reads {
+				w := &fs.laneWrite[dp.alias]
+				for l := range ready {
+					if w[l] > ready[l] {
+						ready[l] = w[l]
+					}
+				}
+			}
+			if dp.writes {
+				a := &fs.laneAccess[dp.alias]
+				for l := range ready {
+					if a[l] > ready[l] {
+						ready[l] = a[l]
+					}
+				}
+			}
+		}
+		taskFinish := ready
+		var execWall lanes
+		exEnd := int(sch.launches[li].execEnd)
+		for ; exIdx < exEnd; exIdx++ {
+			x := &sch.execs[exIdx]
+			// Without copies foldSchedule's copyDone is fmax(ready,
+			// ready), which is ready bit for bit.
+			cd := &ready
+			if opIdx < int(x.opEnd) {
+				t, copyDone = ready, ready
+				for ; opIdx < int(x.opEnd); opIdx++ {
+					o := &sch.ops[opIdx]
+					if o.chainFirst {
+						for l := range t {
+							copyDone[l] = fmax(copyDone[l], t[l])
+							t[l] = ready[l]
+						}
+					}
+					avail := &netAvail
+					if !o.network {
+						avail = &fs.laneCopy[o.srcNode]
+					}
+					for l := range t {
+						done := fmax(t[l], avail[l]) + o.durA + o.durB
+						avail[l] = done
+						t[l] = done
+					}
+				}
+				for l := range t {
+					copyDone[l] = fmax(copyDone[l], t[l])
+				}
+				cd = &copyDone
+			}
+			var nz *lanes
+			if noisy {
+				nz = &noise[exIdx]
+			}
+			pa := &fs.laneProc[int(x.node)*machine.NumProcKinds+int(x.kind)]
+			busy := &fs.laneBusy[x.kind]
+			for l := range pa {
+				dur := x.durBase
+				if noisy {
+					dur *= nz[l]
+				}
+				fin := fmax(cd[l], pa[l]) + dur
+				pa[l] = fin
+				a := x.activeF * dur
+				busy[l] += a
+				energy[l] += a * x.powerW
+				if fin > taskFinish[l] {
+					taskFinish[l] = fin
+				}
+				if dur > execWall[l] {
+					execWall[l] = dur
+				}
+			}
+			fs.seen[x.kind] = true
+		}
+		opIdx = int(sch.launches[li].opEnd)
+
+		for _, dp := range deps {
+			if !dp.writes {
+				if dp.reads {
+					a := &fs.laneAccess[dp.alias]
+					for l := range a {
+						if taskFinish[l] > a[l] {
+							a[l] = taskFinish[l]
+						}
+					}
+				}
+				continue
+			}
+			w, a := &fs.laneWrite[dp.alias], &fs.laneAccess[dp.alias]
+			for l := range w {
+				if taskFinish[l] > w[l] {
+					w[l] = taskFinish[l]
+				}
+				if taskFinish[l] > a[l] {
+					a[l] = taskFinish[l]
+				}
+			}
+		}
+		tw := &fs.laneWall[tid]
+		for l := range tw {
+			tw[l] += execWall[l]
+			if taskFinish[l] > makespan[l] {
+				makespan[l] = taskFinish[l]
+			}
+		}
+	}
+	for l := range out {
+		res := &Result{
+			TaskWallSec:    make(map[taskir.TaskID]float64, len(g.Tasks)),
+			PeakMemBytes:   plan.PeakMemBytes(),
+			ProcBusySec:    make(map[machine.ProcKind]float64),
+			Spills:         plan.Spills,
+			MakespanSec:    makespan[l] + float64(g.Iterations)*g.SerialOverheadSec,
+			BytesCopied:    sch.bytesCopied,
+			BytesOnNetwork: sch.netBytes,
+			NumCopies:      sch.numCopies,
+		}
+		for _, tid := range topo.launch {
+			res.TaskWallSec[tid] = fs.laneWall[tid][l]
+		}
+		for k := range fs.laneBusy {
+			if fs.seen[k] {
+				res.ProcBusySec[machine.ProcKind(k)] = fs.laneBusy[k][l]
+			}
+		}
+		res.EnergyJoules = energy[l] + float64(res.BytesCopied)*topo.m.CopyEnergyPerByte
+		out[l] = res
+	}
 }

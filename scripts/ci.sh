@@ -131,7 +131,8 @@ echo "== worker scaling smoke"
 # Regression gate for parallel evaluation: with more than one core, an htr
 # CCD search at -workers 0 (= GOMAXPROCS) must beat -workers 1 by at least
 # 1.10x. Each side is the minimum of 3 walls, the least noisy estimate of
-# a CPU-bound run; on a 2-core host the speedup measured 1.23-1.26x.
+# a CPU-bound run; on a 2-core host the speedup measured 1.26-1.34x with
+# each candidate's repeats folded in one call.
 # Trajectory byte-identity at every worker count is proven by the smokes
 # above; this gate is purely wall-clock. GOMAXPROCS is read from the
 # binary itself, since the driver clamps its pool to it; at 1 the two
