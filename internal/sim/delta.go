@@ -126,20 +126,19 @@ func (d *DeltaInstance) getBase() *deltaBase {
 	return d.base.Load()
 }
 
-// ensure lazily plans and deep-records the base, memoizing the outcome
-// (including placement failure) on the snapshot. Concurrent callers of a
-// cold base block on the one recording run; a warmed base costs one
-// sync.Once fast-path load.
-func (d *DeltaInstance) ensure(b *deltaBase) (*PlacementPlan, *schedule, error) {
+// ensure lazily plans and deep-records the base on s, memoizing the
+// outcome (including placement failure) on the snapshot; the record is
+// copied out of s's scratch and cached. Concurrent callers of a cold base
+// block on the one recording run; a warmed base costs one sync.Once
+// fast-path load.
+func (d *DeltaInstance) ensure(s *state, b *deltaBase) (*PlacementPlan, *schedule, error) {
 	b.once.Do(func() {
 		b.plan, b.err = d.planFor(b.key, b.mp)
 		if b.err == nil {
 			// Structure is config-independent: record once, fold under
 			// any (noise, trace) config.
-			sch := d.runRecorded(b.plan, true)
-			sch.finalize()
-			b.sch = sch
-			d.storeSched(b.key, sch)
+			b.sch = d.record(s, b.plan, true).clone()
+			d.storeSched(b.key, b.sch)
 		}
 	})
 	return b.plan, b.sch, b.err
@@ -154,29 +153,27 @@ func (d *DeltaInstance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*
 	if err != nil {
 		return nil, err
 	}
-	return d.fold(d.deltaSched(key, mp, plan), plan, cfg), nil
+	return d.keyed(key, plan, cfg, func(s *state) *schedule { return d.build(s, mp, plan) }), nil
 }
 
-// RunRepeats is Instance.RunRepeats with RunKeyed's schedule source: one
-// cached, patched or recorded schedule, folded for every seed.
+// RunRepeats is Instance.RunRepeats with RunKeyed's schedule source: the
+// cached schedule, else a patched or recorded one in recycled scratch,
+// folded for every seed.
 func (d *DeltaInstance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*Result, error) {
 	plan, err := d.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	return d.foldRepeats(d.deltaSched(key, mp, plan), plan, sigma, seeds), nil
+	return d.repeats(key, plan, sigma, seeds, func(s *state) *schedule { return d.build(s, mp, plan) }), nil
 }
 
-// deltaSched returns key's cached schedule, else a patched one when mp is a
-// bounded delta of the base, else a full noise-free recording.
-func (d *DeltaInstance) deltaSched(key string, mp *mapping.Mapping, plan *PlacementPlan) *schedule {
-	if sch := d.schedFor(key); sch != nil {
+// build writes mp's schedule into s's scratch: patched when mp is a bounded
+// delta of the base, else a full noise-free recording.
+func (d *DeltaInstance) build(s *state, mp *mapping.Mapping, plan *PlacementPlan) *schedule {
+	if sch := d.tryPatch(s, mp, plan); sch != nil {
 		return sch
 	}
-	if sch := d.tryPatch(key, mp, plan); sch != nil {
-		return sch
-	}
-	return d.recordedSched(key, plan)
+	return d.record(s, plan, false)
 }
 
 // Classify reports whether an evaluation of (key, mp) would be served
@@ -197,10 +194,10 @@ func (d *DeltaInstance) Classify(key string, mp *mapping.Mapping) bool {
 	return d.classifyAgainst(mp, b, plan, changed)
 }
 
-// tryPatch classifies (key, mp) against the current base and, when it is
-// a bounded delta, builds, finalizes, and caches its spliced schedule.
-// Returns nil when the candidate must take the full path.
-func (d *DeltaInstance) tryPatch(key string, mp *mapping.Mapping, plan *PlacementPlan) *schedule {
+// tryPatch classifies mp against the current base and, when it is a
+// bounded delta, splices its finalized schedule into s's scratch. Returns
+// nil when the candidate must take the full path.
+func (d *DeltaInstance) tryPatch(s *state, mp *mapping.Mapping, plan *PlacementPlan) *schedule {
 	b := d.getBase()
 	if b == nil {
 		return nil
@@ -209,14 +206,11 @@ func (d *DeltaInstance) tryPatch(key string, mp *mapping.Mapping, plan *Placemen
 	if !d.classifyAgainst(mp, b, plan, changed) {
 		return nil
 	}
-	_, baseSched, err := d.ensure(b)
+	_, baseSched, err := d.ensure(s, b)
 	if err != nil {
 		return nil
 	}
-	sch := d.patch(plan, baseSched, changed)
-	sch.finalize()
-	d.storeSched(key, sch)
-	return sch
+	return d.patch(s, plan, baseSched, changed)
 }
 
 // decisionsEqual reports whether two task decisions are identical,
@@ -320,19 +314,16 @@ func planRowsEqual(a, b *PlacementPlan, tid int) bool {
 	return true
 }
 
-// patch builds the candidate's schedule by walking the base's launches in
-// order: clean launches (unchanged task, no unhealed dirty argument
-// alias) are copied verbatim; dirty launches are re-simulated against a
-// coherence overlay seeded from the base's recorded pre-states. The
-// overlay's timelines are garbage — only validity sets steer structure —
-// and the fold recomputes all times from the spliced records.
-func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []bool) *schedule {
-	s, _ := d.pool.Get().(*state)
-	if s == nil {
-		s = &state{}
-	}
+// patch builds the candidate's schedule in s's scratch by walking the
+// base's launches in order: clean launches (unchanged task, no unhealed
+// dirty argument alias) are copied verbatim; dirty launches are
+// re-simulated on s, as a coherence overlay seeded from the base's
+// recorded pre-states. The overlay's timelines are garbage — only validity
+// sets steer structure — and the fold recomputes all times from the
+// spliced records.
+func (d *DeltaInstance) patch(s *state, plan *PlacementPlan, base *schedule, changed []bool) *schedule {
 	s.init(plan, Config{})
-	rec := newRecorder(false, len(base.launches), len(base.execs)+16, len(base.ops)+16)
+	rec := s.scratch.reset(false)
 
 	topo := d.topo
 	aliasDirty := make([]bool, len(d.g.Collections))
@@ -380,10 +371,8 @@ func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []boo
 			aliasDirty[deps[ai].alias] = true
 		}
 	}
-	s.result = nil
-	s.PlacementPlan = nil
-	d.pool.Put(s)
-	return rec.sch
+	rec.sch.finalize()
+	return &rec.sch
 }
 
 // launchPreMatches reports whether the overlay's coherence state for

@@ -201,8 +201,7 @@ func TestDeltaFallbackBoundary(t *testing.T) {
 		}
 		// tryPatch observes the patcher directly: a bounded delta must
 		// produce a spliced schedule, an unbounded one must not.
-		d.dropSchedule(key)
-		sch := d.tryPatch(key, cand, plan)
+		sch := d.tryPatch(&state{}, cand, plan)
 		if (sch != nil) != wantInc {
 			t.Fatalf("flips=%d: tryPatch=%v, want patched=%v", k, sch != nil, wantInc)
 		}

@@ -10,16 +10,20 @@
 //     function of the mapping, so the repeats of one candidate (and any
 //     revisit of the same mapping) plan placement exactly once, and OOM
 //     verdicts are cached the same way;
-//   - schedules are cached by mapping key — a candidate's first run
-//     records its structure once, noise-free, into buffers sized up front
-//     (launches and execs exactly from the plan, ops from the longest
-//     recording so far), and every repeat, the first included, takes its
-//     Result from the timing fold of that schedule;
+//   - a candidate's structure is recorded once, noise-free, and every
+//     repeat, the first included, takes its Result from the timing fold
+//     of that schedule;
 //   - RunRepeats measures all of a candidate's repeats in one call: one
 //     plan lookup, one schedule, and one lane-wise fold that carries up
-//     to 8 repeats' timelines side by side (foldLanes);
-//   - simulation scratch (timelines, coherence state) is recycled through
-//     a sync.Pool instead of reallocated per run.
+//     to 8 repeats' timelines side by side (foldLanes). It records into
+//     the recycled scratch schedule of a pooled run state and caches
+//     nothing, since no later call is left to fold it;
+//   - RunKeyed caches its schedule by mapping key, copied out of the
+//     scratch at exact length, so a revisit of the key folds without
+//     recording;
+//   - simulation scratch (timelines, coherence state, the scratch
+//     schedule) is recycled through a sync.Pool instead of reallocated
+//     per run.
 //
 // Run, RunKeyed and RunRepeats are safe for concurrent use; results are
 // bit-identical to Simulate.
@@ -68,17 +72,15 @@ const planCacheLimit = 8192
 // keeping the per-Instance footprint trivial. Must be a power of two.
 const planShardCount = 64
 
-// schedCacheLimit bounds the recorded-schedule cache (schedule.go).
-// Schedules are much larger than plans — every copy op and exec of a run
-// — so the cache is kept small: the paper's measurement protocol repeats
-// each candidate several times back to back, which is the reuse that
-// matters. When a shard fills it is reset, keeping only the pinned delta
-// base.
+// schedCacheLimit bounds the recorded-schedule cache (schedule.go), which
+// holds RunKeyed's schedules and the delta base's deep record. Schedules
+// are much larger than plans — every copy op and exec of a run — so the
+// cache is kept small. When a shard fills it is reset, keeping only the
+// pinned delta base.
 const schedCacheLimit = 64
 
 // schedShardCount partitions the schedule cache. Fewer shards than the
-// plan cache: the cache itself is small, so the per-shard capacity must
-// stay large enough for the repeat-locality pattern to survive resets.
+// plan cache: the cache itself is small.
 const schedShardCount = 8
 
 // planEntry is one cached placement outcome: the committed plan, or the
@@ -123,8 +125,8 @@ type Instance struct {
 
 	pool sync.Pool // *state
 
-	// Recorded schedules by mapping key: a cache miss records the key's
-	// structure with a noise-free run, and every run of the key folds it
+	// Recorded schedules by mapping key, stored by RunKeyed and by the
+	// delta base's deep record: a later run of the key folds the schedule
 	// under its own config instead of re-simulating (bit-identical
 	// results, see schedule.go). schedPin names the delta base key,
 	// which survives shard resets.
@@ -147,11 +149,6 @@ type Instance struct {
 
 	planHits   atomic.Int64
 	planMisses atomic.Int64
-
-	// opsHigh is the longest op stream recorded so far; it sizes the op
-	// buffer of later recordings (launch and exec counts are exact per
-	// plan, op counts are not known before the run).
-	opsHigh atomic.Int64
 }
 
 // noiseCacheLimit bounds the noise-tape cache; the driver derives seeds
@@ -277,74 +274,88 @@ func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
 // by the caller. The key must belong to mp: it is the plan- and
 // schedule-cache identity, and two mappings with equal keys have identical
 // decisions and therefore identical plans. It is the single-config path,
-// and the only one that produces Trace and Explain logs; a candidate's
-// noisy repeats go through RunRepeats.
+// the only one that produces Trace and Explain logs, and the only one that
+// caches the schedule it records; a candidate's noisy repeats go through
+// RunRepeats.
 func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Result, error) {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	return in.fold(in.recordedSched(key, plan), plan, cfg), nil
+	return in.keyed(key, plan, cfg, func(s *state) *schedule { return in.record(s, plan, false) }), nil
 }
 
 // RunRepeats measures the repeats of one candidate in one call: result i
 // is bit-identical to RunKeyed(key, mp, Config{NoiseSigma: sigma, Seed:
-// seeds[i]}). It plans and fetches (or records) the schedule once and
-// folds it for all seeds together (foldRepeats). A placement failure is
-// returned as the error, with no results.
+// seeds[i]}). It plans once, takes the cached schedule or records one into
+// recycled scratch, and folds it for all seeds together (foldRepeats). A
+// placement failure is returned as the error, with no results.
 func (in *Instance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*Result, error) {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	return in.foldRepeats(in.recordedSched(key, plan), plan, sigma, seeds), nil
+	return in.repeats(key, plan, sigma, seeds, func(s *state) *schedule { return in.record(s, plan, false) }), nil
 }
 
-// recordedSched returns key's cached schedule, recording it noise-free and
-// caching it on a miss. Concurrent first runs of one key each record; the
-// recordings are identical and the second store is harmless.
-func (in *Instance) recordedSched(key string, plan *PlacementPlan) *schedule {
+// keyed folds key's schedule under cfg: the cached one, else the one build
+// writes into a pooled state's scratch, copied out and cached. Concurrent
+// first runs of one key each build; the schedules are identical and the
+// second store is harmless.
+func (in *Instance) keyed(key string, plan *PlacementPlan, cfg Config, build func(*state) *schedule) *Result {
+	sch := in.schedFor(key)
+	if sch == nil {
+		s := in.getState()
+		sch = build(s).clone()
+		in.putState(s)
+		in.storeSched(key, sch)
+	}
+	return in.fold(sch, plan, cfg)
+}
+
+// repeats folds key's schedule for every seed: the cached one, else the one
+// build writes into a pooled state's scratch, which is folded in place and
+// recycled without being cached. All of a candidate's repeats are folded
+// here at once, so a stored copy would serve only a later revisit.
+func (in *Instance) repeats(key string, plan *PlacementPlan, sigma float64, seeds []uint64, build func(*state) *schedule) []*Result {
 	if sch := in.schedFor(key); sch != nil {
-		return sch
+		return in.foldRepeats(sch, plan, sigma, seeds)
 	}
-	sch := in.runRecorded(plan, false)
-	sch.finalize()
-	in.storeSched(key, sch)
-	return sch
+	s := in.getState()
+	res := in.foldRepeats(build(s), plan, sigma, seeds)
+	in.putState(s)
+	return res
 }
 
-// runRecorded executes a noise-free full simulation of plan with schedule
-// recording on and returns the recorded (un-finalized) schedule. The
-// structure does not depend on the config (TestScheduleIndependentOfNoise),
-// so one record serves every repeat's fold. deep additionally captures
-// coherence pre-states (delta bases).
-func (in *Instance) runRecorded(plan *PlacementPlan, deep bool) *schedule {
-	s, _ := in.pool.Get().(*state)
-	if s == nil {
-		s = &state{}
-	}
+// record runs a noise-free full simulation of plan on s with schedule
+// recording on and returns the finalized schedule, which lives in s's
+// scratch until s records again. The structure does not depend on the
+// config (TestScheduleIndependentOfNoise), so one record serves every
+// repeat's fold. deep additionally captures coherence pre-states (delta
+// bases).
+func (in *Instance) record(s *state, plan *PlacementPlan, deep bool) *schedule {
 	s.init(plan, Config{})
-	rec := newRecorder(deep, in.g.Iterations*len(in.topo.launch), plan.execCount(), int(in.opsHigh.Load()))
-	s.rec = rec
+	s.rec = s.scratch.reset(deep)
 	s.run()
 	s.rec = nil
+	s.scratch.sch.finalize()
+	return &s.scratch.sch
+}
+
+// getState takes a run state, and with it a scratch schedule, from the
+// pool.
+func (in *Instance) getState() *state {
+	if s, _ := in.pool.Get().(*state); s != nil {
+		return s
+	}
+	return &state{}
+}
+
+// putState returns s to the pool, dropping its plan and result.
+func (in *Instance) putState(s *state) {
 	s.result = nil
 	s.PlacementPlan = nil
 	in.pool.Put(s)
-	in.noteOps(len(rec.sch.ops))
-	return rec.sch
-}
-
-// noteOps raises the recorded-ops high-water mark to n. The mark sizes the
-// next recording's op buffer, so steady-state records append without
-// growing it.
-func (in *Instance) noteOps(n int) {
-	for {
-		hw := in.opsHigh.Load()
-		if int64(n) <= hw || in.opsHigh.CompareAndSwap(hw, int64(n)) {
-			return
-		}
-	}
 }
 
 // fold replays a recorded schedule under cfg with pooled scratch and the

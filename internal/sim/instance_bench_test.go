@@ -62,10 +62,10 @@ func BenchmarkInstanceRun(b *testing.B) {
 // noise-free structure pass that records its schedule, then the fold of
 // that schedule under the run's config. Each iteration drops the cached
 // schedule, so every run records afresh, while the placement plan stays
-// cached (BenchmarkPlanCacheMiss prices planning). allocs/op is the
-// recorder's allocation contract: launch and exec buffers are sized
-// exactly from the plan, the op buffer from the instance's high-water
-// mark, so a steady-state record never grows a slice.
+// cached (BenchmarkPlanCacheMiss prices planning). The recording goes into
+// a pooled state's recycled scratch, which stops growing once it has held
+// the longest schedule; B/op is the exact-length copy RunKeyed caches plus
+// the fold's Result.
 func BenchmarkInstanceRecord(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)
@@ -98,7 +98,13 @@ func BenchmarkInstanceRepeats(b *testing.B) {
 			seeds[i] = uint64(i)
 		}
 		// Warm the plan, schedule and noise tapes: the timed loops
-		// measure only the folds.
+		// measure only the folds. RunKeyed caches the schedule, which
+		// both loops then fold; RunRepeats alone would cache nothing.
+		for _, seed := range seeds {
+			if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: seed}); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
 			b.Fatal(err)
 		}
@@ -120,6 +126,30 @@ func BenchmarkInstanceRepeats(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkInstanceRepeatsCold prices a new candidate under the driver's
+// protocol: RunRepeats over 7 seeds with no cached schedule, so each
+// iteration records the structure into recycled scratch and folds it for
+// every seed. The placement plan and noise tapes stay warm. B/op is the
+// allocation contract of a measured candidate: its 7 Results and the
+// discarded result of the recording run. The schedule allocates nothing
+// once the scratch has held the longest recording.
+func BenchmarkInstanceRepeatsCold(b *testing.B) {
+	m, g, mp := benchProblem(b)
+	inst := New(m, g)
+	key := mp.Key()
+	seeds := []uint64{0, 1, 2, 3, 4, 5, 6}
+	if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

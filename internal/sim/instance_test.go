@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"automap/internal/cluster"
@@ -233,4 +234,175 @@ func TestRepeatsMatchRunKeyed(t *testing.T) {
 			t.Fatalf("%T: RunKeyed err %v is not RunRepeats err %v", r, kerr, err)
 		}
 	}
+}
+
+// reuseProblem returns pennant on 4 nodes with two mappings whose schedules
+// differ widely in size: the default mapping (distributed, many copies) and
+// one that runs every task undistributed on a CPU (few execs, few copies).
+func reuseProblem(t *testing.T) (*machine.Machine, *taskir.Graph, *mapping.Mapping, *mapping.Mapping) {
+	t.Helper()
+	g := appProblems(t, 4)["pennant"]
+	m := cluster.Shepard(4)
+	md := m.Model()
+	large := mapping.Default(g, md)
+	small := large.Clone()
+	for id := range g.Tasks {
+		tid := taskir.TaskID(id)
+		small.SetDistribute(tid, false)
+		if g.Task(tid).HasVariant(machine.CPU) {
+			small.SetProc(tid, machine.CPU)
+			small.RebuildPriorityLists(md, tid)
+		}
+	}
+	return m, g, large, small
+}
+
+// TestRecycledScheduleReuse runs one Instance and one DeltaInstance
+// through mappings of very different schedule sizes (large → small →
+// large), so every recording and patch reuses a scratch buffer last filled
+// by a longer or shorter schedule. Every repeat must equal a fresh
+// instance's RunKeyed bit for bit, RunRepeats must leave nothing in the
+// schedule cache, and RunKeyed must still cache a schedule identical to a
+// fresh record.
+func TestRecycledScheduleReuse(t *testing.T) {
+	m, g, large, small := reuseProblem(t)
+	seeds := repeatSeeds(9)
+	step := func(ctx string, r interface {
+		RunKeyed(string, *mapping.Mapping, Config) (*Result, error)
+		RunRepeats(string, *mapping.Mapping, float64, []uint64) ([]*Result, error)
+	}, in, ref *Instance, mp *mapping.Mapping) {
+		t.Helper()
+		key := mp.Key()
+		// A former delta base stays cached; forget it so this step
+		// builds the schedule.
+		in.dropSchedule(key)
+		got, err := r.RunRepeats(key, mp, 0.04, seeds)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if in.schedFor(key) != nil {
+			t.Fatalf("%s: RunRepeats cached a schedule", ctx)
+		}
+		requireRepeatsMatch(t, ctx, got, ref, mp, 0.04, seeds)
+		cfg := Config{NoiseSigma: 0.04, Seed: 3, Trace: true, Explain: true}
+		res, err := r.RunKeyed(key, mp, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		want, err := ref.RunKeyed(key, mp, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		requireSameResult(t, ctx+" RunKeyed", res, want)
+		// The cached copy must equal a fresh record field for field: a
+		// recording into recycled scratch carries nothing over from the
+		// one before it.
+		sch, fresh := in.schedFor(key), ref.schedFor(key)
+		if sch == nil || fresh == nil {
+			t.Fatalf("%s: RunKeyed cached no schedule (recycled %v, fresh %v)", ctx, sch != nil, fresh != nil)
+		}
+		if !reflect.DeepEqual(sch, fresh) {
+			t.Fatalf("%s: schedule recorded into recycled scratch differs from a fresh record", ctx)
+		}
+	}
+
+	in := New(m, g)
+	for i, mp := range []*mapping.Mapping{large, small, large, small, large} {
+		step(fmt.Sprintf("instance step %d", i), in, in, New(m, g), mp)
+	}
+	if nl, ns := len(in.schedFor(large.Key()).ops), len(in.schedFor(small.Key()).ops); nl < 4*ns {
+		t.Fatalf("large mapping records %d ops, small %d: too close to exercise buffer reuse", nl, ns)
+	}
+
+	// The delta path: patched candidates of each base, full-path
+	// fallbacks of the other mapping, and a base change in between.
+	d := NewDelta(New(m, g))
+	var patched int
+	for i, base := range []*mapping.Mapping{large, small, large} {
+		d.SetBase(base)
+		other := small
+		if base == small {
+			other = large
+		}
+		cand := base.CloneCOW()
+		cand.SetDistribute(0, !base.Decision(0).Distribute)
+		if d.Classify(cand.Key(), cand) {
+			patched++
+		}
+		refD := NewDelta(New(m, g))
+		refD.SetBase(base)
+		step(fmt.Sprintf("delta round %d patched", i), d, d.Instance, refD.Instance, cand)
+		step(fmt.Sprintf("delta round %d fallback", i), d, d.Instance, New(m, g), other)
+		if d.schedFor(base.Key()) == nil {
+			t.Fatalf("delta round %d: the deep-recorded base is not cached", i)
+		}
+	}
+	if patched == 0 {
+		t.Fatal("no candidate took the patch path")
+	}
+}
+
+// TestRecycledScheduleReuseConcurrent is TestRecycledScheduleReuse with 4
+// goroutines sharing one DeltaInstance while one of them moves the base:
+// every worker records and patches into pooled scratch, and every result
+// must still equal a fresh instance's. Run under -race it checks that no
+// scratch is shared between concurrent evaluations.
+func TestRecycledScheduleReuseConcurrent(t *testing.T) {
+	m, g, large, small := reuseProblem(t)
+	seeds := repeatSeeds(7)
+	var mps []*mapping.Mapping
+	for _, base := range []*mapping.Mapping{large, small} {
+		cand := base.CloneCOW()
+		cand.SetDistribute(0, !base.Decision(0).Distribute)
+		mps = append(mps, base, cand)
+	}
+	want := make([][]*Result, len(mps))
+	for i, mp := range mps {
+		ref := New(m, g)
+		for _, seed := range seeds {
+			res, err := ref.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.04, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], res)
+		}
+	}
+
+	d := NewDelta(New(m, g))
+	d.SetBase(large)
+	rounds := 6
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if w == 0 {
+					d.SetBase(mps[2*(r%2)])
+				}
+				i := (w + r) % len(mps)
+				mp := mps[i]
+				got, err := d.RunRepeats(mp.Key(), mp, 0.04, seeds)
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+				res, err := d.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.04, Seed: seeds[r%len(seeds)]})
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+				d.dropSchedule(mp.Key())
+				for l := range got {
+					if !reflect.DeepEqual(got[l], want[i][l]) {
+						t.Errorf("worker %d round %d mapping %d lane %d: result differs from a fresh instance", w, r, i, l)
+					}
+				}
+				if !reflect.DeepEqual(res, want[i][r%len(seeds)]) {
+					t.Errorf("worker %d round %d mapping %d: RunKeyed differs from a fresh instance", w, r, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -173,21 +173,6 @@ func (p *PlacementPlan) pointsOnNode(t *taskir.GroupTask, n int) int {
 	return base
 }
 
-// execCount returns how many task executions a full run of the plan
-// records: one per (launch, node with points).
-func (p *PlacementPlan) execCount() int {
-	perIter := 0
-	for _, tid := range p.topo.launch {
-		t := p.g.Task(tid)
-		for _, n := range p.taskNodes[tid] {
-			if p.pointsOnNode(t, n) > 0 {
-				perIter++
-			}
-		}
-	}
-	return p.g.Iterations * perIter
-}
-
 // procsOnNode returns how many processors of kind k node n has.
 func (p *PlacementPlan) procsOnNode(k machine.ProcKind, n int) int {
 	return p.topo.procCount[n][k]

@@ -137,9 +137,12 @@ func (sch *schedule) finalize() {
 
 // recorder captures a schedule as a byproduct of a live simulation (or of
 // the delta patcher's dirty-launch re-simulation). It is attached to a
-// state via state.rec; the hooks in sim.go feed it.
+// state via state.rec; the hooks in sim.go feed it. Every state carries
+// one as its scratch (state.scratch), so recordings reuse the buffers of
+// earlier ones: a buffer's capacity is the longest recording its state
+// has served.
 type recorder struct {
-	sch *schedule
+	sch schedule
 
 	// newChain marks that the next recorded op begins a new ensure*
 	// chain (set by state.recChain at each ensure call site).
@@ -149,16 +152,45 @@ type recorder struct {
 	opCursor int
 }
 
-// newRecorder returns a recorder with an empty schedule whose launch, exec
-// and op buffers have the given capacities; deep enables
-// per-launch-argument pre-state capture (delta bases).
-func newRecorder(deep bool, launches, execs, ops int) *recorder {
-	return &recorder{sch: &schedule{
+// reset empties r for a new recording, keeping the capacity of every
+// buffer, and returns it; deep enables per-launch-argument pre-state
+// capture (delta bases).
+func (r *recorder) reset(deep bool) *recorder {
+	old := r.sch
+	*r = recorder{sch: schedule{
 		deep:     deep,
-		launches: make([]launchRec, 0, launches),
-		execs:    make([]execRec, 0, execs),
-		ops:      make([]copyOp, 0, ops),
+		ops:      old.ops[:0],
+		execs:    old.execs[:0],
+		launches: old.launches[:0],
+		pres:     old.pres[:0],
+		preLocs:  old.preLocs[:0],
+		preOff:   old.preOff[:0],
 	}}
+	return r
+}
+
+// clone returns a copy of sch whose buffers are exactly as long as its
+// records: the form a schedule takes when it outlives the scratch it was
+// recorded into (the schedule cache, a delta base).
+func (sch *schedule) clone() *schedule {
+	c := *sch
+	c.ops = exact(sch.ops)
+	c.execs = exact(sch.execs)
+	c.launches = exact(sch.launches)
+	c.pres = exact(sch.pres)
+	c.preLocs = exact(sch.preLocs)
+	c.preOff = exact(sch.preOff)
+	return &c
+}
+
+// exact returns a copy of s with capacity len(s), nil when s is empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
 }
 
 // op records one copy operation, consuming a pending chain marker.
@@ -217,7 +249,7 @@ func (r *recorder) endLaunch() {
 // rebasing exec op ranges onto the output's op stream (clean launches of
 // the delta patcher).
 func (r *recorder) copyLaunch(base *schedule, li int) {
-	out := r.sch
+	out := &r.sch
 	opLo, opHi := base.launchOpRange(li)
 	exLo, exHi := base.launchExecRange(li)
 	shift := int32(len(out.ops) - opLo)

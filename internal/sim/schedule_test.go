@@ -147,17 +147,33 @@ func TestFoldMatchesLiveRun(t *testing.T) {
 func recordUnder(plan *PlacementPlan, cfg Config) *schedule {
 	var s state
 	s.init(plan, cfg)
-	s.rec = newRecorder(false, 0, 0, 0)
+	s.rec = s.scratch.reset(false)
 	s.run()
 	s.rec.sch.finalize()
-	return s.rec.sch
+	return &s.rec.sch
+}
+
+// execCount returns how many task executions a full run of plan records:
+// one per (launch, node with points).
+func execCount(plan *PlacementPlan) int {
+	perIter := 0
+	for _, tid := range plan.topo.launch {
+		t := plan.g.Task(tid)
+		for _, n := range plan.taskNodes[tid] {
+			if plan.pointsOnNode(t, n) > 0 {
+				perIter++
+			}
+		}
+	}
+	return plan.g.Iterations * perIter
 }
 
 // TestScheduleIndependentOfNoise checks that the structure pass never
 // reads the simulated clock: a schedule recorded under noise equals the
 // noise-free one exactly, so Instance may record every candidate once
-// with Config{} and fold all repeats from it. It also pins the recorder's
-// sizing contract: the exact per-plan launch and exec counts.
+// with Config{} and fold all repeats from it. It also pins the record
+// counts: one launch record per launch, one exec per (launch, node with
+// points).
 func TestScheduleIndependentOfNoise(t *testing.T) {
 	cfgs := []Config{{NoiseSigma: 0.04, Seed: 42}, {NoiseSigma: 0.1, Seed: 7}}
 	for _, nodes := range []int{1, 2, 4} {
@@ -180,9 +196,9 @@ func TestScheduleIndependentOfNoise(t *testing.T) {
 					continue // OOM: nothing is recorded
 				}
 				want := recordUnder(plan, Config{})
-				if len(want.launches) != g.Iterations*len(topo.launch) || len(want.execs) != plan.execCount() {
-					t.Fatalf("%s/%d mapping %d: %d launches, %d execs; sized for %d, %d", name, nodes, i,
-						len(want.launches), len(want.execs), g.Iterations*len(topo.launch), plan.execCount())
+				if len(want.launches) != g.Iterations*len(topo.launch) || len(want.execs) != execCount(plan) {
+					t.Fatalf("%s/%d mapping %d: %d launches, %d execs; want %d, %d", name, nodes, i,
+						len(want.launches), len(want.execs), g.Iterations*len(topo.launch), execCount(plan))
 				}
 				for _, cfg := range cfgs {
 					if got := recordUnder(plan, cfg); !reflect.DeepEqual(got, want) {

@@ -213,6 +213,9 @@ type state struct {
 	// rec, when non-nil, records the run's schedule (schedule.go) as a
 	// byproduct; it never changes any computed value.
 	rec *recorder
+	// scratch is the recycled schedule buffer that Instance recordings
+	// and delta patches write into; rec points at it while they run.
+	scratch recorder
 
 	// writerScratch[a] is the per-launch writer-location scratch, sized
 	// to the widest task so runTask never allocates it.

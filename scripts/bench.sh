@@ -30,7 +30,7 @@ GMP=$(./bin/automap env | awk '/^gomaxprocs /{print $2}')
 
 echo "== micro-benchmarks (-benchtime $BENCHTIME, -cpu 1,4,8; host gomaxprocs $GMP)"
 $GO test ./internal/sim/ -run xxx -benchmem -benchtime "$BENCHTIME" -cpu 1,4,8 \
-    -bench 'SimulateOneShot|InstanceRun|InstanceRecord|InstanceRepeats|DeltaRunOneFlip|DeltaRunFallback|PlanCacheHit|PlanCacheMiss' \
+    -bench 'SimulateOneShot|InstanceRun|InstanceRecord|InstanceRepeats|InstanceRepeatsCold|DeltaRunOneFlip|DeltaRunFallback|PlanCacheHit|PlanCacheMiss' \
     | grep '^Benchmark' | tee -a "$tmp/micro.txt"
 $GO test ./internal/search/ -run xxx -benchmem -benchtime "$BENCHTIME" -cpu 1,4,8 \
     -bench 'CCDCandidateConstruction' \
