@@ -7,10 +7,10 @@
 // by splicing: launches of unchanged tasks whose argument state matches
 // the base are copied verbatim; launches in the dirty region (changed
 // tasks plus everything their collections' coherence state reaches,
-// bounded by the overlap graph) are re-simulated against a coherence
-// overlay. The spliced schedule folds to a Result byte-identical to a
-// full simulation (the CI differential gate and the property tests in
-// delta_test.go enforce this).
+// bounded by the overlap graph) are re-recorded against a coherence
+// overlay. The spliced schedule folds to a Result byte-identical to the
+// fold of a full recording (the CI differential gate and the property
+// tests in delta_test.go enforce this).
 //
 // When the candidate is not a bounded delta — too many flipped decisions,
 // placement rows of unchanged tasks moved (capacity accounting is global,
@@ -137,7 +137,7 @@ func (d *DeltaInstance) ensure(s *state, b *deltaBase) (*PlacementPlan, *schedul
 		if b.err == nil {
 			// Structure is config-independent: record once, fold under
 			// any (noise, trace) config.
-			b.sch = d.record(s, b.plan, true).clone()
+			b.sch = s.record(b.plan, true).clone()
 			d.storeSched(b.key, b.sch)
 		}
 	})
@@ -173,7 +173,7 @@ func (d *DeltaInstance) build(s *state, mp *mapping.Mapping, plan *PlacementPlan
 	if sch := d.tryPatch(s, mp, plan); sch != nil {
 		return sch
 	}
-	return d.record(s, plan, false)
+	return s.record(plan, false)
 }
 
 // Classify reports whether an evaluation of (key, mp) would be served
@@ -317,12 +317,11 @@ func planRowsEqual(a, b *PlacementPlan, tid int) bool {
 // patch builds the candidate's schedule in s's scratch by walking the
 // base's launches in order: clean launches (unchanged task, no unhealed
 // dirty argument alias) are copied verbatim; dirty launches are
-// re-simulated on s, as a coherence overlay seeded from the base's
-// recorded pre-states. The overlay's timelines are garbage — only validity
-// sets steer structure — and the fold recomputes all times from the
-// spliced records.
+// re-recorded by s's structure pass, whose coherence state acts as an
+// overlay seeded from the base's recorded pre-states. The fold computes
+// all times from the spliced records.
 func (d *DeltaInstance) patch(s *state, plan *PlacementPlan, base *schedule, changed []bool) *schedule {
-	s.init(plan, Config{})
+	s.init(plan)
 	rec := s.scratch.reset(false)
 
 	topo := d.topo
@@ -360,9 +359,7 @@ func (d *DeltaInstance) patch(s *state, plan *PlacementPlan, base *schedule, cha
 				loadLaunchPre(s, base, li, ai, deps[ai])
 			}
 		}
-		s.rec = rec
 		s.runTask(tid)
-		s.rec = nil
 		rec.endLaunch()
 		// Even read-only access mutates coherence state (a read makes a
 		// new location valid), so every argument alias is now
@@ -378,7 +375,7 @@ func (d *DeltaInstance) patch(s *state, plan *PlacementPlan, base *schedule, cha
 // launchPreMatches reports whether the overlay's coherence state for
 // launch li's argument ai equals the base's recorded pre-state
 // (order-sensitive: a conservative subset of semantic equality — a false
-// negative only costs a re-simulated launch, never correctness).
+// negative only costs a re-recorded launch, never correctness).
 func launchPreMatches(s *state, base *schedule, li, ai int, dp argDep) bool {
 	p := base.pres[int(base.preOff[li])+ai]
 	locs := base.preLocs[p.locOff : p.locOff+p.locLen]

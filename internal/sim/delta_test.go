@@ -47,8 +47,8 @@ func applyRandomMove(rng *xrand.RNG, g *taskir.Graph, md *machine.Model, mp *map
 // TestDeltaMatchesFullRandomFlips drives a DeltaInstance through random
 // CCD-style trajectories on every bundled app: candidates with 1–4 moves
 // against a moving base (periodically re-based like a search incumbent),
-// each compared bit-for-bit against a fresh Simulate with noise, tracing,
-// and copy logging on. Both the incremental and the fallback path must be
+// each compared bit-for-bit against a fresh Simulate (a full recording in
+// a new Instance) with noise, tracing, and copy logging on. Both the incremental and the fallback path must be
 // exercised.
 func TestDeltaMatchesFullRandomFlips(t *testing.T) {
 	trials := 24

@@ -21,12 +21,12 @@
 //   - RunKeyed caches its schedule by mapping key, copied out of the
 //     scratch at exact length, so a revisit of the key folds without
 //     recording;
-//   - simulation scratch (timelines, coherence state, the scratch
-//     schedule) is recycled through a sync.Pool instead of reallocated
-//     per run.
+//   - run scratch (coherence state, the scratch schedule) and fold
+//     scratch (timelines) are recycled through sync.Pools instead of
+//     reallocated per run.
 //
-// Run, RunKeyed and RunRepeats are safe for concurrent use; results are
-// bit-identical to Simulate.
+// Run, RunKeyed and RunRepeats are safe for concurrent use; each result is
+// a pure function of (mapping, config), whichever path served it.
 //
 // Concurrency design (DESIGN §15): the worker pool evaluates independent
 // candidates, so the hot path is built to share nothing mutable between
@@ -127,9 +127,8 @@ type Instance struct {
 
 	// Recorded schedules by mapping key, stored by RunKeyed and by the
 	// delta base's deep record: a later run of the key folds the schedule
-	// under its own config instead of re-simulating (bit-identical
-	// results, see schedule.go). schedPin names the delta base key,
-	// which survives shard resets.
+	// under its own config instead of recording it again. schedPin names
+	// the delta base key, which survives shard resets.
 	scheds   [schedShardCount]schedShard
 	pinMu    sync.Mutex
 	schedPin string
@@ -139,11 +138,12 @@ type Instance struct {
 	// Noise tapes by (seed, sigma): the simulator's noise stream is a
 	// pure function of the config, not of the mapping, so folds replay a
 	// cached tape of draw values instead of re-deriving the log-normal
-	// transcendentals (two thirds of a fold's cost otherwise). The live
-	// path draws the same values from the same seeded RNG, so tapes
-	// change nothing observable. The map is read-mostly (a search uses a
-	// few dozen distinct seeds) and each fold scratch carries its own L1
-	// over it, so the RWMutex is a cold-path cost only.
+	// transcendentals (two thirds of a fold's cost otherwise). A tape is
+	// the stream of one seeded RNG, drawn once per execution in schedule
+	// order, so caching it changes nothing observable. The map is
+	// read-mostly (a search uses a few dozen distinct seeds) and each fold
+	// scratch carries its own L1 over it, so the RWMutex is a cold-path
+	// cost only.
 	noiseMu sync.RWMutex
 	noise   map[noiseKey]*noiseTape
 
@@ -263,9 +263,9 @@ func New(m *machine.Machine, g *taskir.Graph) *Instance {
 }
 
 // Run executes g under mapping mp and returns the execution result, or an
-// *OOMError if the mapping does not fit — identical to Simulate, but with
-// topology, placement plan, and scratch reuse. Callers that already know
-// the mapping's key should use RunKeyed to skip recomputing it.
+// *OOMError if the mapping does not fit, reusing topology, placement plans,
+// schedules and scratch across calls. Callers that already know the
+// mapping's key should use RunKeyed to skip recomputing it.
 func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
 	return in.RunKeyed(mp.Key(), mp, cfg)
 }
@@ -282,7 +282,7 @@ func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return in.keyed(key, plan, cfg, func(s *state) *schedule { return in.record(s, plan, false) }), nil
+	return in.keyed(key, plan, cfg, func(s *state) *schedule { return s.record(plan, false) }), nil
 }
 
 // RunRepeats measures the repeats of one candidate in one call: result i
@@ -295,7 +295,7 @@ func (in *Instance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, s
 	if err != nil {
 		return nil, err
 	}
-	return in.repeats(key, plan, sigma, seeds, func(s *state) *schedule { return in.record(s, plan, false) }), nil
+	return in.repeats(key, plan, sigma, seeds, func(s *state) *schedule { return s.record(plan, false) }), nil
 }
 
 // keyed folds key's schedule under cfg: the cached one, else the one build
@@ -327,21 +327,6 @@ func (in *Instance) repeats(key string, plan *PlacementPlan, sigma float64, seed
 	return res
 }
 
-// record runs a noise-free full simulation of plan on s with schedule
-// recording on and returns the finalized schedule, which lives in s's
-// scratch until s records again. The structure does not depend on the
-// config (TestScheduleIndependentOfNoise), so one record serves every
-// repeat's fold. deep additionally captures coherence pre-states (delta
-// bases).
-func (in *Instance) record(s *state, plan *PlacementPlan, deep bool) *schedule {
-	s.init(plan, Config{})
-	s.rec = s.scratch.reset(deep)
-	s.run()
-	s.rec = nil
-	s.scratch.sch.finalize()
-	return &s.scratch.sch
-}
-
 // getState takes a run state, and with it a scratch schedule, from the
 // pool.
 func (in *Instance) getState() *state {
@@ -351,9 +336,8 @@ func (in *Instance) getState() *state {
 	return &state{}
 }
 
-// putState returns s to the pool, dropping its plan and result.
+// putState returns s to the pool, dropping its plan.
 func (in *Instance) putState(s *state) {
-	s.result = nil
 	s.PlacementPlan = nil
 	in.pool.Put(s)
 }

@@ -1,7 +1,8 @@
-// Micro-benchmarks of the simulator hot path: one-shot Simulate (topology
-// and placement rebuilt per call) against the reusable Instance (cached
-// topology, plan cache, pooled run state), and the plan-cache hit and miss
-// paths in isolation. Allocation counts are part of the contract: the
+// Micro-benchmarks of the simulator hot path: one-shot Simulate (a
+// throwaway Instance per call, so topology, placement and the recorded
+// schedule are rebuilt every time) against the reusable Instance (cached
+// topology, plan and schedule caches, pooled run state), and the
+// plan-cache hit and miss paths in isolation. Allocation counts are part of the contract: the
 // search runs hundreds of thousands of simulations, so allocs/op here
 // dominate its GC load.
 package sim
@@ -34,6 +35,11 @@ func benchProblem(b *testing.B) (*machine.Machine, *taskir.Graph, *mapping.Mappi
 	return m, g, mapping.Default(g, m.Model())
 }
 
+// BenchmarkSimulateOneShot measures Simulate, which is New(m, g).Run: each
+// call builds the topology, plans placement, records the schedule into a
+// fresh run state's scratch, caches an exact-length copy of it in the
+// throwaway Instance, and folds it. B/op is dominated by those two
+// schedule buffers; a search calls Simulate only a couple of times.
 func BenchmarkSimulateOneShot(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	b.ReportAllocs()

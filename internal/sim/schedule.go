@@ -3,26 +3,25 @@
 //
 // A simulation factors into two passes:
 //
-//   - a STRUCTURE pass that decides which copy operations and task
-//     executions occur, with what durations — a pure function of the
-//     placement plan and the coherence (validity-set) state, never of
-//     the simulated clock; and
+//   - a STRUCTURE pass (state.record in sim.go) that decides which copy
+//     operations and task executions occur, with what noise-free
+//     durations — a pure function of the placement plan and the
+//     coherence (validity-set) state — and records them into a schedule;
+//     and
 //   - a TIMING fold that replays those records in order, carrying only
 //     the availability timelines (processors, copy engines, network) and
-//     the per-collection ready times, reproducing every float operation
-//     of the live path in the same order.
+//     the per-collection ready times, and applies the config's noise.
 //
-// The live run/runTask path is instrumented (state.rec, nil when off) to
-// emit a schedule as a byproduct; foldSchedule then re-derives the exact
-// same Result from the records. Because structure never reads the clock,
-// Instance records each candidate once, noise-free (Config{}), and takes
-// every repeat's Result — the first one included — from the fold
-// (TestScheduleIndependentOfNoise pins the independence). The repeats of
-// one candidate differ only in their noise tape, so foldLanes folds up to
-// laneWidth of them in one pass over the schedule, each lane repeating
+// The structure pass has no clock and takes no Config, so a schedule
+// cannot depend on noise: Instance records each candidate once and takes
+// every repeat's Result from the fold of that schedule, and the fold is
+// the only place a Result is computed. The golden corpus
+// (testdata/fold_corpus.txt) pins those Results bit for bit. The repeats
+// of one candidate differ only in their noise tape, so foldLanes folds up
+// to laneWidth of them in one pass over the schedule, each lane repeating
 // foldSchedule's float operations exactly (TestRepeatsMatchRunKeyed).
 // Incremental re-simulation (delta.go) splices recorded launch ranges of a
-// base schedule with freshly simulated dirty launches and folds the
+// base schedule with freshly recorded dirty launches and folds the
 // spliced schedule.
 package sim
 
@@ -31,12 +30,12 @@ import (
 	"automap/internal/taskir"
 )
 
-// copyOp is one recorded copy operation. Durations are stored in the two
-// components the live path adds separately (durA = latency term, durB =
-// bandwidth term) so the fold's start + durA + durB reproduces the live
-// float expression bit for bit. chainFirst marks the first op of an
-// ensure* call: ops within a chain gate on each other, chains within a
-// launch all start from the launch's ready time.
+// copyOp is one recorded copy operation. The duration is stored as the
+// two terms the cost model adds separately (durA = latency term, durB =
+// bandwidth term; durB is 0 for intra-node copies), and the fold adds
+// them in that order: start + durA + durB. chainFirst marks the first op
+// of an ensure* call: ops within a chain gate on each other, chains within
+// a launch all start from the launch's ready time.
 type copyOp struct {
 	durA, durB float64
 	bytes      int64
@@ -49,9 +48,9 @@ type copyOp struct {
 }
 
 // execRec is one recorded task execution on one node. durBase is the
-// pre-noise duration; the fold applies the noise draw (same RNG, same
-// draw order as the live path). Ops [opOff, opEnd) are the coherence
-// copies that precede this execution.
+// pre-noise duration; the fold multiplies it by the config's noise draw
+// for this execution (one draw per exec, in exec order). Ops [opOff,
+// opEnd) are the coherence copies that precede this execution.
 type execRec struct {
 	durBase float64
 	activeF float64 // float64(active) at record time
@@ -75,7 +74,7 @@ type launchRec struct {
 // marker), shardValid (nodes entries) for partitioned ones — exactly as
 // it stood when the launch began. The delta patcher compares these
 // against its overlay state to detect healed aliases, and loads them to
-// re-seed the overlay before re-simulating a dirty launch.
+// re-seed the overlay before re-recording a dirty launch.
 type argPre struct {
 	locOff  int32
 	locLen  int32
@@ -135,17 +134,16 @@ func (sch *schedule) finalize() {
 	sch.numCopies = len(sch.ops)
 }
 
-// recorder captures a schedule as a byproduct of a live simulation (or of
-// the delta patcher's dirty-launch re-simulation). It is attached to a
-// state via state.rec; the hooks in sim.go feed it. Every state carries
-// one as its scratch (state.scratch), so recordings reuse the buffers of
-// earlier ones: a buffer's capacity is the longest recording its state
-// has served.
+// recorder is the schedule the structure pass writes: the full recording
+// of a mapping, or the delta patcher's splice of base launches and
+// re-recorded dirty ones. Every state carries one as its scratch
+// (state.scratch), so recordings reuse the buffers of earlier ones: a
+// buffer's capacity is the longest recording its state has served.
 type recorder struct {
 	sch schedule
 
 	// newChain marks that the next recorded op begins a new ensure*
-	// chain (set by state.recChain at each ensure call site).
+	// chain (set by ensureShared and ensureShard on entry).
 	newChain bool
 	// opCursor is the op count consumed by previous exec records; the
 	// ops since it belong to the next exec.
@@ -339,11 +337,10 @@ func resetZero[T any](s []T, n int) []T {
 	return s
 }
 
-// foldSchedule replays a recorded schedule and produces the Result a live
-// simulation of the same structure would: every float operation of the
-// live path is reproduced in the same order (max/add replay, noise draws
-// in exec order from the same seeded RNG), so the result is bit-identical
-// to state.run on the run that recorded sch.
+// foldSchedule replays a recorded schedule under cfg and produces its
+// Result: the max/add replay of every copy and execution in record order,
+// execution ex's duration multiplied by noise[ex] (nil without noise),
+// and the Trace and Explain logs when cfg asks for them.
 func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config, noise []float64, fs *foldScratch) *Result {
 	g := topo.g
 	nc := len(g.Collections)
@@ -364,8 +361,7 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 		ProcBusySec:  make(map[machine.ProcKind]float64),
 		Spills:       plan.Spills,
 	}
-	// Preallocate the logs only when non-empty so empty logs stay nil,
-	// exactly like the live path's never-appended slices.
+	// Preallocate the logs only when non-empty so empty logs stay nil.
 	if cfg.Trace && len(sch.execs) > 0 {
 		res.Events = make([]Event, 0, len(sch.execs))
 	}
@@ -424,9 +420,7 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 			dur := x.durBase
 			if noise != nil {
 				// noise[exIdx] is the exIdx-th draw of the config's
-				// stream — exactly what the live path's RNG produces
-				// for this execution (draws happen once per exec, in
-				// exec order).
+				// stream: one draw per exec, in exec order.
 				dur *= noise[exIdx]
 			}
 			pa := &fs.procAvail[int(x.node)*machine.NumProcKinds+int(x.kind)]
@@ -471,10 +465,9 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 			makespan = taskFinish
 		}
 	}
-	// The live path creates a TaskWallSec entry for every launch it
-	// commits (even all-zero ones); every task in the launch order
-	// launches once per iteration, so the entry set is exactly the
-	// launch-order task set.
+	// TaskWallSec has an entry for every task that launches (even an
+	// all-zero one); every task in the launch order launches once per
+	// iteration, so the entry set is exactly the launch-order task set.
 	for _, tid := range topo.launch {
 		res.TaskWallSec[tid] = fs.taskWall[tid]
 	}

@@ -31,9 +31,16 @@
 // task durations, which is what makes the paper's repeated-measurement
 // protocol (7 runs per candidate, 31 for final reporting) meaningful.
 //
-// Entry points: Simulate is the one-shot API; Instance (instance.go) is the
-// search-facing API that amortizes topology tables, placement plans, and
-// simulation scratch across the thousands of runs of one search.
+// A run has two passes (schedule.go): a structure pass (state, below)
+// decides which copies and executions occur and records them with their
+// noise-free durations, and the timing fold replays the record under a
+// config's noise to produce the Result. The structure pass has no clock:
+// it never sees a time or a Config.
+//
+// Entry points: Instance (instance.go) is the search-facing API that
+// amortizes topology tables, placement plans, recorded schedules and
+// scratch across the thousands of runs of one search; Simulate is the
+// one-shot form, a throwaway Instance's Run.
 package sim
 
 import (
@@ -43,7 +50,6 @@ import (
 	"automap/internal/machine"
 	"automap/internal/mapping"
 	"automap/internal/taskir"
-	"automap/internal/xrand"
 )
 
 // Config controls a simulation run.
@@ -83,7 +89,7 @@ type Event struct {
 // network leg of a cross-node copy (Network true; the staging copies
 // through System memory on either end appear as their own intra-node
 // events). Start and Done bracket the transfer on the simulated clock;
-// because every schedule time in the simulator is a max over recorded
+// because every time the timing fold computes is a max over earlier
 // completion times, these floats chain exactly and the critical path can
 // be recovered by equality matching.
 type CopyEvent struct {
@@ -149,18 +155,11 @@ func (e *OOMError) Error() string {
 // execution result, or an *OOMError if the mapping does not fit. The
 // mapping must already be valid for (g, m.Model()).
 //
-// Simulate rebuilds the topology tables and placement plan on every call;
-// callers running many mappings on one (machine, program) pair should use
-// New + Instance.Run, which produces identical results.
+// Simulate is New(m, g).Run(mp, cfg): it rebuilds the topology tables and
+// placement plan on every call, so callers running many mappings on one
+// (machine, program) pair should keep the Instance.
 func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Config) (*Result, error) {
-	plan, err := PlanPlacement(m, g, mp)
-	if err != nil {
-		return nil, err
-	}
-	var s state
-	s.init(plan, cfg)
-	s.run()
-	return s.result, nil
+	return New(m, g).Run(mp, cfg)
 }
 
 // sharedLoc is one valid location of a shared collection.
@@ -177,15 +176,15 @@ type partialInfo struct {
 	src    int     // a writer node other readers can gather from
 }
 
-// state carries all mutable simulation state. It embeds the committed
-// placement plan (see place.go), which provides the machine/program/mapping
-// triple and the per-argument instance placements. A state is reusable:
-// init rebinds it to a new plan and config, recycling all scratch storage
-// (Instance keeps a pool of them).
+// state is the structure pass: it walks every launch of every iteration,
+// keeps the coherence (validity-set) state that decides which copies a
+// launch needs, and records the copies and executions into its scratch
+// schedule. It embeds the committed placement plan (see place.go), which
+// provides the machine/program/mapping triple and the per-argument
+// instance placements. A state is reusable: init rebinds it to a new plan,
+// recycling all scratch storage (Instance keeps a pool of them).
 type state struct {
 	*PlacementPlan
-	cfg Config
-	rng xrand.RNG
 
 	// Validity state for coherence. sharedValid holds, per shared
 	// collection, the set of currently valid locations as a small slice
@@ -200,88 +199,31 @@ type state struct {
 	// halo exchange of the real applications).
 	partial []partialInfo
 
-	// Timelines (absolute seconds).
-	procAvail  [][]float64 // [node][procKind]
-	copyAvail  []float64   // per-node copy engine
-	netAvail   float64     // network serialization point
-	writeDone  []float64   // per collection: finish of last writer
-	accessDone []float64   // per collection: finish of last accessor
-
-	taskFinish []float64
-	iteration  int
-
-	// rec, when non-nil, records the run's schedule (schedule.go) as a
-	// byproduct; it never changes any computed value.
-	rec *recorder
-	// scratch is the recycled schedule buffer that Instance recordings
-	// and delta patches write into; rec points at it while they run.
+	// scratch is the recycled schedule buffer the pass records into.
 	scratch recorder
 
 	// writerScratch[a] is the per-launch writer-location scratch, sized
 	// to the widest task so runTask never allocates it.
 	writerScratch [][]sharedLoc
-
-	result *Result
 }
 
-// init binds s to a plan and config, allocating scratch on first use and
-// recycling it afterwards. A pooled state may be rebound to a different
-// plan of the same (machine, program) pair: every dimension below is a
-// function of (machine, program) only.
-func (s *state) init(plan *PlacementPlan, cfg Config) {
-	g := plan.g
-	nc := len(g.Collections)
+// init binds s to a plan, allocating scratch on first use and recycling it
+// afterwards. A pooled state may be rebound to a different plan of the
+// same (machine, program) pair: every dimension below is a function of
+// (machine, program) only.
+func (s *state) init(plan *PlacementPlan) {
+	nc := len(plan.g.Collections)
 	s.PlacementPlan = plan
-	s.cfg = cfg
-	s.rng = *xrand.New(cfg.Seed ^ 0x5bd1e995)
-	s.netAvail = 0
-	s.iteration = 0
-	s.rec = nil
-	s.result = &Result{
-		TaskWallSec:  make(map[taskir.TaskID]float64, len(g.Tasks)),
-		PeakMemBytes: plan.PeakMemBytes(),
-		ProcBusySec:  make(map[machine.ProcKind]float64),
-		Spills:       plan.Spills,
-	}
-
 	if s.sharedValid == nil {
 		s.sharedValid = make([][]sharedLoc, nc)
 		s.shardValid = make([][]sharedLoc, nc)
 		s.partial = make([]partialInfo, nc)
-		s.procAvail = make([][]float64, plan.nodes)
-		procBack := make([]float64, plan.nodes*machine.NumProcKinds)
-		for n := range s.procAvail {
-			s.procAvail[n] = procBack[n*machine.NumProcKinds : (n+1)*machine.NumProcKinds]
-		}
-		s.copyAvail = make([]float64, plan.nodes)
-		s.writeDone = make([]float64, nc)
-		s.accessDone = make([]float64, nc)
-		s.taskFinish = make([]float64, len(g.Tasks))
 		s.writerScratch = make([][]sharedLoc, plan.topo.maxArgs)
 	} else {
 		for c := 0; c < nc; c++ {
 			s.sharedValid[c] = s.sharedValid[c][:0]
 		}
-		for i := range s.partial {
-			s.partial[i] = partialInfo{}
-		}
-		for n := range s.procAvail {
-			for k := range s.procAvail[n] {
-				s.procAvail[n][k] = 0
-			}
-		}
-		for i := range s.copyAvail {
-			s.copyAvail[i] = 0
-		}
-		for i := range s.writeDone {
-			s.writeDone[i] = 0
-		}
-		for i := range s.accessDone {
-			s.accessDone[i] = 0
-		}
-		for i := range s.taskFinish {
-			s.taskFinish[i] = 0
-		}
+		clear(s.partial)
 	}
 	for c := 0; c < nc; c++ {
 		if cap(s.shardValid[c]) < plan.nodes {
@@ -297,9 +239,8 @@ func (s *state) init(plan *PlacementPlan, cfg Config) {
 
 // fmax is max over the simulator's times. All operands are finite and
 // non-negative, so it is equivalent to math.Max — but unlike math.Max it
-// inlines, and it sits on the innermost scheduling loops. The live path
-// and the timing fold (schedule.go) both use it, so the two replays share
-// identical float semantics.
+// inlines, and it sits on the timing fold's innermost loops
+// (schedule.go).
 func fmax(a, b float64) float64 {
 	if a > b {
 		return a
@@ -314,9 +255,8 @@ func (s *state) chanBW(a, b machine.MemKind, n int) (float64, float64) {
 	return c.bw, c.lat
 }
 
-// intraCopy schedules a copy of `bytes` between kinds on node n, starting
-// no earlier than `after`, and returns the completion time.
-func (s *state) intraCopy(a, b machine.MemKind, n int, bytes int64, after float64) float64 {
+// intraCopy records a copy of `bytes` between kinds on node n.
+func (s *state) intraCopy(a, b machine.MemKind, n int, bytes int64) {
 	bw, lat := s.chanBW(a, b, n)
 	var dur float64
 	if bw <= 0 {
@@ -327,66 +267,22 @@ func (s *state) intraCopy(a, b machine.MemKind, n int, bytes int64, after float6
 	} else {
 		dur = lat + float64(bytes)/bw
 	}
-	start := fmax(after, s.copyAvail[n])
-	done := start + dur
-	s.copyAvail[n] = done
-	if s.rec != nil {
-		s.rec.op(dur, 0, bytes, n, n, a, b, false)
-	}
-	s.result.BytesCopied += bytes
-	s.result.NumCopies++
-	if s.cfg.Explain {
-		s.result.Copies = append(s.result.Copies, CopyEvent{
-			SrcNode: n, DstNode: n, SrcKind: a, DstKind: b,
-			Bytes: bytes, StartSec: start, DoneSec: done,
-		})
-	}
-	return done
+	s.scratch.op(dur, 0, bytes, n, n, a, b, false)
 }
 
-// netCopy schedules a cross-node copy of `bytes` from (srcNode, srcKind) to
-// (dstNode, dstKind), staging through System memory on both ends, and
-// returns the completion time.
-func (s *state) netCopy(srcNode int, srcKind machine.MemKind, dstNode int, dstKind machine.MemKind, bytes int64, after float64) float64 {
-	t := after
+// netCopy records a cross-node copy of `bytes` from (srcNode, srcKind) to
+// (dstNode, dstKind), staged through System memory on both ends.
+func (s *state) netCopy(srcNode int, srcKind machine.MemKind, dstNode int, dstKind machine.MemKind, bytes int64) {
 	if srcKind != machine.SysMem {
-		t = s.intraCopy(srcKind, machine.SysMem, srcNode, bytes, t)
+		s.intraCopy(srcKind, machine.SysMem, srcNode, bytes)
 	}
 	bw := s.m.NetworkBandwidthBps
 	if bw <= 0 {
 		bw = 1e9
 	}
-	durA := s.m.NetworkLatencySec
-	durB := float64(bytes) / bw
-	start := fmax(t, s.netAvail)
-	done := start + durA + durB
-	s.netAvail = done
-	if s.rec != nil {
-		s.rec.op(durA, durB, bytes, srcNode, dstNode, machine.SysMem, machine.SysMem, true)
-	}
-	s.result.BytesCopied += bytes
-	s.result.BytesOnNetwork += bytes
-	s.result.NumCopies++
-	if s.cfg.Explain {
-		s.result.Copies = append(s.result.Copies, CopyEvent{
-			SrcNode: srcNode, DstNode: dstNode,
-			SrcKind: machine.SysMem, DstKind: machine.SysMem, Network: true,
-			Bytes: bytes, StartSec: start, DoneSec: done,
-		})
-	}
-	t = done
+	s.scratch.op(s.m.NetworkLatencySec, float64(bytes)/bw, bytes, srcNode, dstNode, machine.SysMem, machine.SysMem, true)
 	if dstKind != machine.SysMem {
-		t = s.intraCopy(machine.SysMem, dstKind, dstNode, bytes, t)
-	}
-	return t
-}
-
-// recChain marks the next recorded copy op as the first of an ensure*
-// chain: chains gate internally on each other's completion but all start
-// from the launch's ready time.
-func (s *state) recChain() {
-	if s.rec != nil {
-		s.rec.newChain = true
+		s.intraCopy(machine.SysMem, dstKind, dstNode, bytes)
 	}
 }
 
@@ -400,13 +296,13 @@ func containsLoc(locs []sharedLoc, want sharedLoc) bool {
 	return false
 }
 
-// ensureShared makes collection c valid at (node, kind) and returns the
-// completion time of any copies needed (>= after).
-func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKind, units int, after float64) float64 {
+// ensureShared makes collection c valid at (node, kind), recording the
+// copies needed as one chain.
+func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKind, units int) {
+	s.scratch.newChain = true
 	al := s.topo.alias[c.ID]
 	valid := s.sharedValid[al]
 	want := sharedLoc{node: node, kind: kind}
-	done := after
 	if !containsLoc(valid, want) {
 		if pi := s.partial[al]; pi.active {
 			// Gather the parts written by the other nodes (ghost
@@ -416,7 +312,7 @@ func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKin
 			if src == node {
 				src = (node + 1) % s.nodes
 			}
-			done = s.netCopy(src, kind, node, kind, bytes, after)
+			s.netCopy(src, kind, node, kind, bytes)
 		} else if len(valid) > 0 {
 			// Prefer an intra-node source; break remaining ties by
 			// (node, kind) so the choice is deterministic (the same
@@ -438,9 +334,9 @@ func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKin
 				}
 			}
 			if src.node == node {
-				done = s.intraCopy(src.kind, kind, node, c.SizeBytes(), after)
+				s.intraCopy(src.kind, kind, node, c.SizeBytes())
 			} else {
-				done = s.netCopy(src.node, src.kind, node, kind, c.SizeBytes(), after)
+				s.netCopy(src.node, src.kind, node, kind, c.SizeBytes())
 			}
 		}
 		// else: first touch — the collection is materialized in place.
@@ -448,32 +344,30 @@ func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKin
 	}
 	// Mirror copies for the extra sockets/devices spanned.
 	for u := 1; u < units; u++ {
-		done = s.intraCopy(kind, kind, node, c.SizeBytes(), done)
+		s.intraCopy(kind, kind, node, c.SizeBytes())
 	}
-	return done
 }
 
 // ensureShard makes shard `shard` of partitioned collection c valid at
-// (node, kind) and returns the copy completion time.
-func (s *state) ensureShard(c *taskir.Collection, shard, node int, kind machine.MemKind, bytes int64, after float64) float64 {
+// (node, kind), recording the copy needed as one chain.
+func (s *state) ensureShard(c *taskir.Collection, shard, node int, kind machine.MemKind, bytes int64) {
+	s.scratch.newChain = true
 	al := s.topo.alias[c.ID]
 	cur := s.shardValid[al][shard]
 	want := sharedLoc{node: node, kind: kind}
 	if cur.node < 0 {
 		s.shardValid[al][shard] = want
-		return after
+		return
 	}
 	if cur == want {
-		return after
+		return
 	}
-	var done float64
 	if cur.node == node {
-		done = s.intraCopy(cur.kind, kind, node, bytes, after)
+		s.intraCopy(cur.kind, kind, node, bytes)
 	} else {
-		done = s.netCopy(cur.node, cur.kind, node, kind, bytes, after)
+		s.netCopy(cur.node, cur.kind, node, kind, bytes)
 	}
 	s.shardValid[al][shard] = want
-	return done
 }
 
 // invalidateSharedExcept resets the valid set of shared collection c to the
@@ -482,56 +376,35 @@ func (s *state) invalidateSharedExcept(c taskir.CollectionID, locs []sharedLoc) 
 	s.sharedValid[c] = append(s.sharedValid[c][:0], locs...)
 }
 
-// run executes the timing pass over all iterations.
-func (s *state) run() {
-	order := s.topo.launch
-	var makespan float64
+// record runs the structure pass of plan: it records every launch of every
+// iteration into s's scratch and returns the finalized schedule, which
+// lives there until s records again. The pass takes no config, so one
+// record serves every repeat's fold. deep additionally captures coherence
+// pre-states (delta bases).
+func (s *state) record(plan *PlacementPlan, deep bool) *schedule {
+	s.init(plan)
+	s.scratch.reset(deep)
 	for iter := 0; iter < s.g.Iterations; iter++ {
-		s.iteration = iter
-		for _, tid := range order {
-			if s.rec != nil {
-				s.rec.beginLaunch(s, tid)
-			}
-			finish := s.runTask(tid)
-			if s.rec != nil {
-				s.rec.endLaunch()
-			}
-			if finish > makespan {
-				makespan = finish
-			}
+		for _, tid := range s.topo.launch {
+			s.scratch.beginLaunch(s, tid)
+			s.runTask(tid)
+			s.scratch.endLaunch()
 		}
 	}
-	// The runtime's serial per-iteration overhead (dependence analysis,
-	// scheduling) is mapping-independent and additive.
-	makespan += float64(s.g.Iterations) * s.g.SerialOverheadSec
-	s.result.MakespanSec = makespan
-	s.result.EnergyJoules += float64(s.result.BytesCopied) * s.m.CopyEnergyPerByte
+	s.scratch.sch.finalize()
+	return &s.scratch.sch
 }
 
-// runTask executes one launch of group task tid and returns its finish time.
-func (s *state) runTask(tid taskir.TaskID) float64 {
+// runTask records one launch of group task tid: the coherence copies each
+// node needs, then the node's execution, and commits the launch's write
+// effects to the coherence state.
+func (s *state) runTask(tid taskir.TaskID) {
 	t := s.g.Task(tid)
 	d := s.mp.Decision(tid)
-
-	// Readiness from data flow (true and anti dependences), including
-	// wrap-around dependences across iterations.
-	ready := 0.0
-	for _, arg := range t.Args {
-		al := s.topo.alias[arg.Collection]
-		if arg.Privilege.Reads() && s.writeDone[al] > ready {
-			ready = s.writeDone[al]
-		}
-		if arg.Privilege.Writes() && s.accessDone[al] > ready {
-			ready = s.accessDone[al]
-		}
-	}
-
 	nodes := s.taskNodes[tid]
 	proc := s.procFor(d.Proc)
 	variant := t.Variants[d.Proc]
 
-	taskFinish := ready
-	var execWall float64
 	// writerLocs[a] collects, per written argument, the locations the
 	// write lands in; they become the sole valid locations afterwards.
 	writerLocs := s.writerScratch[:len(t.Args)]
@@ -545,7 +418,6 @@ func (s *state) runTask(tid taskir.TaskID) float64 {
 			continue
 		}
 		// Coherence copies for this node's arguments.
-		copyDone := ready
 		for a, arg := range t.Args {
 			if !s.placed[tid][a][n] {
 				continue
@@ -556,19 +428,15 @@ func (s *state) runTask(tid taskir.TaskID) float64 {
 				if c.Partitioned {
 					sb := ShardBytes(c, pts, t.Points)
 					if d.Distribute {
-						s.recChain()
-						copyDone = fmax(copyDone, s.ensureShard(c, n, n, pl.kind, sb, ready))
+						s.ensureShard(c, n, n, pl.kind, sb)
 					} else {
 						// Leader gathers every shard.
 						for sh := 0; sh < s.nodes; sh++ {
-							shb := c.SizeBytes() / int64(s.nodes)
-							s.recChain()
-							copyDone = fmax(copyDone, s.ensureShard(c, sh, 0, pl.kind, shb, ready))
+							s.ensureShard(c, sh, 0, pl.kind, c.SizeBytes()/int64(s.nodes))
 						}
 					}
 				} else {
-					s.recChain()
-					copyDone = fmax(copyDone, s.ensureShared(c, n, pl.kind, pl.units, ready))
+					s.ensureShared(c, n, pl.kind, pl.units)
 				}
 			}
 			if arg.Privilege.Writes() {
@@ -627,42 +495,16 @@ func (s *state) runTask(tid taskir.TaskID) float64 {
 				perPoint += traffic * float64(arg.BytesPerPoint) / bw
 			}
 		}
-		dur := float64(waves) * perPoint
-		if s.rec != nil {
-			s.rec.exec(dur, float64(active), proc.PowerW, n, d.Proc)
-		}
-		if s.cfg.NoiseSigma > 0 {
-			dur *= s.rng.UnitMeanLogNormal(s.cfg.NoiseSigma)
-		}
-		start := fmax(copyDone, s.procAvail[n][d.Proc])
-		fin := start + dur
-		s.procAvail[n][d.Proc] = fin
-		// Energy: `active` processors of this kind are busy for dur.
-		s.result.ProcBusySec[d.Proc] += float64(active) * dur
-		s.result.EnergyJoules += float64(active) * dur * proc.PowerW
-		if s.cfg.Trace {
-			s.result.Events = append(s.result.Events, Event{
-				Task: tid, Node: n, Kind: d.Proc, Iteration: s.iteration,
-				StartSec: start, CopySec: copyDone - ready, DurSec: dur,
-			})
-		}
-		if fin > taskFinish {
-			taskFinish = fin
-		}
-		if dur > execWall {
-			execWall = dur
-		}
+		// `active` processors of this kind are busy for the duration.
+		s.scratch.exec(float64(waves)*perPoint, float64(active), proc.PowerW, n, d.Proc)
 	}
 
 	// Commit write effects.
 	for a, arg := range t.Args {
-		al := s.topo.alias[arg.Collection]
 		if !arg.Privilege.Writes() {
-			if arg.Privilege.Reads() && taskFinish > s.accessDone[al] {
-				s.accessDone[al] = taskFinish
-			}
 			continue
 		}
+		al := s.topo.alias[arg.Collection]
 		c := s.g.Collection(arg.Collection)
 		if c.Partitioned {
 			if d.Distribute {
@@ -692,17 +534,7 @@ func (s *state) runTask(tid taskir.TaskID) float64 {
 				s.partial[al] = partialInfo{}
 			}
 		}
-		if taskFinish > s.writeDone[al] {
-			s.writeDone[al] = taskFinish
-		}
-		if taskFinish > s.accessDone[al] {
-			s.accessDone[al] = taskFinish
-		}
 	}
-
-	s.taskFinish[tid] = taskFinish
-	s.result.TaskWallSec[tid] += execWall
-	return taskFinish
 }
 
 // procFor returns a representative processor of kind k for calibration
