@@ -102,8 +102,10 @@ func (*Anneal) Name() string { return "AM-Anneal" }
 
 // mutateOne applies one random valid move to a copy of mp: flip the
 // distribution bit, change the processor kind, or re-home one argument.
+// The copy is copy-on-write, so the proposal shares every decision but the
+// moved one with mp.
 func mutateOne(p *Problem, mp *mapping.Mapping, rng *xrand.RNG) *mapping.Mapping {
-	out := mp.Clone()
+	out := mp.CloneCOW()
 	tasks := p.Graph.Tasks
 	tun := p.tunableSet()
 	// Pick a tunable task.

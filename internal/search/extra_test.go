@@ -2,9 +2,14 @@ package search
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"automap/internal/apps"
+	"automap/internal/cluster"
+	"automap/internal/mapping"
 	"automap/internal/taskir"
+	"automap/internal/xrand"
 )
 
 func TestRandomSearchImproves(t *testing.T) {
@@ -77,5 +82,55 @@ func TestCCDBeatsRandomAndAnneal(t *testing.T) {
 	ann := run(NewAnneal(), Budget{MaxSuggestions: 2000})
 	if ccd > rnd || ccd > ann {
 		t.Fatalf("CCD (%v) should be at least as good as random (%v) and anneal (%v)", ccd, rnd, ann)
+	}
+}
+
+// TestMutateOneLeavesParentIntact chains annealing proposals the way an
+// accepting walk does (cur = cand). mutateOne takes copy-on-write clones,
+// so a proposal shares all but its moved decision with its parent; the
+// move must never write through to the parent, and must touch at most one
+// task decision.
+func TestMutateOneLeavesParentIntact(t *testing.T) {
+	const nodes = 2
+	m := cluster.Shepard(nodes)
+	md := m.Model()
+	for _, name := range []string{"pennant", "htr", "circuit"} {
+		app, err := apps.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := app.Build(app.Inputs[nodes][0], nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &Problem{Graph: g, Model: md, Start: mapping.Default(g, md)}
+		rng := xrand.New(11)
+		root := p.Start.Clone()
+		rootKey := root.Key()
+		cur := root
+		for step := 0; step < 500; step++ {
+			key, snap := cur.Key(), cur.Clone()
+			cand := mutateOne(p, cur, rng)
+			if got := cur.Key(); got != key {
+				t.Fatalf("%s step %d: parent key changed from %q to %q", name, step, key, got)
+			}
+			moved := 0
+			for i := 0; i < snap.NumTasks(); i++ {
+				id := taskir.TaskID(i)
+				if !reflect.DeepEqual(cur.Decision(id), snap.Decision(id)) {
+					t.Fatalf("%s step %d: parent decision %d changed", name, step, i)
+				}
+				if !reflect.DeepEqual(cand.Decision(id), snap.Decision(id)) {
+					moved++
+				}
+			}
+			if moved > 1 {
+				t.Fatalf("%s step %d: proposal moved %d task decisions, want at most 1", name, step, moved)
+			}
+			cur = cand
+		}
+		if got := root.Key(); got != rootKey {
+			t.Fatalf("%s: the walk's root mapping changed", name)
+		}
 	}
 }

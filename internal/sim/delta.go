@@ -22,6 +22,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -261,7 +262,7 @@ func (d *DeltaInstance) classifyAgainst(mp *mapping.Mapping, b *deltaBase, plan 
 		}
 	}
 	for tid := range changed {
-		if !changed[tid] && !planRowsEqual(plan, basePlan, tid) {
+		if !changed[tid] && !planRowsEqual(plan, basePlan, taskir.TaskID(tid)) {
 			return false
 		}
 	}
@@ -289,29 +290,10 @@ func (d *DeltaInstance) classifyAgainst(mp *mapping.Mapping, b *deltaBase, plan 
 }
 
 // planRowsEqual compares the placement rows of task tid between two
-// plans: node set, placed flags, and per-(arg, node) placements.
-func planRowsEqual(a, b *PlacementPlan, tid int) bool {
-	an, bn := a.taskNodes[tid], b.taskNodes[tid]
-	if len(an) != len(bn) {
-		return false
-	}
-	for i := range an {
-		if an[i] != bn[i] {
-			return false
-		}
-	}
-	for ai := range a.placement[tid] {
-		ap, bp := a.placed[tid][ai], b.placed[tid][ai]
-		for n := range ap {
-			if ap[n] != bp[n] {
-				return false
-			}
-			if ap[n] && a.placement[tid][ai][n] != b.placement[tid][ai][n] {
-				return false
-			}
-		}
-	}
-	return true
+// plans: node set and per-(arg, node) placements, unplaced entries
+// included.
+func planRowsEqual(a, b *PlacementPlan, tid taskir.TaskID) bool {
+	return slices.Equal(a.taskNodes(tid), b.taskNodes(tid)) && slices.Equal(a.argRow(tid), b.argRow(tid))
 }
 
 // patch builds the candidate's schedule in s's scratch by walking the

@@ -2,9 +2,11 @@
 // throwaway Instance per call, so topology, placement and the recorded
 // schedule are rebuilt every time) against the reusable Instance (cached
 // topology, plan and schedule caches, pooled run state), and the
-// plan-cache hit and miss paths in isolation. Allocation counts are part of the contract: the
-// search runs hundreds of thousands of simulations, so allocs/op here
-// dominate its GC load.
+// plan-cache hit and miss paths in isolation. Allocation counts are part
+// of the contract: the search runs hundreds of thousands of simulations,
+// so allocs/op here dominate its GC load. The miss path also prices what
+// the cache retains per candidate: a flat plan of a few pointer-free
+// slices, whose allocation count TestPlanPlacementAllocs pins.
 package sim
 
 import (
@@ -21,7 +23,7 @@ import (
 
 // benchProblem is a mid-size multi-node problem (pennant on 4 Shepard
 // nodes), representative of one candidate evaluation during a search.
-func benchProblem(b *testing.B) (*machine.Machine, *taskir.Graph, *mapping.Mapping) {
+func benchProblem(b testing.TB) (*machine.Machine, *taskir.Graph, *mapping.Mapping) {
 	b.Helper()
 	app, err := apps.Get("pennant")
 	if err != nil {

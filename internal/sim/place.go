@@ -14,6 +14,13 @@
 // sim.Instance keys plans by mapping.Key so the repeated measurements of one
 // candidate plan placement exactly once (see instance.go). A committed plan
 // is immutable and may be shared by concurrent timing passes.
+//
+// The cache holds one plan per evaluated candidate, so a committed plan is
+// flat: each table is one pointer-free slice, indexed through the
+// topology's per-task argument offsets, that the garbage collector never
+// scans. The capacity ledger that decides spills (bytes already charged per
+// collection, node and memory kind) lives only while place runs; the plan
+// keeps the per-memory and per-kind totals it produced.
 
 package sim
 
@@ -24,10 +31,13 @@ import (
 )
 
 // argPlacement records where one collection argument of one task actually
-// lives on one node after the placement pass.
+// lives on one node after the placement pass. units is the number of
+// sockets or GPUs holding (splitting or mirroring) the instance; it is at
+// least 1 once placed, so the zero value means "not placed" (the task has
+// no points on that node).
 type argPlacement struct {
 	kind  machine.MemKind
-	units int // sockets or GPUs holding (splitting or mirroring) the instance
+	units int32
 }
 
 // PlacementPlan is the committed placement of every collection argument of
@@ -36,6 +46,10 @@ type argPlacement struct {
 // concrete memory. It is produced by PlanPlacement and consumed by the
 // simulator's timing pass and by the static analyzer. After place() commits
 // it is read-only and safe to share across concurrent simulations.
+//
+// Its tables hold no pointers: placement is one task-major slice (see at),
+// and the node sets are one list sliced by per-task offsets (see
+// taskNodes).
 type PlacementPlan struct {
 	m    *machine.Machine
 	g    *taskir.Graph
@@ -44,21 +58,20 @@ type PlacementPlan struct {
 
 	nodes int
 
-	// placement[taskID][argIdx][node] -> placement (meaningless entry if
-	// the task has no points on that node; see placed).
-	placement [][][]argPlacement
-	placed    [][][]bool
+	// placement[(topo.argOff[tid]+a)*nodes+n] is where argument a of task
+	// tid lives on node n; the zero value if it is not placed there.
+	placement []argPlacement
 
-	// taskNodes[taskID] is the node set the task runs on under its
-	// decision, precomputed so the timing pass never re-derives it.
-	taskNodes [][]int
+	// nodeList[nodeOff[tid]:nodeOff[tid+1]] is the node set task tid runs
+	// on under its decision, precomputed so the timing pass never
+	// re-derives it.
+	nodeList []int
+	nodeOff  []int32
 
-	// residentKindBytes[colID][node][kind] tracks bytes already charged
-	// for the (collection, node, kind) instance group, so growing
-	// footprints only charge deltas.
-	residentKindBytes []map[int]map[machine.MemKind]int64
-	// memUsed[memID] is the committed bytes per concrete memory.
-	memUsed []int64
+	// memUsed[memID] is the committed bytes per concrete memory, and
+	// kindBytes their sum per memory kind.
+	memUsed   []int64
+	kindBytes [machine.NumMemKinds]int64
 
 	// Spills counts collection instances that fell back to a non-primary
 	// memory kind because the primary was full.
@@ -79,7 +92,8 @@ func PlanPlacement(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) (*P
 // Instance takes, amortizing the topology across every plan of a search).
 func planPlacement(topo *topology, mp *mapping.Mapping) (*PlacementPlan, error) {
 	p := newPlan(topo, mp)
-	if err := p.place(); err != nil {
+	ledger := make([]int64, len(topo.g.Collections)*p.nodes*machine.NumMemKinds)
+	if err := p.place(ledger); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -88,54 +102,41 @@ func planPlacement(topo *topology, mp *mapping.Mapping) (*PlacementPlan, error) 
 func newPlan(topo *topology, mp *mapping.Mapping) *PlacementPlan {
 	m, g := topo.m, topo.g
 	p := &PlacementPlan{m: m, g: g, mp: mp, topo: topo, nodes: m.Nodes}
+	p.placement = make([]argPlacement, topo.argOff[len(g.Tasks)]*p.nodes)
 
-	// One backing array per table instead of one allocation per task×arg.
-	totalArgs := 0
-	for i := range g.Tasks {
-		totalArgs += len(g.Tasks[i].Args)
-	}
-	placeBack := make([]argPlacement, totalArgs*p.nodes)
-	placedBack := make([]bool, totalArgs*p.nodes)
-	placeRows := make([][]argPlacement, totalArgs)
-	placedRows := make([][]bool, totalArgs)
-	p.placement = make([][][]argPlacement, len(g.Tasks))
-	p.placed = make([][][]bool, len(g.Tasks))
-	row := 0
-	for i := range g.Tasks {
-		na := len(g.Tasks[i].Args)
-		p.placement[i] = placeRows[row : row+na : row+na]
-		p.placed[i] = placedRows[row : row+na : row+na]
-		for a := 0; a < na; a++ {
-			off := (row + a) * p.nodes
-			p.placement[i][a] = placeBack[off : off+p.nodes : off+p.nodes]
-			p.placed[i][a] = placedBack[off : off+p.nodes : off+p.nodes]
-		}
-		row += na
-	}
-
-	p.taskNodes = make([][]int, len(g.Tasks))
-	nodeBack := make([]int, 0, len(g.Tasks)*p.nodes)
+	p.nodeList = make([]int, 0, len(g.Tasks)*p.nodes)
+	p.nodeOff = make([]int32, len(g.Tasks)+1)
 	for i := range g.Tasks {
 		t := g.Tasks[i]
-		start := len(nodeBack)
 		if !mp.Decision(t.ID).Distribute {
-			nodeBack = append(nodeBack, 0)
+			p.nodeList = append(p.nodeList, 0)
 		} else {
 			for n := 0; n < p.nodes; n++ {
 				if p.pointsOnNode(t, n) > 0 {
-					nodeBack = append(nodeBack, n)
+					p.nodeList = append(p.nodeList, n)
 				}
 			}
 		}
-		p.taskNodes[t.ID] = nodeBack[start:len(nodeBack):len(nodeBack)]
-	}
-
-	p.residentKindBytes = make([]map[int]map[machine.MemKind]int64, len(g.Collections))
-	for c := range p.residentKindBytes {
-		p.residentKindBytes[c] = make(map[int]map[machine.MemKind]int64)
+		p.nodeOff[i+1] = int32(len(p.nodeList))
 	}
 	p.memUsed = make([]int64, len(m.Mems))
 	return p
+}
+
+// at returns where argument a of task tid lives on node n (units 0 if it
+// is not placed there).
+func (p *PlacementPlan) at(tid taskir.TaskID, a, n int) argPlacement {
+	return p.placement[(p.topo.argOff[tid]+a)*p.nodes+n]
+}
+
+// argRow returns task tid's placements, argument-major then node.
+func (p *PlacementPlan) argRow(tid taskir.TaskID) []argPlacement {
+	return p.placement[p.topo.argOff[tid]*p.nodes : p.topo.argOff[tid+1]*p.nodes]
+}
+
+// taskNodes returns the node set task tid runs on under its decision.
+func (p *PlacementPlan) taskNodes(tid taskir.TaskID) []int {
+	return p.nodeList[p.nodeOff[tid]:p.nodeOff[tid+1]]
 }
 
 // launchOrder returns the per-iteration launch sequence of g.
@@ -148,11 +149,6 @@ func launchOrder(g *taskir.Graph) []taskir.TaskID {
 		order[i] = g.Tasks[i].ID
 	}
 	return order
-}
-
-// nodesUsed returns the node set a task runs on under its decision.
-func (p *PlacementPlan) nodesUsed(t *taskir.GroupTask) []int {
-	return p.taskNodes[t.ID]
 }
 
 // pointsOnNode returns the number of points of t placed on node n: a
@@ -257,18 +253,16 @@ func (p *PlacementPlan) kindMemsOnNode(mk machine.MemKind, n int) []machine.MemI
 
 // tryCharge attempts to charge `total` bytes for (c, n, mk) spread over
 // `units` concrete memories, charging only the growth over what this
-// (collection, node, kind) group already holds. Returns false (without
-// committing) if any target memory would exceed capacity.
-func (p *PlacementPlan) tryCharge(c taskir.CollectionID, n int, mk machine.MemKind, total int64, units int) bool {
-	byNode := p.residentKindBytes[c][n]
-	var have int64
-	if byNode != nil {
-		have = byNode[mk]
-	}
-	if total <= have {
+// (collection, node, kind) group already holds. ledger[(c*nodes+n)*
+// NumMemKinds+mk] is that holding: place's scratch, not kept by the plan.
+// Returns false (without committing) if any target memory would exceed
+// capacity.
+func (p *PlacementPlan) tryCharge(ledger []int64, c taskir.CollectionID, n int, mk machine.MemKind, total int64, units int) bool {
+	have := &ledger[(int(c)*p.nodes+n)*machine.NumMemKinds+int(mk)]
+	if total <= *have {
 		return true
 	}
-	delta := total - have
+	delta := total - *have
 	mems := p.kindMemsOnNode(mk, n)
 	if len(mems) == 0 {
 		return false
@@ -292,31 +286,29 @@ func (p *PlacementPlan) tryCharge(c taskir.CollectionID, n int, mk machine.MemKi
 	for i := 0; i < units; i++ {
 		p.memUsed[mems[i]] += per
 	}
-	if byNode == nil {
-		byNode = make(map[machine.MemKind]int64)
-		p.residentKindBytes[c][n] = byNode
-	}
-	byNode[mk] = total
+	*have = total
 	return true
 }
 
 // place walks tasks in launch order and commits each collection argument to
 // the first memory kind of its priority list with available capacity on
-// every node the task uses.
-func (p *PlacementPlan) place() error {
+// every node the task uses, charging growth against ledger (zeroed, one
+// entry per (collection alias, node, memory kind)). On success it sums the
+// committed bytes per kind.
+func (p *PlacementPlan) place(ledger []int64) error {
 	for _, tid := range p.topo.launch {
 		t := p.g.Task(tid)
 		d := p.mp.Decision(tid)
+		row := p.argRow(tid)
 		for a, arg := range t.Args {
 			c := p.g.Collection(arg.Collection)
 			al := p.topo.alias[arg.Collection]
-			for _, n := range p.taskNodes[tid] {
+			for _, n := range p.taskNodes(tid) {
 				placed := false
 				for ki, mk := range d.Mems[a] {
 					total, units := p.footprint(t, c, mk, n)
-					if p.tryCharge(al, n, mk, total, units) {
-						p.placement[tid][a][n] = argPlacement{kind: mk, units: units}
-						p.placed[tid][a][n] = true
+					if p.tryCharge(ledger, al, n, mk, total, units) {
+						row[a*p.nodes+n] = argPlacement{kind: mk, units: int32(units)}
 						if ki > 0 {
 							p.Spills++
 						}
@@ -335,14 +327,20 @@ func (p *PlacementPlan) place() error {
 			}
 		}
 	}
+	for id, used := range p.memUsed {
+		p.kindBytes[p.m.Mems[id].Kind] += used
+	}
 	return nil
 }
 
-// PeakMemBytes returns the committed resident bytes per memory kind.
+// PeakMemBytes returns the committed resident bytes per memory kind, with
+// an entry for every kind the machine has. Each call returns a fresh map.
 func (p *PlacementPlan) PeakMemBytes() map[machine.MemKind]int64 {
 	out := make(map[machine.MemKind]int64, machine.NumMemKinds)
-	for id, used := range p.memUsed {
-		out[p.m.Mem(machine.MemID(id)).Kind] += used
+	for k, b := range p.kindBytes {
+		if p.topo.hasMemKind[k] {
+			out[machine.MemKind(k)] = b
+		}
 	}
 	return out
 }

@@ -98,7 +98,7 @@ func execCount(plan *PlacementPlan) int {
 	perIter := 0
 	for _, tid := range plan.topo.launch {
 		t := plan.g.Task(tid)
-		for _, n := range plan.taskNodes[tid] {
+		for _, n := range plan.taskNodes(tid) {
 			if plan.pointsOnNode(t, n) > 0 {
 				perIter++
 			}

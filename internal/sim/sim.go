@@ -401,7 +401,7 @@ func (s *state) record(plan *PlacementPlan, deep bool) *schedule {
 func (s *state) runTask(tid taskir.TaskID) {
 	t := s.g.Task(tid)
 	d := s.mp.Decision(tid)
-	nodes := s.taskNodes[tid]
+	nodes := s.taskNodes(tid)
 	proc := s.procFor(d.Proc)
 	variant := t.Variants[d.Proc]
 
@@ -419,10 +419,10 @@ func (s *state) runTask(tid taskir.TaskID) {
 		}
 		// Coherence copies for this node's arguments.
 		for a, arg := range t.Args {
-			if !s.placed[tid][a][n] {
+			pl := s.at(tid, a, n)
+			if pl.units == 0 {
 				continue
 			}
-			pl := s.placement[tid][a][n]
 			c := s.g.Collection(arg.Collection)
 			if arg.Privilege.Reads() {
 				if c.Partitioned {
@@ -436,7 +436,7 @@ func (s *state) runTask(tid taskir.TaskID) {
 						}
 					}
 				} else {
-					s.ensureShared(c, n, pl.kind, pl.units)
+					s.ensureShared(c, n, pl.kind, int(pl.units))
 				}
 			}
 			if arg.Privilege.Writes() {
@@ -464,13 +464,14 @@ func (s *state) runTask(tid taskir.TaskID) {
 		if d.Proc == machine.CPU && s.m.CacheBytesPerSocket > 0 {
 			var resident int64
 			for a, arg := range t.Args {
-				if !s.placed[tid][a][n] {
+				pl := s.at(tid, a, n)
+				if pl.units == 0 {
 					continue
 				}
 				c := s.g.Collection(arg.Collection)
 				share := ShardBytes(c, pts, t.Points)
-				if c.Partitioned && s.placement[tid][a][n].units > 1 {
-					share /= int64(s.placement[tid][a][n].units)
+				if c.Partitioned && pl.units > 1 {
+					share /= int64(pl.units)
 				}
 				resident += share
 			}
@@ -478,10 +479,10 @@ func (s *state) runTask(tid taskir.TaskID) {
 		}
 		perPoint := proc.LaunchOverhead + variant.WorkPerPoint/(proc.ThroughputFLOPS*variant.Efficiency)
 		for a, arg := range t.Args {
-			if !s.placed[tid][a][n] || arg.BytesPerPoint == 0 {
+			pl := s.at(tid, a, n)
+			if pl.units == 0 || arg.BytesPerPoint == 0 {
 				continue
 			}
-			pl := s.placement[tid][a][n]
 			bw := s.m.Access.Bandwidth(d.Proc, pl.kind, false)
 			if cached && (pl.kind == machine.SysMem || pl.kind == machine.ZeroCopy) &&
 				s.m.Access.CPUCache > bw {
@@ -509,13 +510,13 @@ func (s *state) runTask(tid taskir.TaskID) {
 		if c.Partitioned {
 			if d.Distribute {
 				for _, n := range nodes {
-					if s.placed[tid][a][n] {
-						s.shardValid[al][n] = sharedLoc{node: n, kind: s.placement[tid][a][n].kind}
+					if pl := s.at(tid, a, n); pl.units != 0 {
+						s.shardValid[al][n] = sharedLoc{node: n, kind: pl.kind}
 					}
 				}
-			} else if s.placed[tid][a][0] {
+			} else if pl := s.at(tid, a, 0); pl.units != 0 {
 				for sh := 0; sh < s.nodes; sh++ {
-					s.shardValid[al][sh] = sharedLoc{node: 0, kind: s.placement[tid][a][0].kind}
+					s.shardValid[al][sh] = sharedLoc{node: 0, kind: pl.kind}
 				}
 			}
 		} else {

@@ -51,6 +51,13 @@ type topology struct {
 	// maxArgs is the largest argument count of any task, sizing the
 	// timing pass's per-launch scratch.
 	maxArgs int
+	// argOff[task] is the task-major index of the task's first argument
+	// among all tasks' arguments; argOff[len(g.Tasks)] is the total
+	// argument count. Placement plans index their flat tables by it.
+	argOff []int
+	// hasMemKind[kind] reports whether the machine has a memory of the
+	// kind: the kinds a plan's PeakMemBytes reports.
+	hasMemKind [machine.NumMemKinds]bool
 
 	// argDeps[task] caches, per argument in order, the alias and
 	// privilege bits the readiness/commit passes consult; the schedule
@@ -112,10 +119,15 @@ func newTopology(m *machine.Machine, g *taskir.Graph) *topology {
 		}
 	}
 
-	for _, task := range g.Tasks {
+	t.argOff = make([]int, len(g.Tasks)+1)
+	for i, task := range g.Tasks {
 		if len(task.Args) > t.maxArgs {
 			t.maxArgs = len(task.Args)
 		}
+		t.argOff[i+1] = t.argOff[i] + len(task.Args)
+	}
+	for i := range m.Mems {
+		t.hasMemKind[m.Mems[i].Kind] = true
 	}
 
 	t.argDeps = make([][]argDep, len(g.Tasks))

@@ -99,6 +99,14 @@ cmp "$tdir/w1.jsonl" "$tdir/w8.jsonl" || {
 # Span-specific invariance gate: even if non-span events ever legitimately
 # diverge by worker count, the span subsequences must stay byte-identical.
 $GO run ./scripts/telemetrycheck "$tdir/w1.jsonl" "$tdir/m1.txt" "$tdir/w8.jsonl"
+# The same for simulated annealing, whose proposal loop (one move from its
+# current state, which may be worse than the best) CCD does not exercise.
+./bin/automap search -app circuit -input n50w200 -nodes 2 -algo anneal -seed 7 -workers 1 \
+    -events "$tdir/a1.jsonl" >/dev/null
+./bin/automap search -app circuit -input n50w200 -nodes 2 -algo anneal -seed 7 -workers 8 \
+    -events "$tdir/a8.jsonl" >/dev/null
+cmp "$tdir/a1.jsonl" "$tdir/a8.jsonl" || {
+    echo "annealing event stream differs between -workers 1 and -workers 8" >&2; exit 1; }
 
 echo "== incremental-vs-full differential smoke"
 # The incremental re-simulation path (DESIGN §14) is a pure optimization:
