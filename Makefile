@@ -65,11 +65,11 @@ fuzz:
 check:
 	./scripts/ci.sh
 
-# Full-protocol reproduction of every table and figure (~30 min).
+# Full-protocol reproduction of every table and figure (~1 min on 2 vCPUs).
 experiments:
 	$(GO) run ./cmd/experiments -fig all -csv results | tee results/full_results.txt
 
-# Reduced-protocol smoke pass (~3 min).
+# Reduced-protocol smoke pass (~10 s on 2 vCPUs).
 experiments-quick:
 	$(GO) run ./cmd/experiments -fig all -quick
 

@@ -37,11 +37,10 @@ func benchProblem(b testing.TB) (*machine.Machine, *taskir.Graph, *mapping.Mappi
 	return m, g, mapping.Default(g, m.Model())
 }
 
-// BenchmarkSimulateOneShot measures Simulate, which is New(m, g).Run: each
-// call builds the topology, plans placement, records the schedule into a
-// fresh run state's scratch, caches an exact-length copy of it in the
-// throwaway Instance, and folds it. B/op is dominated by those two
-// schedule buffers; a search calls Simulate only a couple of times.
+// BenchmarkSimulateOneShot measures Simulate: each call builds the
+// topology, plans placement, records the schedule into a fresh run state's
+// scratch and folds it there, caching nothing. B/op is dominated by that
+// schedule buffer; a search calls Simulate only a couple of times.
 func BenchmarkSimulateOneShot(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	b.ReportAllocs()

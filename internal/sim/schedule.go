@@ -20,6 +20,18 @@
 // of one candidate differ only in their noise tape, so foldLanes folds up
 // to laneWidth of them in one pass over the schedule, each lane repeating
 // foldSchedule's float operations exactly (TestRepeatsMatchRunKeyed).
+//
+// The applications are fixed-iteration loops, and the structure pass runs
+// each launch only until the loop reaches its steady state. A launch's
+// records depend on the plan and the coherence state alone, so once the
+// coherence state at the start of an iteration equals its state at the
+// start of the previous one, every remaining iteration records exactly
+// what the previous one did; state.record copies those launches
+// (copyLaunch) instead of running them. The result is the same schedule,
+// fully materialised, so the fold, the noise-tape indexing and the Trace
+// iteration numbers do not change (TestSteadyRecordMatchesFull compares it
+// with a recording of every iteration).
+//
 // Incremental re-simulation (delta.go) splices recorded launch ranges of a
 // base schedule with freshly recorded dirty launches and folds the
 // spliced schedule.
@@ -245,7 +257,10 @@ func (r *recorder) endLaunch() {
 
 // copyLaunch splices launch li of base verbatim into the output schedule,
 // rebasing exec op ranges onto the output's op stream (clean launches of
-// the delta patcher).
+// the delta patcher, the steady-state fill of state.record). base may be
+// the output schedule itself: append reads its source range before it
+// grows the slice, and the exec loop reads only records below the length
+// it started from.
 func (r *recorder) copyLaunch(base *schedule, li int) {
 	out := &r.sch
 	opLo, opHi := base.launchOpRange(li)

@@ -4,11 +4,14 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"automap/internal/apps"
 	"automap/internal/cluster"
+	"automap/internal/machine"
 	"automap/internal/mapping"
 	"automap/internal/taskir"
 	"automap/internal/xrand"
@@ -136,5 +139,128 @@ func TestScheduleRecordCounts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// requireSteadyMatchesFull records plan shallow, which stops running
+// launches once the coherence state repeats, and deep, which records every
+// iteration, and fails unless the two schedules hold the same records and
+// copy totals. It reports whether the shallow record reached its fixed
+// point.
+func requireSteadyMatchesFull(t *testing.T, ctx string, plan *PlacementPlan) bool {
+	t.Helper()
+	s := new(state)
+	got := s.record(plan, false)
+	want := new(state).record(plan, true)
+	if !slices.Equal(got.ops, want.ops) || !slices.Equal(got.execs, want.execs) ||
+		!slices.Equal(got.launches, want.launches) {
+		t.Errorf("%s: steady record (filled from iteration %d) has %d ops, %d execs, %d launches; "+
+			"full record %d, %d, %d, or the records differ", ctx, s.steadyFrom,
+			len(got.ops), len(got.execs), len(got.launches),
+			len(want.ops), len(want.execs), len(want.launches))
+	}
+	if got.bytesCopied != want.bytesCopied || got.netBytes != want.netBytes || got.numCopies != want.numCopies {
+		t.Errorf("%s: copy totals {%d %d %d} != {%d %d %d}", ctx,
+			got.bytesCopied, got.netBytes, got.numCopies, want.bytesCopied, want.netBytes, want.numCopies)
+	}
+	return s.steadyFrom > 0
+}
+
+// steadyGraph builds a two-task loop over one collection c: "r" reads c on
+// the CPU (System memory), then "w" reads and writes it on the GPU
+// (Frame-Buffer). Iteration 0 first touches c in System memory and copies
+// it to the Frame-Buffer for w; from iteration 1 on, r copies w's version
+// back first. The coherence state repeats only from iteration 2, so a
+// fixed-point test that ignores sharedValid (shared c) or shardValid
+// (partitioned c) copies iteration 0 into iteration 1 and records wrongly.
+func steadyGraph(partitioned bool) *taskir.Graph {
+	g := taskir.NewGraph("steady")
+	c := g.AddCollection(taskir.Collection{Name: "c", Space: "s", Lo: 0, Hi: 64 << 20, Partitioned: partitioned})
+	both := map[machine.ProcKind]taskir.Variant{
+		machine.CPU: {Efficiency: 1, WorkPerPoint: 1e6},
+		machine.GPU: {Efficiency: 1, WorkPerPoint: 1e6},
+	}
+	g.AddTask(taskir.GroupTask{Name: "r", Points: 2, Variants: both,
+		Args: []taskir.Arg{{Collection: c.ID, Privilege: taskir.ReadOnly, BytesPerPoint: 1 << 20}}})
+	g.AddTask(taskir.GroupTask{Name: "w", Points: 2, Variants: both,
+		Args: []taskir.Arg{{Collection: c.ID, Privilege: taskir.ReadWrite, BytesPerPoint: 1 << 20}}})
+	g.Iterations = 5
+	return g
+}
+
+// TestSteadyRecordMatchesFull is the oracle of the steady-state fill: a
+// shallow record, which copies the iterations after the coherence fixed
+// point, must equal a deep record, which runs every launch, for every
+// bundled app on 1, 2 and 4 nodes under the default mapping and the
+// corpus walks, and for hand-built graphs that exercise each part of the
+// coherence state. It also requires that the fill fires: every default
+// mapping and every hand-built graph must reach its fixed point, so a
+// detection that never fires cannot pass.
+func TestSteadyRecordMatchesFull(t *testing.T) {
+	placed, steady := 0, 0
+	for _, nodes := range []int{1, 2, 4} {
+		m := cluster.Shepard(nodes)
+		md := m.Model()
+		probs := appProblems(t, nodes)
+		for ai, name := range apps.Names() {
+			g := probs[name]
+			topo := newTopology(m, g)
+			rng := xrand.New(0x57EAD + uint64(nodes)*131 + uint64(ai))
+			for i, mp := range corpusMappings(g, md, rng) {
+				plan, err := planPlacement(topo, mp)
+				if err != nil {
+					continue // OOM: nothing is recorded
+				}
+				ctx := fmt.Sprintf("%s/n%d/m%d", name, nodes, i)
+				ok := requireSteadyMatchesFull(t, ctx, plan)
+				if !ok && i == 0 {
+					t.Errorf("%s: the default mapping never reached a coherence fixed point", ctx)
+				}
+				placed++
+				if ok {
+					steady++
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d placeable app mappings reached a coherence fixed point", steady, placed)
+
+	// Hand-built graphs, each reaching its fixed point at iteration 2.
+	// The ghost graph is a distributed read-write of a shared collection:
+	// after iteration 0 the valid set is empty again and only the partial
+	// marker records that readers must gather, so a fixed-point test that
+	// ignores partial copies iteration 0 into iteration 1.
+	ghost := taskir.NewGraph("ghost")
+	sh := ghost.AddCollection(taskir.Collection{Name: "sh", Space: "s", Lo: 0, Hi: 64 << 20})
+	ghost.AddTask(taskir.GroupTask{Name: "writer", Points: 8,
+		Variants: map[machine.ProcKind]taskir.Variant{machine.GPU: {Efficiency: 1, WorkPerPoint: 1e6}},
+		Args:     []taskir.Arg{{Collection: sh.ID, Privilege: taskir.ReadWrite, BytesPerPoint: 8 << 20}}})
+	ghost.Iterations = 5
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		g     *taskir.Graph
+	}{
+		{"shared", 1, steadyGraph(false)},
+		{"partitioned", 1, steadyGraph(true)},
+		{"ghost", 2, ghost},
+	} {
+		m := cluster.Shepard(tc.nodes)
+		md := m.Model()
+		mp := mapping.Default(tc.g, md)
+		if len(tc.g.Tasks) > 1 {
+			mp.SetProc(0, machine.CPU)
+			mp.RebuildPriorityLists(md, 0)
+		}
+		plan, err := planPlacement(newTopology(m, tc.g), mp)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s := new(state)
+		s.record(plan, false)
+		if s.steadyFrom != 2 {
+			t.Errorf("%s: fixed point at iteration %d, want 2", tc.name, s.steadyFrom)
+		}
+		requireSteadyMatchesFull(t, tc.name, plan)
 	}
 }

@@ -40,12 +40,13 @@
 // Entry points: Instance (instance.go) is the search-facing API that
 // amortizes topology tables, placement plans, recorded schedules and
 // scratch across the thousands of runs of one search; Simulate is the
-// one-shot form, a throwaway Instance's Run.
+// one-shot form, which records and folds once and keeps nothing.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"automap/internal/machine"
 	"automap/internal/mapping"
@@ -155,11 +156,18 @@ func (e *OOMError) Error() string {
 // execution result, or an *OOMError if the mapping does not fit. The
 // mapping must already be valid for (g, m.Model()).
 //
-// Simulate is New(m, g).Run(mp, cfg): it rebuilds the topology tables and
+// Simulate returns what New(m, g).Run(mp, cfg) returns, without caching
+// anything: it plans placement, records the schedule into a fresh state's
+// scratch and folds it there. It rebuilds the topology tables and
 // placement plan on every call, so callers running many mappings on one
-// (machine, program) pair should keep the Instance.
+// (machine, program) pair should keep an Instance.
 func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Config) (*Result, error) {
-	return New(m, g).Run(mp, cfg)
+	in := New(m, g)
+	plan, err := planPlacement(in.topo, mp)
+	if err != nil {
+		return nil, err
+	}
+	return in.fold(new(state).record(plan, false), plan, cfg), nil
 }
 
 // sharedLoc is one valid location of a shared collection.
@@ -205,6 +213,48 @@ type state struct {
 	// writerScratch[a] is the per-launch writer-location scratch, sized
 	// to the widest task so runTask never allocates it.
 	writerScratch [][]sharedLoc
+
+	// prev and cur are record's snapshots of the coherence state at the
+	// start of the previous and the current iteration.
+	prev, cur coherence
+	// steadyFrom is the iteration from which the last record copied the
+	// preceding iteration instead of recording, or 0 if it recorded every
+	// iteration.
+	steadyFrom int
+}
+
+// coherence is a flat snapshot of a state's coherence state at an
+// iteration boundary: every alias's sharedValid locations followed by its
+// shardValid holders, in alias order, with each sharedValid length (the
+// shardValid lengths are fixed), the partial markers, and the schedule
+// position (op and exec counts) the iteration starts at.
+type coherence struct {
+	locs       []sharedLoc
+	sharedLens []int32
+	partial    []partialInfo
+	ops, execs int
+}
+
+// take overwrites c with s's current coherence state and schedule
+// position, reusing c's buffers.
+func (c *coherence) take(s *state) {
+	c.locs, c.sharedLens = c.locs[:0], c.sharedLens[:0]
+	for al := range s.sharedValid {
+		c.locs = append(c.locs, s.sharedValid[al]...)
+		c.locs = append(c.locs, s.shardValid[al]...)
+		c.sharedLens = append(c.sharedLens, int32(len(s.sharedValid[al])))
+	}
+	c.partial = append(c.partial[:0], s.partial...)
+	c.ops, c.execs = len(s.scratch.sch.ops), len(s.scratch.sch.execs)
+}
+
+// sameState reports whether c and o hold the same coherence state. The
+// comparison is order-sensitive, so it is conservative: two equal valid
+// sets listed in different orders compare unequal, which only costs the
+// recording of one more iteration.
+func (c *coherence) sameState(o *coherence) bool {
+	return slices.Equal(c.locs, o.locs) && slices.Equal(c.sharedLens, o.sharedLens) &&
+		slices.Equal(c.partial, o.partial)
 }
 
 // init binds s to a plan, allocating scratch on first use and recycling it
@@ -381,10 +431,29 @@ func (s *state) invalidateSharedExcept(c taskir.CollectionID, locs []sharedLoc) 
 // lives there until s records again. The pass takes no config, so one
 // record serves every repeat's fold. deep additionally captures coherence
 // pre-states (delta bases).
+//
+// A launch's records are a function of the plan and the coherence state
+// alone. So when the coherence state at the start of an iteration equals
+// its state at the start of the previous one, this iteration records
+// exactly what the previous one did and ends in the same state, and so
+// does every later iteration: a shallow record stops running launches
+// there and fills the remaining iterations with copies of the previous
+// one (fillSteady). A mapping whose state never repeats records every
+// iteration. Deep records always do, since the delta patcher needs every
+// launch's own pre-states.
 func (s *state) record(plan *PlacementPlan, deep bool) *schedule {
 	s.init(plan)
 	s.scratch.reset(deep)
+	s.steadyFrom = 0
 	for iter := 0; iter < s.g.Iterations; iter++ {
+		if !deep {
+			s.cur.take(s)
+			if iter > 0 && s.cur.sameState(&s.prev) {
+				s.fillSteady(iter)
+				break
+			}
+			s.prev, s.cur = s.cur, s.prev
+		}
 		for _, tid := range s.topo.launch {
 			s.scratch.beginLaunch(s, tid)
 			s.runTask(tid)
@@ -393,6 +462,25 @@ func (s *state) record(plan *PlacementPlan, deep bool) *schedule {
 	}
 	s.scratch.sch.finalize()
 	return &s.scratch.sch
+}
+
+// fillSteady completes a recording whose coherence state at the start of
+// iteration iter (s.cur) repeats the state at the start of iter-1
+// (s.prev): each launch of every remaining iteration is a copy of the
+// launch one iteration before it. The buffers grow once to their final
+// length, and the copies read from the schedule being written, which
+// copyLaunch allows.
+func (s *state) fillSteady(iter int) {
+	sch := &s.scratch.sch
+	perIter := len(s.topo.launch)
+	rest := s.g.Iterations - iter
+	sch.ops = slices.Grow(sch.ops, rest*(s.cur.ops-s.prev.ops))
+	sch.execs = slices.Grow(sch.execs, rest*(s.cur.execs-s.prev.execs))
+	sch.launches = slices.Grow(sch.launches, rest*perIter)
+	for li := iter * perIter; li < s.g.Iterations*perIter; li++ {
+		s.scratch.copyLaunch(sch, li-perIter)
+	}
+	s.steadyFrom = iter
 }
 
 // runTask records one launch of group task tid: the coherence copies each

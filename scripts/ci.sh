@@ -56,6 +56,11 @@ awk -v t="$total" -v f="$floor" 'BEGIN {
     printf "coverage %.1f%% (floor %.1f%%)\n", t, f
 }'
 
+echo "== micro-benchmarks, one iteration each"
+# Nothing else executes the benchmarks that scripts/bench.sh names; one
+# iteration of each fails the gate when a benchmark's setup rots or panics.
+$GO test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/search ./internal/driver
+
 echo "== checkpoint fuzz smoke"
 $GO test -fuzz FuzzLoadCheckpoint -fuzztime 5s -run '^$' ./internal/checkpoint
 
