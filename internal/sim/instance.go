@@ -239,10 +239,14 @@ func (in *Instance) noiseTape(k noiseKey) *noiseTape {
 	if len(in.noise) >= noiseCacheLimit {
 		in.noise = make(map[noiseKey]*noiseTape)
 	}
-	tp = &noiseTape{rng: *xrand.New(k.seed ^ 0x5bd1e995)}
-	tp.sigma = k.sigma
+	tp = newNoiseTape(k)
 	in.noise[k] = tp
 	return tp
+}
+
+// newNoiseTape returns the undrawn tape of the noise stream k.
+func newNoiseTape(k noiseKey) *noiseTape {
+	return &noiseTape{rng: *xrand.New(k.seed ^ 0x5bd1e995), sigma: k.sigma}
 }
 
 // New builds a reusable simulator instance for program g on machine m.

@@ -10,7 +10,8 @@
 //     and
 //   - a TIMING fold that replays those records in order, carrying only
 //     the availability timelines (processors, copy engines, network) and
-//     the per-collection ready times, and applies the config's noise.
+//     the finish times of the launches still to be waited for, and
+//     applies the config's noise.
 //
 // The structure pass has no clock and takes no Config, so a schedule
 // cannot depend on noise: Instance records each candidate once and takes
@@ -31,6 +32,14 @@
 // fully materialised, so the fold, the noise-tape indexing and the Trace
 // iteration numbers do not change (TestSteadyRecordMatchesFull compares it
 // with a recording of every iteration).
+//
+// The fold does not track which collections a launch reads or writes. A
+// launch is ready at the latest finish time among its predecessors: the
+// topology's transitively reduced list of the earlier launches it
+// conflicts with (buildLaunchDAG in topology.go argues that this max is
+// bit-identical to the max over every conflict). No predecessor lies more
+// than one iteration back, so the fold keeps the finish times of only the
+// last perIter+1 launches, in a ring.
 //
 // Incremental re-simulation (delta.go) splices recorded launch ranges of a
 // base schedule with freshly recorded dirty launches and folds the
@@ -282,7 +291,7 @@ func (r *recorder) copyLaunch(base *schedule, li int) {
 }
 
 // foldScratch is the pooled working set of foldSchedule: the availability
-// timelines and dependence clocks of a timing replay. It doubles as the
+// timelines and launch finish ring of a timing replay. It doubles as the
 // per-worker noise-tape memo: sync.Pool hands scratches out per-P, so the
 // noise table below gives each worker its own (seed, sigma) → tape map and
 // steady-state folds never touch the Instance's shared noise map.
@@ -292,13 +301,12 @@ type foldScratch struct {
 	// Instance.
 	noise map[noiseKey]*noiseTape
 
-	procAvail  []float64 // [node*NumProcKinds + kind]
-	copyAvail  []float64 // per node
-	writeDone  []float64 // per collection alias
-	accessDone []float64 // per collection alias
-	taskWall   []float64 // per task, summed into TaskWallSec at the end
-	busy       [machine.NumProcKinds]float64
-	seen       [machine.NumProcKinds]bool
+	procAvail []float64 // [node*NumProcKinds + kind]
+	copyAvail []float64 // per node
+	finish    []float64 // ring of the last perIter+1 launches' finish times
+	taskWall  []float64 // per task, summed into TaskWallSec at the end
+	busy      [machine.NumProcKinds]float64
+	seen      [machine.NumProcKinds]bool
 
 	// laneTapes is the transposed-noise memo of foldLanes: entry [ex][l]
 	// is draw ex of lane l's tape. Like noise, an entry is a pure function
@@ -308,8 +316,7 @@ type foldScratch struct {
 	// The same timelines, one lane block per element, for foldLanes.
 	laneProc   []lanes
 	laneCopy   []lanes
-	laneWrite  []lanes
-	laneAccess []lanes
+	laneFinish []lanes
 	laneWall   []lanes
 	laneBusy   [machine.NumProcKinds]lanes
 }
@@ -358,11 +365,10 @@ func resetZero[T any](s []T, n int) []T {
 // and the Trace and Explain logs when cfg asks for them.
 func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config, noise []float64, fs *foldScratch) *Result {
 	g := topo.g
-	nc := len(g.Collections)
+	perIter := len(topo.launch)
 	fs.procAvail = resetZero(fs.procAvail, topo.nodes*machine.NumProcKinds)
 	fs.copyAvail = resetZero(fs.copyAvail, topo.nodes)
-	fs.writeDone = resetZero(fs.writeDone, nc)
-	fs.accessDone = resetZero(fs.accessDone, nc)
+	fs.finish = resetZero(fs.finish, perIter+1)
 	fs.taskWall = resetZero(fs.taskWall, len(g.Tasks))
 
 	for k := range fs.busy {
@@ -385,18 +391,20 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 	}
 
 	var netAvail, energy, makespan float64
-	perIter := len(topo.launch)
+	// pos and iter are launch li's position and iteration, row its
+	// predecessor list, slot its place in the finish ring.
+	pos, iter, row, slot := 0, 0, 0, 0
 	opIdx, exIdx := 0, 0
 	for li := range sch.launches {
-		tid := topo.launch[li%perIter]
-		deps := topo.argDeps[tid]
+		tid := topo.launch[pos]
 		ready := 0.0
-		for _, dp := range deps {
-			if dp.reads && fs.writeDone[dp.alias] > ready {
-				ready = fs.writeDone[dp.alias]
+		for _, d := range topo.preds[topo.predOff[row]:topo.predOff[row+1]] {
+			k := slot - int(d)
+			if k < 0 {
+				k += perIter + 1
 			}
-			if dp.writes && fs.accessDone[dp.alias] > ready {
-				ready = fs.accessDone[dp.alias]
+			if fs.finish[k] > ready {
+				ready = fs.finish[k]
 			}
 		}
 		taskFinish := ready
@@ -448,7 +456,7 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 			energy += a * x.powerW
 			if cfg.Trace {
 				res.Events = append(res.Events, Event{
-					Task: tid, Node: int(x.node), Kind: x.kind, Iteration: li / perIter,
+					Task: tid, Node: int(x.node), Kind: x.kind, Iteration: iter,
 					StartSec: start, CopySec: copyDone - ready, DurSec: dur,
 				})
 			}
@@ -461,23 +469,17 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 		}
 		opIdx = int(sch.launches[li].opEnd)
 
-		for _, dp := range deps {
-			if !dp.writes {
-				if dp.reads && taskFinish > fs.accessDone[dp.alias] {
-					fs.accessDone[dp.alias] = taskFinish
-				}
-				continue
-			}
-			if taskFinish > fs.writeDone[dp.alias] {
-				fs.writeDone[dp.alias] = taskFinish
-			}
-			if taskFinish > fs.accessDone[dp.alias] {
-				fs.accessDone[dp.alias] = taskFinish
-			}
-		}
+		fs.finish[slot] = taskFinish
 		fs.taskWall[tid] += execWall
 		if taskFinish > makespan {
 			makespan = taskFinish
+		}
+		pos, row, slot = pos+1, row+1, slot+1
+		if pos == perIter {
+			pos, iter, row = 0, iter+1, perIter
+		}
+		if slot > perIter {
+			slot = 0
 		}
 	}
 	// TaskWallSec has an entry for every task that launches (even an
@@ -510,38 +512,30 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 // those configs.
 func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes, out []*Result, fs *foldScratch) {
 	g := topo.g
-	nc := len(g.Collections)
+	perIter := len(topo.launch)
 	fs.laneProc = resetZero(fs.laneProc, topo.nodes*machine.NumProcKinds)
 	fs.laneCopy = resetZero(fs.laneCopy, topo.nodes)
-	fs.laneWrite = resetZero(fs.laneWrite, nc)
-	fs.laneAccess = resetZero(fs.laneAccess, nc)
+	fs.laneFinish = resetZero(fs.laneFinish, perIter+1)
 	fs.laneWall = resetZero(fs.laneWall, len(g.Tasks))
 	clear(fs.laneBusy[:])
 	clear(fs.seen[:])
 	noisy := noise != nil
 
 	var netAvail, energy, makespan, t, copyDone lanes
-	perIter := len(topo.launch)
+	pos, row, slot := 0, 0, 0 // as in foldSchedule
 	opIdx, exIdx := 0, 0
 	for li := range sch.launches {
-		tid := topo.launch[li%perIter]
-		deps := topo.argDeps[tid]
+		tid := topo.launch[pos]
 		var ready lanes
-		for _, dp := range deps {
-			if dp.reads {
-				w := &fs.laneWrite[dp.alias]
-				for l := range ready {
-					if w[l] > ready[l] {
-						ready[l] = w[l]
-					}
-				}
+		for _, d := range topo.preds[topo.predOff[row]:topo.predOff[row+1]] {
+			k := slot - int(d)
+			if k < 0 {
+				k += perIter + 1
 			}
-			if dp.writes {
-				a := &fs.laneAccess[dp.alias]
-				for l := range ready {
-					if a[l] > ready[l] {
-						ready[l] = a[l]
-					}
+			f := &fs.laneFinish[k]
+			for l := range ready {
+				if f[l] > ready[l] {
+					ready[l] = f[l]
 				}
 			}
 		}
@@ -605,34 +599,20 @@ func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes
 		}
 		opIdx = int(sch.launches[li].opEnd)
 
-		for _, dp := range deps {
-			if !dp.writes {
-				if dp.reads {
-					a := &fs.laneAccess[dp.alias]
-					for l := range a {
-						if taskFinish[l] > a[l] {
-							a[l] = taskFinish[l]
-						}
-					}
-				}
-				continue
-			}
-			w, a := &fs.laneWrite[dp.alias], &fs.laneAccess[dp.alias]
-			for l := range w {
-				if taskFinish[l] > w[l] {
-					w[l] = taskFinish[l]
-				}
-				if taskFinish[l] > a[l] {
-					a[l] = taskFinish[l]
-				}
-			}
-		}
+		fs.laneFinish[slot] = taskFinish
 		tw := &fs.laneWall[tid]
 		for l := range tw {
 			tw[l] += execWall[l]
 			if taskFinish[l] > makespan[l] {
 				makespan[l] = taskFinish[l]
 			}
+		}
+		pos, row, slot = pos+1, row+1, slot+1
+		if pos == perIter {
+			pos, row = 0, perIter
+		}
+		if slot > perIter {
+			slot = 0
 		}
 	}
 	for l := range out {

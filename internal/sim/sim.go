@@ -156,18 +156,23 @@ func (e *OOMError) Error() string {
 // execution result, or an *OOMError if the mapping does not fit. The
 // mapping must already be valid for (g, m.Model()).
 //
-// Simulate returns what New(m, g).Run(mp, cfg) returns, without caching
-// anything: it plans placement, records the schedule into a fresh state's
-// scratch and folds it there. It rebuilds the topology tables and
-// placement plan on every call, so callers running many mappings on one
+// Simulate returns what New(m, g).Run(mp, cfg) returns, without an
+// Instance or any cache: it builds the topology tables, plans placement,
+// records the schedule into a fresh state's scratch and folds it there
+// under the config's noise stream. Callers running many mappings on one
 // (machine, program) pair should keep an Instance.
 func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Config) (*Result, error) {
-	in := New(m, g)
-	plan, err := planPlacement(in.topo, mp)
+	topo := newTopology(m, g)
+	plan, err := planPlacement(topo, mp)
 	if err != nil {
 		return nil, err
 	}
-	return in.fold(new(state).record(plan, false), plan, cfg), nil
+	sch := new(state).record(plan, false)
+	var noise []float64
+	if cfg.NoiseSigma > 0 {
+		noise = newNoiseTape(noiseKey{seed: cfg.Seed, sigma: cfg.NoiseSigma}).prefix(len(sch.execs))
+	}
+	return foldSchedule(topo, plan, sch, cfg, noise, new(foldScratch)), nil
 }
 
 // sharedLoc is one valid location of a shared collection.

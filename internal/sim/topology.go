@@ -11,6 +11,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"automap/internal/machine"
 	"automap/internal/taskir"
@@ -59,19 +60,28 @@ type topology struct {
 	// kind: the kinds a plan's PeakMemBytes reports.
 	hasMemKind [machine.NumMemKinds]bool
 
-	// argDeps[task] caches, per argument in order, the alias and
-	// privilege bits the readiness/commit passes consult; the schedule
-	// fold (schedule.go) replays dependences from it without touching
-	// the graph.
+	// argDeps[task] caches, per argument in order, the dependence
+	// signature the launch DAG is built from and the deep recording and
+	// the delta patcher consult.
 	argDeps [][]argDep
+
+	// The reduced launch DAG the timing fold (schedule.go) computes each
+	// launch's ready time from. Row r's predecessors are the back-offsets
+	// preds[predOff[r]:predOff[r+1]], each the distance li − j from a
+	// launch li to an earlier launch j it must wait for. Rows [0,
+	// perIter) are the positions of iteration 0, rows [perIter,
+	// 2*perIter) the positions of every later iteration; no offset
+	// exceeds perIter (buildLaunchDAG).
+	predOff []int32
+	preds   []int32
 }
 
 // argDep is one task argument's dependence signature: the collection
-// alias it resolves to, its privilege bits, and whether the collection is
-// partitioned.
+// alias it resolves to, whether the argument writes it, and whether the
+// collection is partitioned. Every privilege reads or writes, so every
+// argument accesses its alias.
 type argDep struct {
 	alias  taskir.CollectionID
-	reads  bool
 	writes bool
 	part   bool
 }
@@ -138,14 +148,94 @@ func newTopology(m *machine.Machine, g *taskir.Graph) *topology {
 			arg := &task.Args[a]
 			deps[a] = argDep{
 				alias:  t.alias[arg.Collection],
-				reads:  arg.Privilege.Reads(),
 				writes: arg.Privilege.Writes(),
 				part:   g.Collections[arg.Collection].Partitioned,
 			}
 		}
 		t.argDeps[task.ID] = deps
 	}
+	t.predOff, t.preds = buildLaunchDAG(t.launch, t.argDeps)
 	return t
+}
+
+// conflicts reports whether two launches of tasks with argument
+// signatures a and b must run in launch order: some alias is accessed by
+// both and written by at least one.
+func conflicts(a, b []argDep) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x.alias == y.alias && (x.writes || y.writes) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// buildLaunchDAG builds the transitively reduced predecessor lists of the
+// launch order (topology.predOff and preds).
+//
+// A launch is ready once every earlier launch it conflicts with has
+// finished, and a launch finishes no earlier than it is ready, so finish
+// times never decrease along a chain of conflicts: a conflicting launch
+// that is an ancestor of another conflicting launch cannot be the latest
+// one, and dropping it leaves the maximum unchanged. The lists keep only
+// the conflicting launches that are no other one's ancestor.
+//
+// Conflicts depend only on the two launches' positions and their order.
+// A conflicting launch more than perIter back is therefore an ancestor of
+// its own next instance, which also conflicts, or (when it only reads
+// what the launch writes) of the launch's own previous instance, which
+// writes the same alias. So every reduced predecessor lies at most
+// perIter back, and the lists of iteration 1 serve every later iteration:
+// the lists are computed over a two-iteration unroll with one ancestor
+// bitset per launch.
+func buildLaunchDAG(launch []taskir.TaskID, deps [][]argDep) (off, preds []int32) {
+	p := len(launch)
+	u := 2 * p
+	w := (u + 63) / 64
+	cf := make([]bool, p*p) // cf[x*p+y]: positions x and y conflict
+	for x := range launch {
+		for y := range launch {
+			cf[x*p+y] = conflicts(deps[launch[x]], deps[launch[y]])
+		}
+	}
+	// anc[i*w:] is the ancestor set of launch i and red[i*w:] its
+	// reduced predecessor set; covered is per-launch scratch: the
+	// ancestors of its direct conflicts.
+	words := make([]uint64, 2*u*w+w)
+	anc, red, covered := words[:u*w], words[u*w:2*u*w], words[2*u*w:]
+	n := 0
+	for i := 0; i < u; i++ {
+		row, rr := anc[i*w:(i+1)*w], red[i*w:(i+1)*w]
+		clear(covered)
+		for j := 0; j < i; j++ {
+			if !cf[(j%p)*p+i%p] {
+				continue
+			}
+			rr[j/64] |= 1 << (j % 64)
+			for k, a := range anc[j*w : (j+1)*w] {
+				covered[k] |= a
+			}
+		}
+		for k := range row {
+			row[k] = rr[k] | covered[k]
+			rr[k] &^= covered[k]
+			n += bits.OnesCount64(rr[k])
+		}
+	}
+	off = make([]int32, u+1)
+	preds = make([]int32, 0, n)
+	for i := 0; i < u; i++ {
+		// Nearest predecessor first.
+		for j := i - 1; j >= 0; j-- {
+			if red[i*w+j/64]&(1<<(j%64)) != 0 {
+				preds = append(preds, int32(i-j))
+			}
+		}
+		off[i+1] = int32(len(preds))
+	}
+	return off, preds
 }
 
 // computeChan resolves the copy bandwidth and latency between memory kinds

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Static gate for the AutoMap reproduction: vet, race-enabled tests, a
-# coverage ratchet, mapcheck over every bundled application's default
-# mapping on both machine models, and smoke tests for telemetry, worker
-# determinism, checkpoint/resume, checkpoint and fleet fuzzing, and the
-# mapd and mapfleet binaries (including replica failover and load
-# shedding). Any failure fails the gate. Run from the repository root,
-# directly or via `make check`.
+# coverage ratchet, the paper figures against results/, mapcheck over
+# every bundled application's default mapping on both machine models,
+# and smoke tests for telemetry, worker determinism, checkpoint/resume,
+# checkpoint and fleet fuzzing, and the mapd and mapfleet binaries
+# (including replica failover and load shedding). Any failure fails the
+# gate. Run from the repository root, directly or via `make check`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -60,6 +60,21 @@ echo "== micro-benchmarks, one iteration each"
 # Nothing else executes the benchmarks that scripts/bench.sh names; one
 # iteration of each fails the gate when a benchmark's setup rots or panics.
 $GO test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/search ./internal/driver
+
+echo "== paper figures byte-identical to results/"
+# The committed figures are the reproduction's output: every CSV of
+# `-fig all` (~1 min on 2 vCPUs) must equal its copy in results/. A change
+# that moves a figure on purpose regenerates results/ with
+# `make experiments` and says which cells moved.
+$GO run ./cmd/experiments -fig all -csv "$tdir/figs" >/dev/null
+n=0
+for f in "$tdir"/figs/*.csv; do
+    cmp "$f" "results/$(basename "$f")" || {
+        echo "figure $(basename "$f") differs from results/" >&2; exit 1; }
+    n=$((n + 1))
+done
+[ "$n" -eq "$(ls results/*.csv | wc -l)" ] || {
+    echo "-fig all wrote $n CSVs; results/ holds $(ls results/*.csv | wc -l)" >&2; exit 1; }
 
 echo "== checkpoint fuzz smoke"
 $GO test -fuzz FuzzLoadCheckpoint -fuzztime 5s -run '^$' ./internal/checkpoint
