@@ -29,8 +29,9 @@ bench:
 	$(GO) test -bench=. -benchmem .
 	./scripts/bench.sh
 
-# Search-pipeline performance snapshot: simulator hot-path micro-benchmarks
-# plus end-to-end searches at 1/4/8 workers, written to BENCH_search.json.
+# Search-pipeline micro-benchmarks (simulator hot path, candidate
+# construction) at -cpu 1,4,8, written to BENCH_search.json. End-to-end
+# figures come from `make benchmark`.
 bench-search:
 	./scripts/bench.sh
 

@@ -173,7 +173,6 @@ func cmdSearch(args []string) {
 	metricsFile := c.fs.String("metrics", "", "write the final metrics snapshot to this text file")
 	searchTraceFile := c.fs.String("search-trace", "", "write a chrome://tracing JSON of the search timeline to this file")
 	workers := c.fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS); results are identical at any value")
-	incremental := c.fs.Bool("incremental", true, "evaluate candidates by incremental re-simulation against the incumbent; false forces full simulation (identical results, used by the CI differential gate)")
 	ckptPath := c.fs.String("checkpoint", "", "periodically save search state to this file (and once more on exit)")
 	ckptEvery := c.fs.Int("checkpoint-every", 0, "fresh measurements between periodic checkpoints (0 = default, 25)")
 	resume := c.fs.Bool("resume", false, "resume from the -checkpoint file: replay to the interrupted run's exact state, then continue")
@@ -226,7 +225,6 @@ func cmdSearch(args []string) {
 	opts.Seed = *c.seed
 	opts.PrePrune = *check
 	opts.Workers = *workers
-	opts.DisableIncremental = !*incremental
 	opts.CheckpointPath = *ckptPath
 	opts.CheckpointEvery = *ckptEvery
 	if *c.app == "maestro" {

@@ -66,11 +66,11 @@ func realSnapshot(tb testing.TB) []byte {
 func FuzzLoadCheckpoint(f *testing.F) {
 	real := realSnapshot(f)
 	f.Add(real)
-	f.Add(real[:len(real)/2])                                   // truncated mid-write
+	f.Add(real[:len(real)/2])                                                     // truncated mid-write
 	f.Add(bytes.Replace(real, []byte(`"version":1`), []byte(`"version":999`), 1)) // version skew
-	f.Add(bytes.Replace(real, []byte(`{`), []byte(`[`), 1))     // type confusion
-	f.Add([]byte(``))                                           // empty file
-	f.Add([]byte(`{}`))                                         // no fields at all
+	f.Add(bytes.Replace(real, []byte(`{`), []byte(`[`), 1))                       // type confusion
+	f.Add([]byte(``))                                                             // empty file
+	f.Add([]byte(`{}`))                                                           // no fields at all
 	f.Add([]byte(`{"version":1,"evals":[{"key":"x","runs":[{"ok":true}]}]}`))
 	f.Add([]byte(`nonsense`))
 

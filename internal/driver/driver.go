@@ -97,15 +97,6 @@ type Options struct {
 	// registry here so `mapstat top` and /metrics surface them; nil
 	// disables the instrumentation at zero cost.
 	WallMetrics *telemetry.Registry
-	// DisableIncremental turns off incremental re-simulation (DESIGN
-	// §14): candidates are evaluated with full simulations instead of
-	// deltas against the search incumbent. Results are bit-identical
-	// either way — the incremental path is an exact optimization and the
-	// sim.eval.incremental / sim.eval.fallback attribution counters are
-	// computed on the commit path in both modes — so this exists for the
-	// CI differential gate and performance debugging, not as a semantic
-	// switch.
-	DisableIncremental bool
 	// CheckpointPath, when non-empty, makes the driver persist a search
 	// snapshot (internal/checkpoint) atomically to this path: every
 	// CheckpointEvery fresh measurements during the search, and once more
@@ -188,24 +179,19 @@ type Evaluator struct {
 	// inst amortizes simulator topology tables, placement plans, and
 	// run scratch across every simulation of the search; sem bounds the
 	// candidates measured at once to `workers` (each measureRuns call
-	// holds one slot for all its repeats). delta wraps inst
-	// with incremental re-simulation against the search incumbent
-	// (sim.DeltaInstance); runner is whichever of the two measurements go
-	// through (Options.DisableIncremental selects inst). delta is always
-	// constructed and classified against even when disabled, so the
-	// attribution counters — and with them every report and event byte —
-	// are identical in both modes.
+	// holds one slot for all its repeats). delta wraps inst with
+	// classification against the search incumbent (sim.DeltaInstance),
+	// which feeds the attribution counters below; every measurement
+	// goes through inst.
 	inst    *sim.Instance
 	delta   *sim.DeltaInstance
-	runner  simRunner
 	sem     chan struct{}
 	workers int
 
-	// Commit-path attribution of evaluations to the incremental or the
-	// full path (guarded by mu): how many committed candidate
-	// measurements classified as bounded deltas against the incumbent at
-	// their commit point. Deterministic — unlike "which path actually
-	// served each speculative run", which can depend on prefetch timing.
+	// Commit-path attribution of evaluations (guarded by mu): how many
+	// committed candidate measurements classified as bounded deltas
+	// against the incumbent at their commit point, and how many did not.
+	// A pure function of the commit sequence.
 	incEvals int64
 	fbEvals  int64
 
@@ -264,7 +250,7 @@ type Evaluator struct {
 	mFbEvals   *telemetry.Counter
 	// Logical cache counters, attributed on the sequential commit path —
 	// a pure function of the commit sequence, so byte-identical at any
-	// worker count, across incremental/full mode, and across resume
+	// worker count and across resume
 	// (unlike the Instance's physical probe counters, which speculative
 	// evaluation perturbs).
 	mPlanHits    *telemetry.Counter
@@ -305,19 +291,13 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 		}
 	}
 	inst := sim.New(m, g)
-	delta := sim.NewDelta(inst)
-	var runner simRunner = delta
-	if opts.DisableIncremental {
-		runner = inst
-	}
 	return &Evaluator{
 		M: m, G: g, Opts: opts,
 		DB:      db,
 		byKey:   make(map[string]*mapping.Mapping),
 		model:   m.Model(),
 		inst:    inst,
-		delta:   delta,
-		runner:  runner,
+		delta:   sim.NewDelta(inst),
 		sem:     make(chan struct{}, workers),
 		workers: workers,
 		spec:    make(map[string]specResult),
@@ -404,7 +384,7 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	e.specMu.Unlock()
 	if !ok {
 		e.wall.syncEval()
-		s.results, s.errs = measureRuns(e.runner, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+		s.results, s.errs = measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
 	}
 	e.mu.Lock()
 	verdict := e.commitRuns(key, mp, toRuns(s.results, s.errs, e.Opts.objective()))
@@ -445,13 +425,12 @@ func toRuns(results []*sim.Result, errs []error, obj func(*sim.Result) float64) 
 // for fresh measurements and checkpoint replays, which is what makes a
 // resumed search bit-identical to an uninterrupted one. Callers hold e.mu.
 func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoint.Run) search.Evaluation {
-	// Attribute this evaluation to the incremental or the full simulation
-	// path, as classified against the incumbent at the commit point.
+	// Attribute this evaluation to the incremental or the fallback
+	// counter, as classified against the incumbent at the commit point.
 	// Classification is pure and the commit sequence (including the
 	// SetDeltaBase calls interleaved by the search) is deterministic, so
-	// these counters — unlike "which path physically served a speculative
-	// run" — are identical across worker counts, prefetch timing, resume,
-	// and Options.DisableIncremental.
+	// these counters are identical across worker counts, prefetch timing,
+	// and resume.
 	if e.delta.Classify(key, mp) {
 		e.incEvals++
 		e.mIncEvals.Add(1)
@@ -741,7 +720,7 @@ func (e *Evaluator) measureJobs(jobs []specJob) {
 				}
 				j := &jobs[i]
 				start := e.wall.now()
-				j.res.results, j.res.errs = measureRuns(e.runner, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+				j.res.results, j.res.errs = measureRuns(e.inst, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
 				e.wall.workerEval(slot, e.wall.now()-start)
 			}
 		}()
@@ -784,15 +763,14 @@ func (e *Evaluator) Mapping(key string) (*mapping.Mapping, bool) {
 func (e *Evaluator) Workers() int { return e.workers }
 
 // SetDeltaBase declares mp the incumbent that subsequent candidate
-// evaluations are deltas against (search.DeltaEvaluator). Search
-// algorithms call it on every accepted improvement; it always reaches the
-// delta simulator — even under Options.DisableIncremental — so the
-// commit-path attribution counters stay identical in both modes.
+// evaluations are classified against (search.DeltaEvaluator). Search
+// algorithms call it on every accepted improvement, from the goroutine
+// that calls Evaluate.
 func (e *Evaluator) SetDeltaBase(mp *mapping.Mapping) { e.delta.SetBase(mp) }
 
 // DeltaEvalStats returns the commit-path attribution counters: how many
-// committed evaluations classified as incremental deltas against the
-// incumbent, and how many required full simulation.
+// committed evaluations classified as bounded deltas against the
+// incumbent, and how many did not.
 func (e *Evaluator) DeltaEvalStats() (incremental, fallback int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1065,7 +1043,7 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	// failed finalist completed before failing.
 	var finalSec float64
 	finalMeasure := func(mp *mapping.Mapping) ([]float64, bool) {
-		results, errs := measureRuns(ev.runner, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase, ev.sem)
+		results, errs := measureRuns(ev.inst, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase, ev.sem)
 		times := make([]float64, 0, len(results))
 		ok := true
 		for i := range results {

@@ -65,22 +65,12 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// simRunner is the simulator surface the measurement path needs: all
-// repeats of one keyed candidate in one call. Satisfied by both
-// *sim.Instance (full simulation with schedule fold) and
-// *sim.DeltaInstance (incremental re-simulation against the search
-// incumbent); both return bit-identical results for any input, so which
-// one backs an evaluator never affects what is measured — only how fast.
-type simRunner interface {
-	RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*sim.Result, error)
-}
-
 // measureRuns measures `repeats` simulations of mp (whose canonical key is
 // key) with seeds runSeed(base, i), in one RunRepeats call holding one slot
 // of the semaphore sem. Results and errors are returned in repeat order;
 // a simulation error (placement failure) is every repeat's error. A
 // non-positive repeat count returns empty slices.
-func measureRuns(inst simRunner, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]*sim.Result, []error) {
+func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]*sim.Result, []error) {
 	if repeats < 1 {
 		return nil, nil
 	}

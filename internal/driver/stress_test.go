@@ -113,11 +113,10 @@ func TestConcurrentPrefetchAndDB(t *testing.T) {
 
 // TestConcurrentBasePublish pins the incumbent/delta-base publish path:
 // the search loop accepts improvements (SetDeltaBase) between speculative
-// batches, and the next batch's eight workers then fold deltas against the
-// freshly published base at once — including its lazily built deep
-// record. Under -race this catches any mutation of a base snapshot a
-// worker may be reading, and the final database must be byte-identical to
-// the same trajectory at workers=1 (speculation and base swaps may change
+// batches, while the next batch's eight workers measure candidates at
+// once. Under -race this catches any state the base swap shares with a
+// worker, and the final database must be byte-identical to the same
+// trajectory at workers=1 (speculation and base swaps may change
 // wall-clock time only).
 func TestConcurrentBasePublish(t *testing.T) {
 	forceParallel(t, 8)
@@ -157,8 +156,8 @@ func TestConcurrentBasePublish(t *testing.T) {
 			v := ev.Evaluate(mp)
 			if !v.Failed && v.MeanSec < best {
 				best = v.MeanSec
-				// Publish a new incumbent for the next batch's
-				// workers to fold deltas against.
+				// Publish a new incumbent, as a search does on
+				// an accept.
 				ev.SetDeltaBase(mp)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"automap/internal/apps"
 	"automap/internal/cluster"
 	"automap/internal/mapping"
 	"automap/internal/search"
@@ -243,5 +244,50 @@ func TestSearchTrajectoryUnchangedByObserver(t *testing.T) {
 	}
 	if len(plain.Trace) != len(observed.Trace) {
 		t.Errorf("observer changed the trace: %d vs %d points", len(plain.Trace), len(observed.Trace))
+	}
+}
+
+// TestDeltaAttributionCounters pins the commit-path attribution counters
+// of two CCD searches (seed 7, 2 Shepard nodes, the CLI's default options):
+// stencil at its default input and circuit n50w200. Classification and the
+// logical plan-cache counter are functions of the commit sequence alone,
+// so a change to either the classification bounds or the search
+// trajectory shows here.
+func TestDeltaAttributionCounters(t *testing.T) {
+	for _, tc := range []struct {
+		app, input                  string
+		incremental, fallback, miss float64
+	}{
+		{"stencil", "", 2, 35, 37},
+		{"circuit", "n50w200", 13, 21, 34},
+	} {
+		app, err := apps.Get(tc.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := tc.input
+		if input == "" {
+			input = app.Inputs[2][0]
+		}
+		g, err := app.Build(input, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Seed = 7
+		opts.Observer = &telemetry.Observer{Metrics: telemetry.NewRegistry()}
+		rep, err := Search(cluster.Shepard(2), g, search.NewCCD(), opts, search.Budget{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.app, err)
+		}
+		for name, want := range map[string]float64{
+			"sim.eval.incremental":  tc.incremental,
+			"sim.eval.fallback":     tc.fallback,
+			"sim.plan_cache.misses": tc.miss,
+		} {
+			if got := rep.Metrics[name]; got != want {
+				t.Errorf("%s %s: %s = %v, want %v", tc.app, input, name, got, want)
+			}
+		}
 	}
 }

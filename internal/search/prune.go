@@ -196,9 +196,9 @@ func (e *PruningEvaluator) Prefetch(cands []*mapping.Mapping) {
 	}
 }
 
-// SetDeltaBase forwards the incumbent to the inner evaluator's incremental
-// re-simulation path when it has one; a no-op otherwise, so pruning
-// composes transparently with DeltaEvaluator inners.
+// SetDeltaBase forwards the incumbent to the inner evaluator's
+// classification when it has one; a no-op otherwise, so pruning composes
+// transparently with DeltaEvaluator inners.
 func (e *PruningEvaluator) SetDeltaBase(mp *mapping.Mapping) {
 	if d, ok := e.inner.(DeltaEvaluator); ok {
 		d.SetDeltaBase(mp)
@@ -206,7 +206,7 @@ func (e *PruningEvaluator) SetDeltaBase(mp *mapping.Mapping) {
 }
 
 // DeltaEvalStats forwards to the inner evaluator's attribution counters;
-// zero when the inner evaluator has no incremental path.
+// zero when the inner evaluator has no classification surface.
 func (e *PruningEvaluator) DeltaEvalStats() (incremental, fallback int64) {
 	if d, ok := e.inner.(DeltaEvaluator); ok {
 		return d.DeltaEvalStats()

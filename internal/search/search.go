@@ -84,15 +84,14 @@ type BatchEvaluator interface {
 	Prefetch(cands []*mapping.Mapping)
 }
 
-// DeltaEvaluator is an optional Evaluator extension for evaluators backed
-// by incremental re-simulation (the driver's DeltaInstance path, DESIGN
-// §14). SetDeltaBase names the search incumbent candidates should be
-// re-simulated against; it is purely advisory — results are bit-identical
-// whatever the base — so algorithms call it on every accept and never on
+// DeltaEvaluator is an optional Evaluator extension for evaluators that
+// classify each candidate against the search incumbent (the driver's
+// DeltaInstance, DESIGN §14). SetDeltaBase names the incumbent; it never
+// changes a result, so algorithms call it on every accept and never on
 // rejects. DeltaEvalStats returns the evaluator's commit-time attribution
-// counters (how many committed evaluations classified as incremental vs
-// fallback); both are monotone, so per-phase figures are taken as deltas
-// between two reads.
+// counters (how many committed evaluations classified as bounded deltas
+// of the incumbent vs fallbacks); both are monotone, so per-phase figures
+// are taken as deltas between two reads.
 type DeltaEvaluator interface {
 	Evaluator
 	SetDeltaBase(mp *mapping.Mapping)
@@ -255,9 +254,10 @@ type tracker struct {
 	evaluated int
 	trace     []TracePoint
 
-	// delta is ev's incremental-re-simulation surface when it has one
-	// (nil otherwise): each accepted candidate becomes the delta base, so
-	// subsequent candidates patch against the current incumbent.
+	// delta is ev's classification surface when it has one (nil
+	// otherwise): each accepted candidate becomes the delta base, so
+	// subsequent candidates are classified against the current
+	// incumbent.
 	delta DeltaEvaluator
 
 	obs *telemetry.Observer
@@ -344,8 +344,8 @@ func (tr *tracker) testEval(cand *mapping.Mapping) (Evaluation, bool) {
 
 // deltaAttrs returns span attributes attributing the evaluations committed
 // since the counter snapshot (incStart, fbStart) to the incremental or
-// fallback simulation path; nil when the evaluator has no incremental
-// surface, so spans of plain evaluators are unchanged.
+// fallback counter; nil when the evaluator has no classification surface,
+// so spans of plain evaluators are unchanged.
 func (tr *tracker) deltaAttrs(incStart, fbStart int64) map[string]int64 {
 	if tr.delta == nil {
 		return nil
@@ -358,7 +358,7 @@ func (tr *tracker) deltaAttrs(incStart, fbStart int64) map[string]int64 {
 }
 
 // deltaStats snapshots the evaluator's commit-time attribution counters
-// (zero without an incremental surface), for a later deltaAttrs call.
+// (zero without a classification surface), for a later deltaAttrs call.
 func (tr *tracker) deltaStats() (int64, int64) {
 	if tr.delta == nil {
 		return 0, 0

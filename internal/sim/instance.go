@@ -27,6 +27,8 @@
 //
 // Run, RunKeyed and RunRepeats are safe for concurrent use; each result is
 // a pure function of (mapping, config), whichever path served it.
+// DeltaInstance (delta.go) adds only classification on top: it serves
+// every run through these same paths.
 //
 // Concurrency design (DESIGN §15): the worker pool evaluates independent
 // candidates, so the hot path is built to share nothing mutable between
@@ -73,10 +75,9 @@ const planCacheLimit = 8192
 const planShardCount = 64
 
 // schedCacheLimit bounds the recorded-schedule cache (schedule.go), which
-// holds RunKeyed's schedules and the delta base's deep record. Schedules
-// are much larger than plans — every copy op and exec of a run — so the
-// cache is kept small. When a shard fills it is reset, keeping only the
-// pinned delta base.
+// holds RunKeyed's schedules. Schedules are much larger than plans — every
+// copy op and exec of a run — so the cache is kept small. When a shard
+// fills it is reset.
 const schedCacheLimit = 64
 
 // schedShardCount partitions the schedule cache. Fewer shards than the
@@ -125,13 +126,10 @@ type Instance struct {
 
 	pool sync.Pool // *state
 
-	// Recorded schedules by mapping key, stored by RunKeyed and by the
-	// delta base's deep record: a later run of the key folds the schedule
-	// under its own config instead of recording it again. schedPin names
-	// the delta base key, which survives shard resets.
-	scheds   [schedShardCount]schedShard
-	pinMu    sync.Mutex
-	schedPin string
+	// Recorded schedules by mapping key, stored by RunKeyed: a later run
+	// of the key folds the schedule under its own config instead of
+	// recording it again.
+	scheds [schedShardCount]schedShard
 
 	foldPool sync.Pool // *foldScratch
 
@@ -281,12 +279,24 @@ func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
 // the only one that produces Trace and Explain logs, and the only one that
 // caches the schedule it records; a candidate's noisy repeats go through
 // RunRepeats.
+//
+// It folds the key's cached schedule, else one recorded into a pooled
+// state's scratch, copied out and cached. Concurrent first runs of one key
+// each record; the schedules are identical and the second store is
+// harmless.
 func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Result, error) {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	return in.keyed(key, plan, cfg, func(s *state) *schedule { return s.record(plan, false) }), nil
+	sch := in.schedFor(key)
+	if sch == nil {
+		s := in.getState()
+		sch = s.record(plan).clone()
+		in.putState(s)
+		in.storeSched(key, sch)
+	}
+	return in.fold(sch, plan, cfg), nil
 }
 
 // RunRepeats measures the repeats of one candidate in one call: result i
@@ -294,41 +304,22 @@ func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Resu
 // seeds[i]}). It plans once, takes the cached schedule or records one into
 // recycled scratch, and folds it for all seeds together (foldRepeats). A
 // placement failure is returned as the error, with no results.
+//
+// A schedule recorded here is folded in place and recycled without being
+// cached: all of a candidate's repeats are folded by this one call, so a
+// stored copy would serve only a later revisit.
 func (in *Instance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*Result, error) {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	return in.repeats(key, plan, sigma, seeds, func(s *state) *schedule { return s.record(plan, false) }), nil
-}
-
-// keyed folds key's schedule under cfg: the cached one, else the one build
-// writes into a pooled state's scratch, copied out and cached. Concurrent
-// first runs of one key each build; the schedules are identical and the
-// second store is harmless.
-func (in *Instance) keyed(key string, plan *PlacementPlan, cfg Config, build func(*state) *schedule) *Result {
-	sch := in.schedFor(key)
-	if sch == nil {
-		s := in.getState()
-		sch = build(s).clone()
-		in.putState(s)
-		in.storeSched(key, sch)
-	}
-	return in.fold(sch, plan, cfg)
-}
-
-// repeats folds key's schedule for every seed: the cached one, else the one
-// build writes into a pooled state's scratch, which is folded in place and
-// recycled without being cached. All of a candidate's repeats are folded
-// here at once, so a stored copy would serve only a later revisit.
-func (in *Instance) repeats(key string, plan *PlacementPlan, sigma float64, seeds []uint64, build func(*state) *schedule) []*Result {
 	if sch := in.schedFor(key); sch != nil {
-		return in.foldRepeats(sch, plan, sigma, seeds)
+		return in.foldRepeats(sch, plan, sigma, seeds), nil
 	}
 	s := in.getState()
-	res := in.foldRepeats(build(s), plan, sigma, seeds)
+	res := in.foldRepeats(s.record(plan), plan, sigma, seeds)
 	in.putState(s)
-	return res
+	return res, nil
 }
 
 // getState takes a run state, and with it a scratch schedule, from the
@@ -423,32 +414,16 @@ func (in *Instance) schedFor(key string) *schedule {
 }
 
 // storeSched caches a finalized schedule under key, resetting the shard
-// (minus the pinned delta base) when full. Racing duplicate stores are
-// harmless: recording is deterministic, so both record identical
-// schedules.
+// when full. Racing duplicate stores are harmless: recording is
+// deterministic, so both record identical schedules.
 func (in *Instance) storeSched(key string, sch *schedule) {
 	sh := &in.scheds[shardIndex(key, schedShardCount)]
 	sh.mu.Lock()
 	if len(sh.m) >= schedCacheLimit/schedShardCount {
-		in.pinMu.Lock()
-		pinKey := in.schedPin
-		in.pinMu.Unlock()
-		pin := sh.m[pinKey]
 		sh.m = make(map[string]*schedule, schedCacheLimit/schedShardCount)
-		if pin != nil {
-			sh.m[pinKey] = pin
-		}
 	}
 	sh.m[key] = sch
 	sh.mu.Unlock()
-}
-
-// pinSched marks key's schedule as the delta base, exempt from cache
-// resets.
-func (in *Instance) pinSched(key string) {
-	in.pinMu.Lock()
-	in.schedPin = key
-	in.pinMu.Unlock()
 }
 
 // dropSchedule forgets key's cached schedule (test/bench hook: forces

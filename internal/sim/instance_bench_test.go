@@ -189,69 +189,6 @@ func BenchmarkInstanceRunParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkDeltaRunOneFlip measures the steady-state cost of one CCD
-// candidate evaluation on the incremental path, amortized over the
-// driver's 7-repeat protocol: every 7th iteration the candidate's cached
-// schedule is dropped (a fresh candidate pays classification and a
-// patch), the rest are repeat folds under the 7 derived noise seeds.
-// Like BenchmarkInstanceRun, the placement plan stays cached — planning
-// cost is identical on both paths — so the ns/op are directly
-// comparable.
-func BenchmarkDeltaRunOneFlip(b *testing.B) {
-	m, g, mp := benchProblem(b)
-	d := NewDelta(New(m, g))
-	d.SetBase(mp)
-	cand := mp.CloneCOW()
-	cand.SetDistribute(0, !mp.Decision(0).Distribute)
-	key := cand.Key()
-	if !d.Classify(key, cand) {
-		b.Fatal("one-flip candidate not classified incremental")
-	}
-	// Build the base's deep record outside the timed loop: a search pays
-	// it once per accepted incumbent, not per candidate.
-	if _, err := d.RunKeyed(key, cand, Config{NoiseSigma: 0.04, Seed: 0}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%7 == 0 {
-			d.dropSchedule(key)
-		}
-		if _, err := d.RunKeyed(key, cand, Config{NoiseSigma: 0.04, Seed: uint64(i % 7)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDeltaRunFallback is BenchmarkDeltaRunOneFlip's counterpart for
-// a candidate beyond the flip budget: classification rejects it and every
-// 7th iteration pays a full recorded run instead of a patch.
-func BenchmarkDeltaRunFallback(b *testing.B) {
-	m, g, mp := benchProblem(b)
-	d := NewDelta(New(m, g))
-	d.SetBase(mp)
-	cand := mp.CloneCOW()
-	for i := 0; i <= d.MaxFlips; i++ {
-		tid := taskir.TaskID(i)
-		cand.SetDistribute(tid, !mp.Decision(tid).Distribute)
-	}
-	key := cand.Key()
-	if d.Classify(key, cand) {
-		b.Fatal("over-budget candidate classified incremental")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%7 == 0 {
-			d.dropSchedule(key)
-		}
-		if _, err := d.RunKeyed(key, cand, Config{NoiseSigma: 0.04, Seed: uint64(i % 7)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPlanCacheHit(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)

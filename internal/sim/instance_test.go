@@ -152,8 +152,7 @@ func requireRepeatsMatch(t *testing.T, ctx string, got []*Result, ref *Instance,
 // bit, for every app and node count, default and random mappings, with and
 // without noise, and seed counts on both sides of the lane-block edges
 // (scalar remainder, one partial block, full blocks, a block plus one).
-// The delta path folds a patched schedule, and an OOM mapping returns the
-// same error value from both calls.
+// An OOM mapping returns the same error value from both calls.
 func TestRepeatsMatchRunKeyed(t *testing.T) {
 	counts := []int{1, 3, 7, 8, 9, 31}
 	for _, nodes := range []int{1, 2, 4} {
@@ -185,28 +184,6 @@ func TestRepeatsMatchRunKeyed(t *testing.T) {
 					}
 				}
 			}
-
-			// Delta path: a candidate one move from the base folds the
-			// patched schedule when it classifies as a bounded delta.
-			d := NewDelta(New(m, g))
-			d.SetBase(mps[0])
-			var patched int
-			for trial := 0; trial < 4; trial++ {
-				cand := mps[0].CloneCOW()
-				applyRandomMove(rng, g, md, cand)
-				key := cand.Key()
-				if d.Classify(key, cand) {
-					patched++
-				}
-				got, err := d.RunRepeats(key, cand, 0.04, repeatSeeds(9))
-				if err != nil {
-					continue
-				}
-				requireRepeatsMatch(t, fmt.Sprintf("%s/%d delta trial %d", name, nodes, trial), got, ref, cand, 0.04, repeatSeeds(9))
-			}
-			if patched == 0 {
-				t.Logf("%s/%d: no one-move candidate classified incremental", name, nodes)
-			}
 		}
 	}
 
@@ -220,19 +197,13 @@ func TestRepeatsMatchRunKeyed(t *testing.T) {
 			dec.Mems[a] = []machine.MemKind{machine.FrameBuffer}
 		}
 	}
-	d := NewDelta(New(m, g))
-	d.SetBase(mapping.Default(g, m.Model()))
-	for _, r := range []interface {
-		RunKeyed(string, *mapping.Mapping, Config) (*Result, error)
-		RunRepeats(string, *mapping.Mapping, float64, []uint64) ([]*Result, error)
-	}{New(m, g), d} {
-		got, err := r.RunRepeats(oom.Key(), oom, 0.04, repeatSeeds(7))
-		if _, ok := err.(*OOMError); !ok || got != nil {
-			t.Fatalf("%T.RunRepeats on an OOM mapping: results %v, err %v; want *OOMError", r, got, err)
-		}
-		if _, kerr := r.RunKeyed(oom.Key(), oom, Config{NoiseSigma: 0.04, Seed: 1}); kerr != err {
-			t.Fatalf("%T: RunKeyed err %v is not RunRepeats err %v", r, kerr, err)
-		}
+	in := New(m, g)
+	got, err := in.RunRepeats(oom.Key(), oom, 0.04, repeatSeeds(7))
+	if _, ok := err.(*OOMError); !ok || got != nil {
+		t.Fatalf("RunRepeats on an OOM mapping: results %v, err %v; want *OOMError", got, err)
+	}
+	if _, kerr := in.RunKeyed(oom.Key(), oom, Config{NoiseSigma: 0.04, Seed: 1}); kerr != err {
+		t.Fatalf("RunKeyed err %v is not RunRepeats err %v", kerr, err)
 	}
 }
 
@@ -257,26 +228,22 @@ func reuseProblem(t *testing.T) (*machine.Machine, *taskir.Graph, *mapping.Mappi
 	return m, g, large, small
 }
 
-// TestRecycledScheduleReuse runs one Instance and one DeltaInstance
-// through mappings of very different schedule sizes (large → small →
-// large), so every recording and patch reuses a scratch buffer last filled
-// by a longer or shorter schedule. Every repeat must equal a fresh
-// instance's RunKeyed bit for bit, RunRepeats must leave nothing in the
-// schedule cache, and RunKeyed must still cache a schedule identical to a
-// fresh record.
+// TestRecycledScheduleReuse runs one Instance through mappings of very
+// different schedule sizes (large → small → large), so every recording
+// reuses a scratch buffer last filled by a longer or shorter schedule.
+// Every repeat must equal a fresh instance's RunKeyed bit for bit,
+// RunRepeats must leave nothing in the schedule cache, and RunKeyed must
+// still cache a schedule identical to a fresh record.
 func TestRecycledScheduleReuse(t *testing.T) {
 	m, g, large, small := reuseProblem(t)
 	seeds := repeatSeeds(9)
-	step := func(ctx string, r interface {
-		RunKeyed(string, *mapping.Mapping, Config) (*Result, error)
-		RunRepeats(string, *mapping.Mapping, float64, []uint64) ([]*Result, error)
-	}, in, ref *Instance, mp *mapping.Mapping) {
+	step := func(ctx string, in, ref *Instance, mp *mapping.Mapping) {
 		t.Helper()
 		key := mp.Key()
-		// A former delta base stays cached; forget it so this step
-		// builds the schedule.
+		// An earlier step's RunKeyed cached this key's schedule; forget
+		// it so this step records.
 		in.dropSchedule(key)
-		got, err := r.RunRepeats(key, mp, 0.04, seeds)
+		got, err := in.RunRepeats(key, mp, 0.04, seeds)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -285,7 +252,7 @@ func TestRecycledScheduleReuse(t *testing.T) {
 		}
 		requireRepeatsMatch(t, ctx, got, ref, mp, 0.04, seeds)
 		cfg := Config{NoiseSigma: 0.04, Seed: 3, Trace: true, Explain: true}
-		res, err := r.RunKeyed(key, mp, cfg)
+		res, err := in.RunKeyed(key, mp, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -308,45 +275,18 @@ func TestRecycledScheduleReuse(t *testing.T) {
 
 	in := New(m, g)
 	for i, mp := range []*mapping.Mapping{large, small, large, small, large} {
-		step(fmt.Sprintf("instance step %d", i), in, in, New(m, g), mp)
+		step(fmt.Sprintf("instance step %d", i), in, New(m, g), mp)
 	}
 	if nl, ns := len(in.schedFor(large.Key()).ops), len(in.schedFor(small.Key()).ops); nl < 4*ns {
 		t.Fatalf("large mapping records %d ops, small %d: too close to exercise buffer reuse", nl, ns)
 	}
-
-	// The delta path: patched candidates of each base, full-path
-	// fallbacks of the other mapping, and a base change in between.
-	d := NewDelta(New(m, g))
-	var patched int
-	for i, base := range []*mapping.Mapping{large, small, large} {
-		d.SetBase(base)
-		other := small
-		if base == small {
-			other = large
-		}
-		cand := base.CloneCOW()
-		cand.SetDistribute(0, !base.Decision(0).Distribute)
-		if d.Classify(cand.Key(), cand) {
-			patched++
-		}
-		refD := NewDelta(New(m, g))
-		refD.SetBase(base)
-		step(fmt.Sprintf("delta round %d patched", i), d, d.Instance, refD.Instance, cand)
-		step(fmt.Sprintf("delta round %d fallback", i), d, d.Instance, New(m, g), other)
-		if d.schedFor(base.Key()) == nil {
-			t.Fatalf("delta round %d: the deep-recorded base is not cached", i)
-		}
-	}
-	if patched == 0 {
-		t.Fatal("no candidate took the patch path")
-	}
 }
 
 // TestRecycledScheduleReuseConcurrent is TestRecycledScheduleReuse with 4
-// goroutines sharing one DeltaInstance while one of them moves the base:
-// every worker records and patches into pooled scratch, and every result
-// must still equal a fresh instance's. Run under -race it checks that no
-// scratch is shared between concurrent evaluations.
+// goroutines sharing one Instance: every worker records into pooled
+// scratch, and every result must still equal a fresh instance's. Run
+// under -race it checks that no scratch is shared between concurrent
+// evaluations.
 func TestRecycledScheduleReuseConcurrent(t *testing.T) {
 	m, g, large, small := reuseProblem(t)
 	seeds := repeatSeeds(7)
@@ -368,8 +308,7 @@ func TestRecycledScheduleReuseConcurrent(t *testing.T) {
 		}
 	}
 
-	d := NewDelta(New(m, g))
-	d.SetBase(large)
+	in := New(m, g)
 	rounds := 6
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -377,22 +316,19 @@ func TestRecycledScheduleReuseConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if w == 0 {
-					d.SetBase(mps[2*(r%2)])
-				}
 				i := (w + r) % len(mps)
 				mp := mps[i]
-				got, err := d.RunRepeats(mp.Key(), mp, 0.04, seeds)
+				got, err := in.RunRepeats(mp.Key(), mp, 0.04, seeds)
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", w, r, err)
 					return
 				}
-				res, err := d.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.04, Seed: seeds[r%len(seeds)]})
+				res, err := in.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.04, Seed: seeds[r%len(seeds)]})
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", w, r, err)
 					return
 				}
-				d.dropSchedule(mp.Key())
+				in.dropSchedule(mp.Key())
 				for l := range got {
 					if !reflect.DeepEqual(got[l], want[i][l]) {
 						t.Errorf("worker %d round %d mapping %d lane %d: result differs from a fresh instance", w, r, i, l)

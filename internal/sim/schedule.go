@@ -1,5 +1,5 @@
-// Recorded schedules: the structure/timing split behind incremental
-// re-simulation (DESIGN §14).
+// Recorded schedules: the structure/timing split of the simulator
+// (DESIGN §14).
 //
 // A simulation factors into two passes:
 //
@@ -31,7 +31,7 @@
 // (copyLaunch) instead of running them. The result is the same schedule,
 // fully materialised, so the fold, the noise-tape indexing and the Trace
 // iteration numbers do not change (TestSteadyRecordMatchesFull compares it
-// with a recording of every iteration).
+// with a recording that runs every launch).
 //
 // The fold does not track which collections a launch reads or writes. A
 // launch is ready at the latest finish time among its predecessors: the
@@ -40,10 +40,6 @@
 // bit-identical to the max over every conflict). No predecessor lies more
 // than one iteration back, so the fold keeps the finish times of only the
 // last perIter+1 launches, in a ring.
-//
-// Incremental re-simulation (delta.go) splices recorded launch ranges of a
-// base schedule with freshly recorded dirty launches and folds the
-// spliced schedule.
 package sim
 
 import (
@@ -89,24 +85,8 @@ type launchRec struct {
 	execEnd int32
 }
 
-// argPre snapshots the coherence pre-state of one launch argument
-// (deep-recorded base schedules only): the validity set of the argument's
-// alias — sharedValid for shared collections (plus the partial-write
-// marker), shardValid (nodes entries) for partitioned ones — exactly as
-// it stood when the launch began. The delta patcher compares these
-// against its overlay state to detect healed aliases, and loads them to
-// re-seed the overlay before re-recording a dirty launch.
-type argPre struct {
-	locOff  int32
-	locLen  int32
-	partial partialInfo
-	shard   bool
-}
-
 // schedule is the recorded structure of one full simulation: every copy
 // op, execution, and launch boundary in commit order, plus copy totals.
-// Deep-recorded schedules (base mappings of a DeltaInstance) additionally
-// carry per-launch-argument coherence pre-states.
 type schedule struct {
 	ops      []copyOp
 	execs    []execRec
@@ -115,12 +95,6 @@ type schedule struct {
 	bytesCopied int64
 	netBytes    int64
 	numCopies   int
-
-	// Deep-recording extras (delta bases only).
-	deep    bool
-	pres    []argPre
-	preLocs []sharedLoc
-	preOff  []int32 // per launch: offset of its first argPre in pres
 }
 
 // launchOpRange returns the [lo, hi) op range of launch li.
@@ -155,11 +129,10 @@ func (sch *schedule) finalize() {
 	sch.numCopies = len(sch.ops)
 }
 
-// recorder is the schedule the structure pass writes: the full recording
-// of a mapping, or the delta patcher's splice of base launches and
-// re-recorded dirty ones. Every state carries one as its scratch
-// (state.scratch), so recordings reuse the buffers of earlier ones: a
-// buffer's capacity is the longest recording its state has served.
+// recorder is the schedule the structure pass writes. Every state carries
+// one as its scratch (state.scratch), so recordings reuse the buffers of
+// earlier ones: a buffer's capacity is the longest recording its state has
+// served.
 type recorder struct {
 	sch schedule
 
@@ -172,33 +145,24 @@ type recorder struct {
 }
 
 // reset empties r for a new recording, keeping the capacity of every
-// buffer, and returns it; deep enables per-launch-argument pre-state
-// capture (delta bases).
-func (r *recorder) reset(deep bool) *recorder {
+// buffer.
+func (r *recorder) reset() {
 	old := r.sch
 	*r = recorder{sch: schedule{
-		deep:     deep,
 		ops:      old.ops[:0],
 		execs:    old.execs[:0],
 		launches: old.launches[:0],
-		pres:     old.pres[:0],
-		preLocs:  old.preLocs[:0],
-		preOff:   old.preOff[:0],
 	}}
-	return r
 }
 
 // clone returns a copy of sch whose buffers are exactly as long as its
 // records: the form a schedule takes when it outlives the scratch it was
-// recorded into (the schedule cache, a delta base).
+// recorded into (the schedule cache).
 func (sch *schedule) clone() *schedule {
 	c := *sch
 	c.ops = exact(sch.ops)
 	c.execs = exact(sch.execs)
 	c.launches = exact(sch.launches)
-	c.pres = exact(sch.pres)
-	c.preLocs = exact(sch.preLocs)
-	c.preOff = exact(sch.preOff)
 	return &c
 }
 
@@ -234,26 +198,6 @@ func (r *recorder) exec(durBase, activeF, powerW float64, node int, kind machine
 	r.opCursor = len(r.sch.ops)
 }
 
-// beginLaunch snapshots (deep mode only) the coherence pre-state of every
-// argument of the launch about to run.
-func (r *recorder) beginLaunch(s *state, tid taskir.TaskID) {
-	if !r.sch.deep {
-		return
-	}
-	r.sch.preOff = append(r.sch.preOff, int32(len(r.sch.pres)))
-	for _, dp := range s.topo.argDeps[tid] {
-		p := argPre{locOff: int32(len(r.sch.preLocs)), shard: dp.part}
-		if dp.part {
-			r.sch.preLocs = append(r.sch.preLocs, s.shardValid[dp.alias]...)
-		} else {
-			r.sch.preLocs = append(r.sch.preLocs, s.sharedValid[dp.alias]...)
-			p.partial = s.partial[dp.alias]
-		}
-		p.locLen = int32(len(r.sch.preLocs)) - p.locOff
-		r.sch.pres = append(r.sch.pres, p)
-	}
-}
-
 // endLaunch closes the current launch's record ranges.
 func (r *recorder) endLaunch() {
 	r.sch.launches = append(r.sch.launches, launchRec{
@@ -264,12 +208,11 @@ func (r *recorder) endLaunch() {
 	r.newChain = false
 }
 
-// copyLaunch splices launch li of base verbatim into the output schedule,
-// rebasing exec op ranges onto the output's op stream (clean launches of
-// the delta patcher, the steady-state fill of state.record). base may be
-// the output schedule itself: append reads its source range before it
-// grows the slice, and the exec loop reads only records below the length
-// it started from.
+// copyLaunch appends launch li of base verbatim to the output schedule,
+// rebasing exec op ranges onto the output's op stream (the steady-state
+// fill of state.record). base may be the output schedule itself: append
+// reads its source range before it grows the slice, and the exec loop
+// reads only records below the length it started from.
 func (r *recorder) copyLaunch(base *schedule, li int) {
 	out := &r.sch
 	opLo, opHi := base.launchOpRange(li)

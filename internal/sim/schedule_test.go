@@ -1,5 +1,6 @@
 // Tests of the recorded schedule itself: the record counts of the
-// structure pass, and the helpers the fold and delta tests share. The
+// structure pass, its steady-state fill, and the helpers the other sim
+// tests share. The
 // fold's Results are pinned by the golden corpus (corpus_test.go).
 package sim
 
@@ -132,7 +133,7 @@ func TestScheduleRecordCounts(t *testing.T) {
 				if err != nil {
 					continue // OOM: nothing is recorded
 				}
-				sch := new(state).record(plan, false)
+				sch := new(state).record(plan)
 				if len(sch.launches) != g.Iterations*len(topo.launch) || len(sch.execs) != execCount(plan) {
 					t.Fatalf("%s/%d mapping %d: %d launches, %d execs; want %d, %d", name, nodes, i,
 						len(sch.launches), len(sch.execs), g.Iterations*len(topo.launch), execCount(plan))
@@ -142,16 +143,33 @@ func TestScheduleRecordCounts(t *testing.T) {
 	}
 }
 
-// requireSteadyMatchesFull records plan shallow, which stops running
-// launches once the coherence state repeats, and deep, which records every
-// iteration, and fails unless the two schedules hold the same records and
-// copy totals. It reports whether the shallow record reached its fixed
+// recordEveryLaunch is the reference recording of plan: the structure
+// pass run over every launch of every iteration, with no steady-state
+// fill.
+func recordEveryLaunch(plan *PlacementPlan) *schedule {
+	s := new(state)
+	s.init(plan)
+	s.scratch.reset()
+	for iter := 0; iter < s.g.Iterations; iter++ {
+		for _, tid := range s.topo.launch {
+			s.runTask(tid)
+			s.scratch.endLaunch()
+		}
+	}
+	s.scratch.sch.finalize()
+	return &s.scratch.sch
+}
+
+// requireSteadyMatchesFull records plan with state.record, which stops
+// running launches once the coherence state repeats, and with
+// recordEveryLaunch, and fails unless the two schedules hold the same
+// records and copy totals. It reports whether record reached its fixed
 // point.
 func requireSteadyMatchesFull(t *testing.T, ctx string, plan *PlacementPlan) bool {
 	t.Helper()
 	s := new(state)
-	got := s.record(plan, false)
-	want := new(state).record(plan, true)
+	got := s.record(plan)
+	want := recordEveryLaunch(plan)
 	if !slices.Equal(got.ops, want.ops) || !slices.Equal(got.execs, want.execs) ||
 		!slices.Equal(got.launches, want.launches) {
 		t.Errorf("%s: steady record (filled from iteration %d) has %d ops, %d execs, %d launches; "+
@@ -189,8 +207,8 @@ func steadyGraph(partitioned bool) *taskir.Graph {
 }
 
 // TestSteadyRecordMatchesFull is the oracle of the steady-state fill: a
-// shallow record, which copies the iterations after the coherence fixed
-// point, must equal a deep record, which runs every launch, for every
+// record, which copies the iterations after the coherence fixed point,
+// must equal a recording that runs every launch, for every
 // bundled app on 1, 2 and 4 nodes under the default mapping and the
 // corpus walks, and for hand-built graphs that exercise each part of the
 // coherence state. It also requires that the fill fires: every default
@@ -257,7 +275,7 @@ func TestSteadyRecordMatchesFull(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		s := new(state)
-		s.record(plan, false)
+		s.record(plan)
 		if s.steadyFrom != 2 {
 			t.Errorf("%s: fixed point at iteration %d, want 2", tc.name, s.steadyFrom)
 		}

@@ -167,7 +167,7 @@ func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	sch := new(state).record(plan, false)
+	sch := new(state).record(plan)
 	var noise []float64
 	if cfg.NoiseSigma > 0 {
 		noise = newNoiseTape(noiseKey{seed: cfg.Seed, sigma: cfg.NoiseSigma}).prefix(len(sch.execs))
@@ -434,33 +434,28 @@ func (s *state) invalidateSharedExcept(c taskir.CollectionID, locs []sharedLoc) 
 // record runs the structure pass of plan: it records every launch of every
 // iteration into s's scratch and returns the finalized schedule, which
 // lives there until s records again. The pass takes no config, so one
-// record serves every repeat's fold. deep additionally captures coherence
-// pre-states (delta bases).
+// record serves every repeat's fold.
 //
 // A launch's records are a function of the plan and the coherence state
 // alone. So when the coherence state at the start of an iteration equals
 // its state at the start of the previous one, this iteration records
 // exactly what the previous one did and ends in the same state, and so
-// does every later iteration: a shallow record stops running launches
-// there and fills the remaining iterations with copies of the previous
-// one (fillSteady). A mapping whose state never repeats records every
-// iteration. Deep records always do, since the delta patcher needs every
-// launch's own pre-states.
-func (s *state) record(plan *PlacementPlan, deep bool) *schedule {
+// does every later iteration: record stops running launches there and
+// fills the remaining iterations with copies of the previous one
+// (fillSteady). A mapping whose state never repeats records every
+// iteration.
+func (s *state) record(plan *PlacementPlan) *schedule {
 	s.init(plan)
-	s.scratch.reset(deep)
+	s.scratch.reset()
 	s.steadyFrom = 0
 	for iter := 0; iter < s.g.Iterations; iter++ {
-		if !deep {
-			s.cur.take(s)
-			if iter > 0 && s.cur.sameState(&s.prev) {
-				s.fillSteady(iter)
-				break
-			}
-			s.prev, s.cur = s.cur, s.prev
+		s.cur.take(s)
+		if iter > 0 && s.cur.sameState(&s.prev) {
+			s.fillSteady(iter)
+			break
 		}
+		s.prev, s.cur = s.cur, s.prev
 		for _, tid := range s.topo.launch {
-			s.scratch.beginLaunch(s, tid)
 			s.runTask(tid)
 			s.scratch.endLaunch()
 		}

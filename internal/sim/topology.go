@@ -61,8 +61,8 @@ type topology struct {
 	hasMemKind [machine.NumMemKinds]bool
 
 	// argDeps[task] caches, per argument in order, the dependence
-	// signature the launch DAG is built from and the deep recording and
-	// the delta patcher consult.
+	// signature the launch DAG is built from and delta classification
+	// consults.
 	argDeps [][]argDep
 
 	// The reduced launch DAG the timing fold (schedule.go) computes each
@@ -77,13 +77,11 @@ type topology struct {
 }
 
 // argDep is one task argument's dependence signature: the collection
-// alias it resolves to, whether the argument writes it, and whether the
-// collection is partitioned. Every privilege reads or writes, so every
-// argument accesses its alias.
+// alias it resolves to and whether the argument writes it. Every privilege
+// reads or writes, so every argument accesses its alias.
 type argDep struct {
 	alias  taskir.CollectionID
 	writes bool
-	part   bool
 }
 
 // newTopology builds the lookup tables for (m, g).
@@ -149,7 +147,6 @@ func newTopology(m *machine.Machine, g *taskir.Graph) *topology {
 			deps[a] = argDep{
 				alias:  t.alias[arg.Collection],
 				writes: arg.Privilege.Writes(),
-				part:   g.Collections[arg.Collection].Partitioned,
 			}
 		}
 		t.argDeps[task.ID] = deps
