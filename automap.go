@@ -149,6 +149,9 @@ type (
 	SimConfig = sim.Config
 	// SimResult reports a simulated execution.
 	SimResult = sim.Result
+	// SimSummary is the flat outcome of one measured run (makespan,
+	// energy, copy totals, spills): what Options.Objective scores.
+	SimSummary = sim.Summary
 	// OOMError reports a mapping that does not fit in memory.
 	OOMError = sim.OOMError
 )
@@ -171,7 +174,9 @@ func OnlineSearch(m *Machine, g *Graph, alg Algorithm, opts Options, inspectSec 
 	return driver.OnlineSearch(m, g, alg, opts, inspectSec, productionIters)
 }
 
-// Objectives for Options.Objective.
+// Objectives for Options.Objective, which maps the SimSummary of each
+// measured run to the scalar the search minimizes. A custom objective is a
+// func(*SimSummary) float64.
 var (
 	// TimeObjective minimizes execution time (the default).
 	TimeObjective = driver.TimeObjective

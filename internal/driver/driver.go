@@ -53,11 +53,11 @@ type Options struct {
 	// (e.g. only the low-fidelity tasks of Maestro, Figure 5); nil means
 	// all tasks.
 	Tunable []taskir.TaskID
-	// Objective maps an execution result to the scalar the search
-	// minimizes; nil minimizes execution time. Section 3.3: "while in
-	// this work we optimize execution time, AutoMap is suitable for
+	// Objective maps the Summary of a measured run to the scalar the
+	// search minimizes; nil minimizes execution time. Section 3.3: "while
+	// in this work we optimize execution time, AutoMap is suitable for
 	// minimizing other metrics (e.g., power consumption)".
-	Objective func(*sim.Result) float64
+	Objective func(*sim.Summary) float64
 	// WarmDB optionally seeds the evaluator with a profiles database
 	// from a previous search of the same program and machine (see
 	// profile.DB.Save/LoadDB): previously measured mappings are
@@ -129,13 +129,13 @@ type Options struct {
 const defaultCheckpointEvery = 25
 
 // TimeObjective minimizes end-to-end execution time (the default).
-func TimeObjective(r *sim.Result) float64 { return r.MakespanSec }
+func TimeObjective(s *sim.Summary) float64 { return s.MakespanSec }
 
 // EnergyObjective minimizes the estimated dynamic energy of the run.
-func EnergyObjective(r *sim.Result) float64 { return r.EnergyJoules }
+func EnergyObjective(s *sim.Summary) float64 { return s.EnergyJoules }
 
 // objective returns the configured objective or the default.
-func (o Options) objective() func(*sim.Result) float64 {
+func (o Options) objective() func(*sim.Summary) float64 {
 	if o.Objective != nil {
 		return o.Objective
 	}
@@ -168,9 +168,8 @@ type Evaluator struct {
 	Opts Options
 
 	DB *profile.DB
-	// byKey retains the mapping object per canonical key so finalists
-	// can be re-measured.
-	byKey map[string]*mapping.Mapping
+	// top retains the mappings the final phase can re-measure.
+	top finalists
 
 	model     *machine.Model
 	searchSec float64
@@ -218,7 +217,7 @@ type Evaluator struct {
 	eventSeq  func() int
 	budget    search.Budget
 
-	// mu guards the sequential-commit state above (byKey, counters,
+	// mu guards the sequential-commit state above (top, counters,
 	// clocks). It orders results; it is NEVER held across a simulation —
 	// Evaluate measures unlocked and re-acquires only to commit, so metric
 	// scrapes and clock reads stay responsive while candidates execute,
@@ -294,7 +293,7 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 	return &Evaluator{
 		M: m, G: g, Opts: opts,
 		DB:      db,
-		byKey:   make(map[string]*mapping.Mapping),
+		top:     finalists{n: opts.FinalCandidates},
 		model:   m.Model(),
 		inst:    inst,
 		delta:   sim.NewDelta(inst),
@@ -324,11 +323,64 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 	}
 }
 
-// specResult is one speculative measurement awaiting commit: the raw
-// per-repeat results and errors, as measureRuns would return them.
+// specResult is one speculative measurement awaiting commit: the
+// per-repeat Summaries and the error, as measureRuns returns them.
 type specResult struct {
-	results []*sim.Result
-	errs    []error
+	sums []sim.Summary
+	err  error
+}
+
+// finalists is this run's top n committed mappings in the final phase's
+// order (DB mean, then key), each a copy-on-write clone taken at its
+// commit. The final phase re-measures the database's top n executable
+// keys that have a mapping, and any key of this run among them is also
+// among this run's top n, so retaining these n is exact. Failed and
+// invalid candidates are never retained: the final phase skips them.
+type finalists struct {
+	n   int
+	top []finalist // sorted, at most n
+}
+
+// finalist is one retained mapping.
+type finalist struct {
+	key  string
+	mean float64
+	mp   *mapping.Mapping
+}
+
+// before orders a ahead of b as the final phase does.
+func (a *finalist) before(b *finalist) bool {
+	if a.mean != b.mean {
+		return a.mean < b.mean
+	}
+	return a.key < b.key
+}
+
+// offer retains mp under key if its mean ranks it among the top n,
+// dropping the entry it displaces. The clone is copy-on-write, so the
+// caller may go on mutating mp through its setters.
+func (f *finalists) offer(key string, mean float64, mp *mapping.Mapping) {
+	c := finalist{key: key, mean: mean}
+	i := sort.Search(len(f.top), func(i int) bool { return c.before(&f.top[i]) })
+	if i >= f.n {
+		return
+	}
+	c.mp = mp.CloneCOW()
+	if len(f.top) < f.n {
+		f.top = append(f.top, finalist{})
+	}
+	copy(f.top[i+1:], f.top[i:])
+	f.top[i] = c
+}
+
+// get returns the retained mapping of key.
+func (f *finalists) get(key string) (*mapping.Mapping, bool) {
+	for i := range f.top {
+		if f.top[i].key == key {
+			return f.top[i].mp, true
+		}
+	}
+	return nil, false
 }
 
 // repeats returns the effective per-candidate repeat count.
@@ -361,7 +413,6 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 		// and free, so these verdicts are not checkpointed — a resumed
 		// search re-derives them.
 		e.DB.RecordFailure(key)
-		e.byKey[key] = mp.Clone()
 		e.mFailures.Add(1)
 		e.mu.Unlock()
 		return search.Evaluation{MeanSec: inf(), Failed: true}
@@ -384,10 +435,10 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	e.specMu.Unlock()
 	if !ok {
 		e.wall.syncEval()
-		s.results, s.errs = measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+		s.sums, s.err = measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
 	}
 	e.mu.Lock()
-	verdict := e.commitRuns(key, mp, toRuns(s.results, s.errs, e.Opts.objective()))
+	verdict := e.commitRuns(key, mp, toRuns(s.sums, s.err, e.Opts.objective()))
 	// Only fresh measurements advance the periodic-checkpoint counter:
 	// replayed commits re-cover ground an earlier snapshot already holds.
 	e.maybeCheckpointLocked()
@@ -395,16 +446,17 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	return verdict
 }
 
-// toRuns normalizes raw simulation results to checkpoint run records: the
-// exact fields the commit path consumes, with the objective evaluated now so
-// a replay after the fact does not need the (unserializable) sim.Result.
-func toRuns(results []*sim.Result, errs []error, obj func(*sim.Result) float64) []checkpoint.Run {
-	runs := make([]checkpoint.Run, len(results))
-	for i := range results {
-		if errs[i] != nil {
-			continue // zero value: OK == false
-		}
-		r := results[i]
+// toRuns normalizes measured Summaries to checkpoint run records: the
+// exact fields the commit path consumes, with the objective evaluated now
+// so a replay after the fact does not need the Summaries. A measurement
+// error fails every run.
+func toRuns(sums []sim.Summary, err error, obj func(*sim.Summary) float64) []checkpoint.Run {
+	runs := make([]checkpoint.Run, len(sums))
+	if err != nil {
+		return runs // zero values: OK == false
+	}
+	for i := range sums {
+		r := &sums[i]
 		runs[i] = checkpoint.Run{
 			OK:             true,
 			MakespanSec:    r.MakespanSec,
@@ -489,7 +541,6 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 		e.searchSec += spent + 1.0
 		e.evalSec += spent + 1.0
 		e.DB.RecordFailure(key)
-		e.byKey[key] = mp.Clone()
 		e.mFailures.Add(1)
 		return search.Evaluation{MeanSec: inf(), Failed: true}
 	}
@@ -508,9 +559,9 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 		e.gEnergy.Add(r.EnergyJoules)
 	}
 	e.DB.Record(key, times)
-	e.byKey[key] = mp.Clone()
 	e.Evaluated++
 	s, _ := e.DB.Lookup(key)
+	e.top.offer(key, s.Mean(), mp)
 	e.hEvalSec.Observe(s.Mean())
 	return search.Evaluation{MeanSec: s.Mean()}
 }
@@ -685,7 +736,7 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 	}
 	e.wall.supersede(len(e.spec) - len(next))
 	for _, j := range jobs {
-		if j.res.results != nil {
+		if j.res.sums != nil {
 			next[j.key] = j.res
 		}
 	}
@@ -720,7 +771,7 @@ func (e *Evaluator) measureJobs(jobs []specJob) {
 				}
 				j := &jobs[i]
 				start := e.wall.now()
-				j.res.results, j.res.errs = measureRuns(e.inst, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+				j.res.sums, j.res.err = measureRuns(e.inst, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
 				e.wall.workerEval(slot, e.wall.now()-start)
 			}
 		}()
@@ -751,12 +802,12 @@ func (e *Evaluator) ChargeOverhead(sec float64) {
 	e.gOverhead.Add(sec)
 }
 
-// Mapping returns the retained mapping for a database key.
+// Mapping returns the retained mapping for a database key: one of this
+// run's top FinalCandidates committed mappings (see finalists).
 func (e *Evaluator) Mapping(key string) (*mapping.Mapping, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	mp, ok := e.byKey[key]
-	return mp, ok
+	return e.top.get(key)
 }
 
 // Workers returns the effective worker-pool width.
@@ -1043,19 +1094,14 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	// failed finalist completed before failing.
 	var finalSec float64
 	finalMeasure := func(mp *mapping.Mapping) ([]float64, bool) {
-		results, errs := measureRuns(ev.inst, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase, ev.sem)
-		times := make([]float64, 0, len(results))
-		ok := true
-		for i := range results {
-			if errs[i] != nil {
-				ok = false
-				continue
-			}
-			finalSec += results[i].MakespanSec
-			times = append(times, obj(results[i]))
-		}
-		if !ok {
+		sums, err := measureRuns(ev.inst, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase, ev.sem)
+		if err != nil {
 			return nil, false
+		}
+		times := make([]float64, len(sums))
+		for i := range sums {
+			finalSec += sums[i].MakespanSec
+			times[i] = obj(&sums[i])
 		}
 		return times, len(times) > 0
 	}
@@ -1110,13 +1156,13 @@ func MeasureMapping(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, re
 		repeats = 1
 	}
 	inst := sim.New(m, g)
-	results, errs := measureRuns(inst, mp.Key(), mp, repeats, noise, seed, make(chan struct{}, 1))
+	sums, err := measureRuns(inst, mp.Key(), mp, repeats, noise, seed, make(chan struct{}, 1))
+	if err != nil {
+		return 0, err
+	}
 	var sum float64
-	for i := range results {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		sum += results[i].MakespanSec
+	for i := range sums {
+		sum += sums[i].MakespanSec
 	}
 	return sum / float64(repeats), nil
 }

@@ -67,10 +67,10 @@ func resolveWorkers(w int) int {
 
 // measureRuns measures `repeats` simulations of mp (whose canonical key is
 // key) with seeds runSeed(base, i), in one RunRepeats call holding one slot
-// of the semaphore sem. Results and errors are returned in repeat order;
-// a simulation error (placement failure) is every repeat's error. A
-// non-positive repeat count returns empty slices.
-func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]*sim.Result, []error) {
+// of the semaphore sem, and returns their Summaries in repeat order. A
+// simulation error (placement failure) fails every repeat: it is returned
+// with zero Summaries. A non-positive repeat count returns nil.
+func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]sim.Summary, error) {
 	if repeats < 1 {
 		return nil, nil
 	}
@@ -78,15 +78,9 @@ func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats in
 	for i := range seeds {
 		seeds[i] = runSeed(base, i)
 	}
+	sums := make([]sim.Summary, repeats)
 	sem <- struct{}{}
-	results, err := inst.RunRepeats(key, mp, noise, seeds)
+	err := inst.RunRepeats(key, mp, noise, seeds, sums)
 	<-sem
-	errs := make([]error, repeats)
-	if err != nil {
-		results = make([]*sim.Result, repeats)
-		for i := range errs {
-			errs[i] = err
-		}
-	}
-	return results, errs
+	return sums, err
 }

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -15,8 +14,9 @@ import (
 // TestMeasureRunsOneCall pins the measurement protocol: measureRuns looks
 // the candidate up once (one RunRepeats call, so one plan-cache probe),
 // runs only while it holds a slot of the semaphore and releases it, and
-// returns the results of seeds runSeed(base, i) in repeat order; a
-// placement failure becomes every repeat's error.
+// returns the Summaries of seeds runSeed(base, i) in repeat order, each
+// equal to the fields of RunKeyed's Result at that seed; a placement
+// failure is returned as the error with zero Summaries.
 func TestMeasureRunsOneCall(t *testing.T) {
 	const repeats, base = 7, uint64(0xC0FFEE)
 	m := cluster.Shepard(1)
@@ -29,11 +29,11 @@ func TestMeasureRunsOneCall(t *testing.T) {
 	sem := make(chan struct{}, 1)
 	sem <- struct{}{}
 	inst := sim.New(m, g)
-	var results []*sim.Result
-	var errs []error
+	var sums []sim.Summary
+	var err error
 	done := make(chan struct{})
 	go func() {
-		results, errs = measureRuns(inst, mp.Key(), mp, repeats, 0.04, base, sem)
+		sums, err = measureRuns(inst, mp.Key(), mp, repeats, 0.04, base, sem)
 		close(done)
 	}()
 	select {
@@ -49,8 +49,8 @@ func TestMeasureRunsOneCall(t *testing.T) {
 	if len(sem) != 0 {
 		t.Errorf("%d semaphore slots held after the call, want 0", len(sem))
 	}
-	if len(results) != repeats || len(errs) != repeats {
-		t.Fatalf("got %d results, %d errors; want %d each", len(results), len(errs), repeats)
+	if err != nil || len(sums) != repeats {
+		t.Fatalf("got %d summaries, error %v; want %d and no error", len(sums), err, repeats)
 	}
 	ref := sim.New(m, g)
 	for i := range repeats {
@@ -58,8 +58,8 @@ func TestMeasureRunsOneCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if errs[i] != nil || !reflect.DeepEqual(results[i], want) {
-			t.Errorf("repeat %d: result %v, error %v; want the run under runSeed(base, %d)", i, results[i], errs[i], i)
+		if sums[i] != want.Summarize() {
+			t.Errorf("repeat %d: summary %+v; want the run under runSeed(base, %d), %+v", i, sums[i], i, want.Summarize())
 		}
 	}
 
@@ -71,16 +71,16 @@ func TestMeasureRunsOneCall(t *testing.T) {
 		Args:     []taskir.Arg{{Collection: c.ID, Privilege: taskir.ReadWrite, BytesPerPoint: 1 << 20}}})
 	og.Iterations = 2
 	oom := mapping.Default(og, m.Model())
-	results, errs = measureRuns(sim.New(m, og), oom.Key(), oom, repeats, 0.04, base, sem)
-	if len(results) != repeats || len(errs) != repeats {
-		t.Fatalf("OOM: got %d results, %d errors; want %d each", len(results), len(errs), repeats)
+	sums, err = measureRuns(sim.New(m, og), oom.Key(), oom, repeats, 0.04, base, sem)
+	if _, ok := err.(*sim.OOMError); !ok {
+		t.Fatalf("OOM: error %v, want *sim.OOMError", err)
 	}
-	if _, ok := errs[0].(*sim.OOMError); !ok {
-		t.Fatalf("OOM: repeat 0 error %v, want *sim.OOMError", errs[0])
+	if len(sums) != repeats {
+		t.Fatalf("OOM: got %d summaries, want %d", len(sums), repeats)
 	}
 	for i := range repeats {
-		if errs[i] != errs[0] || results[i] != nil {
-			t.Errorf("OOM repeat %d: result %v, error %v; want error %v", i, results[i], errs[i], errs[0])
+		if sums[i] != (sim.Summary{}) {
+			t.Errorf("OOM repeat %d: summary %+v, want zero", i, sums[i])
 		}
 	}
 }

@@ -11,13 +11,14 @@
 //     revisit of the same mapping) plan placement exactly once, and OOM
 //     verdicts are cached the same way;
 //   - a candidate's structure is recorded once, noise-free, and every
-//     repeat, the first included, takes its Result from the timing fold
+//     repeat, the first included, takes its outcome from the timing fold
 //     of that schedule;
-//   - RunRepeats measures all of a candidate's repeats in one call: one
-//     plan lookup, one schedule, and one lane-wise fold that carries up
-//     to 8 repeats' timelines side by side (foldLanes). It records into
-//     the recycled scratch schedule of a pooled run state and caches
-//     nothing, since no later call is left to fold it;
+//   - RunRepeats measures all of a candidate's repeats in one call into
+//     the caller's Summaries: one plan lookup, one schedule, and one
+//     lane-wise fold that carries up to 8 repeats' timelines side by side
+//     (foldLanes), with no per-repeat allocation. It records into the
+//     recycled scratch schedule of a pooled run state and caches nothing,
+//     since no later call is left to fold it;
 //   - RunKeyed caches its schedule by mapping key, copied out of the
 //     scratch at exact length, so a revisit of the key folds without
 //     recording;
@@ -25,8 +26,8 @@
 //     scratch (timelines) are recycled through sync.Pools instead of
 //     reallocated per run.
 //
-// Run, RunKeyed and RunRepeats are safe for concurrent use; each result is
-// a pure function of (mapping, config), whichever path served it.
+// RunKeyed and RunRepeats are safe for concurrent use; each result is a
+// pure function of (mapping, config), whichever path served it.
 // DeltaInstance (delta.go) adds only classification on top: it serves
 // every run through these same paths.
 //
@@ -115,8 +116,9 @@ func shardIndex(key string, n int) int {
 }
 
 // Instance is a reusable simulator for one (machine, program) pair. Create
-// one with New and call Run for each (mapping, config); concurrent Run
-// calls are safe.
+// one with New; RunKeyed returns the Result of one (mapping, config) and
+// RunRepeats the Summaries of a candidate's repeats. Concurrent calls are
+// safe.
 type Instance struct {
 	m    *machine.Machine
 	g    *taskir.Graph
@@ -264,21 +266,15 @@ func New(m *machine.Machine, g *taskir.Graph) *Instance {
 	return in
 }
 
-// Run executes g under mapping mp and returns the execution result, or an
-// *OOMError if the mapping does not fit, reusing topology, placement plans,
-// schedules and scratch across calls. Callers that already know the
-// mapping's key should use RunKeyed to skip recomputing it.
-func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
-	return in.RunKeyed(mp.Key(), mp, cfg)
-}
-
-// RunKeyed is Run with the mapping's canonical key (mapping.Key) supplied
-// by the caller. The key must belong to mp: it is the plan- and
-// schedule-cache identity, and two mappings with equal keys have identical
-// decisions and therefore identical plans. It is the single-config path,
-// the only one that produces Trace and Explain logs, and the only one that
-// caches the schedule it records; a candidate's noisy repeats go through
-// RunRepeats.
+// RunKeyed executes g under mapping mp, whose canonical key (mapping.Key)
+// the caller supplies, and returns the execution result, or an *OOMError
+// if the mapping does not fit, reusing topology, placement plans,
+// schedules and scratch across calls. The key must belong to mp: it is the
+// plan- and schedule-cache identity, and two mappings with equal keys have
+// identical decisions and therefore identical plans. It is the
+// single-config path, the only one that produces a Result with its maps
+// and the Trace and Explain logs, and the only one that caches the
+// schedule it records; a candidate's noisy repeats go through RunRepeats.
 //
 // It folds the key's cached schedule, else one recorded into a pooled
 // state's scratch, copied out and cached. Concurrent first runs of one key
@@ -296,30 +292,35 @@ func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Resu
 		in.putState(s)
 		in.storeSched(key, sch)
 	}
-	return in.fold(sch, plan, cfg), nil
+	res := new(Result)
+	in.fold(sch, plan, cfg, res)
+	return res, nil
 }
 
-// RunRepeats measures the repeats of one candidate in one call: result i
-// is bit-identical to RunKeyed(key, mp, Config{NoiseSigma: sigma, Seed:
-// seeds[i]}). It plans once, takes the cached schedule or records one into
-// recycled scratch, and folds it for all seeds together (foldRepeats). A
-// placement failure is returned as the error, with no results.
+// RunRepeats measures the repeats of one candidate in one call, writing
+// out[i] for seeds[i]; len(out) must equal len(seeds). out[i] equals the
+// Summarize of RunKeyed(key, mp, Config{NoiseSigma: sigma, Seed:
+// seeds[i]}) bit for bit. It plans once, takes the cached schedule or
+// records one into recycled scratch, and folds it for all seeds together
+// (foldRepeats). A placement failure is returned as the error, with out
+// untouched.
 //
 // A schedule recorded here is folded in place and recycled without being
 // cached: all of a candidate's repeats are folded by this one call, so a
 // stored copy would serve only a later revisit.
-func (in *Instance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]*Result, error) {
+func (in *Instance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64, out []Summary) error {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if sch := in.schedFor(key); sch != nil {
-		return in.foldRepeats(sch, plan, sigma, seeds), nil
+		in.foldRepeats(sch, plan, sigma, seeds, out)
+		return nil
 	}
 	s := in.getState()
-	res := in.foldRepeats(s.record(plan), plan, sigma, seeds)
+	in.foldRepeats(s.record(plan), plan, sigma, seeds, out)
 	in.putState(s)
-	return res, nil
+	return nil
 }
 
 // getState takes a run state, and with it a scratch schedule, from the
@@ -338,8 +339,9 @@ func (in *Instance) putState(s *state) {
 }
 
 // fold replays a recorded schedule under cfg with pooled scratch and the
-// config's cached noise tape.
-func (in *Instance) fold(sch *schedule, plan *PlacementPlan, cfg Config) *Result {
+// config's cached noise tape, and returns its Summary; a non-nil res
+// receives the whole Result (foldSchedule).
+func (in *Instance) fold(sch *schedule, plan *PlacementPlan, cfg Config, res *Result) Summary {
 	fs, _ := in.foldPool.Get().(*foldScratch)
 	if fs == nil {
 		fs = &foldScratch{}
@@ -348,16 +350,15 @@ func (in *Instance) fold(sch *schedule, plan *PlacementPlan, cfg Config) *Result
 	if cfg.NoiseSigma > 0 {
 		noise = in.noiseFactors(fs, cfg.Seed, cfg.NoiseSigma, len(sch.execs))
 	}
-	res := foldSchedule(in.topo, plan, sch, cfg, noise, fs)
+	sum := foldSchedule(in.topo, plan, sch, cfg, noise, fs, res)
 	in.foldPool.Put(fs)
-	return res
+	return sum
 }
 
-// foldRepeats folds sch once per seed: blocks of laneWidth seeds go
-// through foldLanes, and a remainder shorter than laneMin folds seed by
+// foldRepeats folds sch once per seed into out: blocks of laneWidth seeds
+// go through foldLanes, and a remainder shorter than laneMin folds seed by
 // seed.
-func (in *Instance) foldRepeats(sch *schedule, plan *PlacementPlan, sigma float64, seeds []uint64) []*Result {
-	out := make([]*Result, len(seeds))
+func (in *Instance) foldRepeats(sch *schedule, plan *PlacementPlan, sigma float64, seeds []uint64, out []Summary) {
 	i := 0
 	if len(seeds) >= laneMin {
 		fs, _ := in.foldPool.Get().(*foldScratch)
@@ -375,9 +376,8 @@ func (in *Instance) foldRepeats(sch *schedule, plan *PlacementPlan, sigma float6
 		in.foldPool.Put(fs)
 	}
 	for ; i < len(seeds); i++ {
-		out[i] = in.fold(sch, plan, Config{NoiseSigma: sigma, Seed: seeds[i]})
+		out[i] = in.fold(sch, plan, Config{NoiseSigma: sigma, Seed: seeds[i]}, nil)
 	}
-	return out
 }
 
 // laneTape returns the first n draws of the noise block of seeds (at most

@@ -104,6 +104,7 @@ func BenchmarkInstanceRepeats(b *testing.B) {
 		for i := range seeds {
 			seeds[i] = uint64(i)
 		}
+		out := make([]Summary, n)
 		// Warm the plan, schedule and noise tapes: the timed loops
 		// measure only the folds. RunKeyed caches the schedule, which
 		// both loops then fold; RunRepeats alone would cache nothing.
@@ -112,13 +113,13 @@ func BenchmarkInstanceRepeats(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+		if err := inst.RunRepeats(key, mp, 0.04, seeds, out); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("seeds=%d/RunRepeats", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+				if err := inst.RunRepeats(key, mp, 0.04, seeds, out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -139,22 +140,23 @@ func BenchmarkInstanceRepeats(b *testing.B) {
 // BenchmarkInstanceRepeatsCold prices a new candidate under the driver's
 // protocol: RunRepeats over 7 seeds with no cached schedule, so each
 // iteration records the structure into recycled scratch and folds it for
-// every seed. The placement plan and noise tapes stay warm. B/op is the
-// allocation contract of a measured candidate: its 7 Results and the
-// discarded result of the recording run. The schedule allocates nothing
-// once the scratch has held the longest recording.
+// every seed. The placement plan and noise tapes stay warm. The Summaries
+// are the caller's and the schedule allocates nothing once the scratch has
+// held the longest recording, so a measured candidate allocates nearly
+// nothing here.
 func BenchmarkInstanceRepeatsCold(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)
 	key := mp.Key()
 	seeds := []uint64{0, 1, 2, 3, 4, 5, 6}
-	if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+	out := make([]Summary, len(seeds))
+	if err := inst.RunRepeats(key, mp, 0.04, seeds, out); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.RunRepeats(key, mp, 0.04, seeds); err != nil {
+		if err := inst.RunRepeats(key, mp, 0.04, seeds, out); err != nil {
 			b.Fatal(err)
 		}
 	}

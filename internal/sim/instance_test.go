@@ -39,15 +39,15 @@ func TestInstanceRunMatchesSimulate(t *testing.T) {
 		for i, mp := range mps {
 			cfg := Config{NoiseSigma: 0.05, Seed: uint64(100*round + i)}
 			want, errW := Simulate(m, g, mp, cfg)
-			got, errG := inst.Run(mp, cfg)
+			got, errG := inst.RunKeyed(mp.Key(), mp, cfg)
 			if (errW == nil) != (errG == nil) {
-				t.Fatalf("round %d mapping %d: Simulate err=%v, Instance.Run err=%v", round, i, errW, errG)
+				t.Fatalf("round %d mapping %d: Simulate err=%v, Instance.RunKeyed err=%v", round, i, errW, errG)
 			}
 			if errW != nil {
 				continue
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("round %d mapping %d: Instance.Run result differs from Simulate:\nwant %+v\ngot  %+v", round, i, want, got)
+				t.Fatalf("round %d mapping %d: Instance.RunKeyed result differs from Simulate:\nwant %+v\ngot  %+v", round, i, want, got)
 			}
 		}
 	}
@@ -59,7 +59,7 @@ func TestInstanceResultsDetached(t *testing.T) {
 	mp := mapping.Default(g, m.Model())
 	inst := New(m, g)
 
-	a, err := inst.Run(mp, Config{NoiseSigma: 0.1, Seed: 1})
+	a, err := inst.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestInstanceResultsDetached(t *testing.T) {
 	}
 	// A second run recycles the pooled state; the first result must not
 	// change underneath the caller.
-	if _, err := inst.Run(mp, Config{NoiseSigma: 0.1, Seed: 2}); err != nil {
+	if _, err := inst.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.1, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if a.MakespanSec != snapshot.MakespanSec || a.BytesCopied != snapshot.BytesCopied {
@@ -90,7 +90,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	inst := New(m, g)
 
 	mp := mapping.Default(g, md)
-	if _, err := inst.Run(mp, Config{Seed: 1}); err != nil {
+	if _, err := inst.RunKeyed(mp.Key(), mp, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := inst.PlanCacheStats()
@@ -99,7 +99,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 	// Same mapping (the 7-repeat protocol): plan is reused.
 	for i := 0; i < 6; i++ {
-		if _, err := inst.Run(mp, Config{Seed: uint64(2 + i)}); err != nil {
+		if _, err := inst.RunKeyed(mp.Key(), mp, Config{Seed: uint64(2 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	// A different mapping misses.
 	mp2 := mapping.Default(g, md)
 	mp2.SetDistribute(0, !mp2.Decision(0).Distribute)
-	if _, err := inst.Run(mp2, Config{Seed: 9}); err != nil {
+	if _, err := inst.RunKeyed(mp2.Key(), mp2, Config{Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses = inst.PlanCacheStats()
@@ -128,31 +128,40 @@ func repeatSeeds(n int) []uint64 {
 	return seeds
 }
 
-// requireRepeatsMatch checks every result of RunRepeats against a RunKeyed
-// on ref under that lane's seed.
-func requireRepeatsMatch(t *testing.T, ctx string, got []*Result, ref *Instance, mp *mapping.Mapping, sigma float64, seeds []uint64) {
+// runRepeats is RunRepeats returning a fresh Summary slice.
+func runRepeats(in *Instance, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]Summary, error) {
+	out := make([]Summary, len(seeds))
+	if err := in.RunRepeats(mp.Key(), mp, sigma, seeds, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// requireRepeatsMatch checks every Summary of RunRepeats against the
+// fields of a RunKeyed Result on ref under that lane's seed.
+func requireRepeatsMatch(t *testing.T, ctx string, got []Summary, ref *Instance, mp *mapping.Mapping, sigma float64, seeds []uint64) {
 	t.Helper()
 	if len(got) != len(seeds) {
-		t.Fatalf("%s: %d results for %d seeds", ctx, len(got), len(seeds))
+		t.Fatalf("%s: %d summaries for %d seeds", ctx, len(got), len(seeds))
 	}
 	for i, seed := range seeds {
 		want, err := ref.RunKeyed(mp.Key(), mp, Config{NoiseSigma: sigma, Seed: seed})
 		if err != nil {
 			t.Fatalf("%s: RunKeyed: %v", ctx, err)
 		}
-		requireSameResult(t, fmt.Sprintf("%s lane %d", ctx, i), got[i], want)
-		if t.Failed() {
-			t.FailNow()
+		if got[i] != want.Summarize() {
+			t.Fatalf("%s lane %d: summary %+v, RunKeyed fields %+v", ctx, i, got[i], want.Summarize())
 		}
 	}
 }
 
 // TestRepeatsMatchRunKeyed is the oracle of the lane-wise fold: every
-// result RunRepeats returns must equal RunKeyed under that seed bit for
-// bit, for every app and node count, default and random mappings, with and
-// without noise, and seed counts on both sides of the lane-block edges
-// (scalar remainder, one partial block, full blocks, a block plus one).
-// An OOM mapping returns the same error value from both calls.
+// Summary RunRepeats writes must equal the fields of RunKeyed's Result
+// under that seed bit for bit, for every app and node count, default and
+// random mappings, with and without noise, and seed counts on both sides
+// of the lane-block edges (scalar remainder, one partial block, full
+// blocks, a block plus one). An OOM mapping returns the same error value
+// from both calls.
 func TestRepeatsMatchRunKeyed(t *testing.T) {
 	counts := []int{1, 3, 7, 8, 9, 31}
 	for _, nodes := range []int{1, 2, 4} {
@@ -173,7 +182,7 @@ func TestRepeatsMatchRunKeyed(t *testing.T) {
 				for _, sigma := range []float64{0, 0.04} {
 					for _, n := range counts {
 						ctx := fmt.Sprintf("%s/%d mapping %d sigma %v seeds %d", name, nodes, i, sigma, n)
-						got, err := inst.RunRepeats(mp.Key(), mp, sigma, repeatSeeds(n))
+						got, err := runRepeats(inst, mp, sigma, repeatSeeds(n))
 						if err != nil {
 							if _, werr := ref.RunKeyed(mp.Key(), mp, Config{}); werr == nil || werr.Error() != err.Error() {
 								t.Fatalf("%s: RunRepeats err %v, RunKeyed err %v", ctx, err, werr)
@@ -198,9 +207,9 @@ func TestRepeatsMatchRunKeyed(t *testing.T) {
 		}
 	}
 	in := New(m, g)
-	got, err := in.RunRepeats(oom.Key(), oom, 0.04, repeatSeeds(7))
+	got, err := runRepeats(in, oom, 0.04, repeatSeeds(7))
 	if _, ok := err.(*OOMError); !ok || got != nil {
-		t.Fatalf("RunRepeats on an OOM mapping: results %v, err %v; want *OOMError", got, err)
+		t.Fatalf("RunRepeats on an OOM mapping: summaries %v, err %v; want *OOMError", got, err)
 	}
 	if _, kerr := in.RunKeyed(oom.Key(), oom, Config{NoiseSigma: 0.04, Seed: 1}); kerr != err {
 		t.Fatalf("RunKeyed err %v is not RunRepeats err %v", kerr, err)
@@ -231,7 +240,8 @@ func reuseProblem(t *testing.T) (*machine.Machine, *taskir.Graph, *mapping.Mappi
 // TestRecycledScheduleReuse runs one Instance through mappings of very
 // different schedule sizes (large → small → large), so every recording
 // reuses a scratch buffer last filled by a longer or shorter schedule.
-// Every repeat must equal a fresh instance's RunKeyed bit for bit,
+// Every repeat's Summary must equal the fields of a fresh instance's
+// RunKeyed bit for bit,
 // RunRepeats must leave nothing in the schedule cache, and RunKeyed must
 // still cache a schedule identical to a fresh record.
 func TestRecycledScheduleReuse(t *testing.T) {
@@ -243,7 +253,7 @@ func TestRecycledScheduleReuse(t *testing.T) {
 		// An earlier step's RunKeyed cached this key's schedule; forget
 		// it so this step records.
 		in.dropSchedule(key)
-		got, err := in.RunRepeats(key, mp, 0.04, seeds)
+		got, err := runRepeats(in, mp, 0.04, seeds)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -318,7 +328,7 @@ func TestRecycledScheduleReuseConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(mps)
 				mp := mps[i]
-				got, err := in.RunRepeats(mp.Key(), mp, 0.04, seeds)
+				got, err := runRepeats(in, mp, 0.04, seeds)
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", w, r, err)
 					return
@@ -330,8 +340,8 @@ func TestRecycledScheduleReuseConcurrent(t *testing.T) {
 				}
 				in.dropSchedule(mp.Key())
 				for l := range got {
-					if !reflect.DeepEqual(got[l], want[i][l]) {
-						t.Errorf("worker %d round %d mapping %d lane %d: result differs from a fresh instance", w, r, i, l)
+					if got[l] != want[i][l].Summarize() {
+						t.Errorf("worker %d round %d mapping %d lane %d: summary differs from a fresh instance's RunKeyed", w, r, i, l)
 					}
 				}
 				if !reflect.DeepEqual(res, want[i][r%len(seeds)]) {

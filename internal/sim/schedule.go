@@ -15,12 +15,15 @@
 //
 // The structure pass has no clock and takes no Config, so a schedule
 // cannot depend on noise: Instance records each candidate once and takes
-// every repeat's Result from the fold of that schedule, and the fold is
-// the only place a Result is computed. The golden corpus
-// (testdata/fold_corpus.txt) pins those Results bit for bit. The repeats
-// of one candidate differ only in their noise tape, so foldLanes folds up
-// to laneWidth of them in one pass over the schedule, each lane repeating
-// foldSchedule's float operations exactly (TestRepeatsMatchRunKeyed).
+// every repeat's outcome from the fold of that schedule, and the fold is
+// the only place an outcome is computed. The golden corpus
+// (testdata/fold_corpus.txt) pins those Results bit for bit. A measured
+// repeat needs only a Summary, the six scalars of a Result: foldSchedule
+// builds a Result's per-task and per-kind maps and its logs only for a
+// caller that passes one. The repeats of one candidate differ only in
+// their noise tape, so foldLanes folds up to laneWidth of them in one pass
+// over the schedule into Summaries, each lane repeating foldSchedule's
+// float operations exactly (TestRepeatsMatchRunKeyed).
 //
 // The applications are fixed-iteration loops, and the structure pass runs
 // each launch only until the loop reaches its steady state. A launch's
@@ -113,6 +116,20 @@ func (sch *schedule) launchExecRange(li int) (int, int) {
 		lo = int(sch.launches[li-1].execEnd)
 	}
 	return lo, int(sch.launches[li].execEnd)
+}
+
+// summary returns the Summary of a fold of sch under plan that reached
+// makespan (before the serial overhead) and the given execution energy.
+func (sch *schedule) summary(topo *topology, plan *PlacementPlan, makespan, energy float64) Summary {
+	g := topo.g
+	return Summary{
+		MakespanSec:    makespan + float64(g.Iterations)*g.SerialOverheadSec,
+		EnergyJoules:   energy + float64(sch.bytesCopied)*topo.m.CopyEnergyPerByte,
+		BytesCopied:    sch.bytesCopied,
+		BytesOnNetwork: sch.netBytes,
+		NumCopies:      sch.numCopies,
+		Spills:         plan.Spills,
+	}
 }
 
 // finalize computes the copy totals from the recorded ops.
@@ -233,7 +250,7 @@ func (r *recorder) copyLaunch(base *schedule, li int) {
 	r.newChain = false
 }
 
-// foldScratch is the pooled working set of foldSchedule: the availability
+// foldScratch is the pooled working set of the folds: the availability
 // timelines and launch finish ring of a timing replay. It doubles as the
 // per-worker noise-tape memo: sync.Pool hands scratches out per-P, so the
 // noise table below gives each worker its own (seed, sigma) → tape map and
@@ -256,12 +273,11 @@ type foldScratch struct {
 	// of its key and never stale.
 	laneTapes map[laneTapeKey][]lanes
 
-	// The same timelines, one lane block per element, for foldLanes.
+	// The availability timelines and finish ring, one lane block per
+	// element, for foldLanes.
 	laneProc   []lanes
 	laneCopy   []lanes
 	laneFinish []lanes
-	laneWall   []lanes
-	laneBusy   [machine.NumProcKinds]lanes
 }
 
 // laneWidth is the number of repeats one foldLanes pass carries. The
@@ -302,34 +318,30 @@ func resetZero[T any](s []T, n int) []T {
 	return s
 }
 
-// foldSchedule replays a recorded schedule under cfg and produces its
-// Result: the max/add replay of every copy and execution in record order,
-// execution ex's duration multiplied by noise[ex] (nil without noise),
-// and the Trace and Explain logs when cfg asks for them.
-func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config, noise []float64, fs *foldScratch) *Result {
+// foldSchedule replays a recorded schedule under cfg and returns its
+// Summary: the max/add replay of every copy and execution in record order,
+// execution ex's duration multiplied by noise[ex] (nil without noise).
+// With a non-nil res it also fills res with the whole Result: the Summary
+// fields, the per-task, per-kind and per-memory maps, and the Trace and
+// Explain logs when cfg asks for them. With a nil res it builds no map and
+// no log.
+func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config, noise []float64, fs *foldScratch, res *Result) Summary {
 	g := topo.g
 	perIter := len(topo.launch)
 	fs.procAvail = resetZero(fs.procAvail, topo.nodes*machine.NumProcKinds)
 	fs.copyAvail = resetZero(fs.copyAvail, topo.nodes)
 	fs.finish = resetZero(fs.finish, perIter+1)
 	fs.taskWall = resetZero(fs.taskWall, len(g.Tasks))
+	clear(fs.busy[:])
+	clear(fs.seen[:])
 
-	for k := range fs.busy {
-		fs.busy[k] = 0
-		fs.seen[k] = false
-	}
-
-	res := &Result{
-		TaskWallSec:  make(map[taskir.TaskID]float64, len(g.Tasks)),
-		PeakMemBytes: plan.PeakMemBytes(),
-		ProcBusySec:  make(map[machine.ProcKind]float64),
-		Spills:       plan.Spills,
-	}
+	trace := res != nil && cfg.Trace
+	explain := res != nil && cfg.Explain
 	// Preallocate the logs only when non-empty so empty logs stay nil.
-	if cfg.Trace && len(sch.execs) > 0 {
+	if trace && len(sch.execs) > 0 {
 		res.Events = make([]Event, 0, len(sch.execs))
 	}
-	if cfg.Explain && len(sch.ops) > 0 {
+	if explain && len(sch.ops) > 0 {
 		res.Copies = make([]CopyEvent, 0, len(sch.ops))
 	}
 
@@ -373,7 +385,7 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 					done = start + o.durA + o.durB
 					fs.copyAvail[o.srcNode] = done
 				}
-				if cfg.Explain {
+				if explain {
 					res.Copies = append(res.Copies, CopyEvent{
 						SrcNode: int(o.srcNode), DstNode: int(o.dstNode),
 						SrcKind: o.srcKind, DstKind: o.dstKind, Network: o.network,
@@ -397,7 +409,7 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 			fs.busy[x.kind] += a
 			fs.seen[x.kind] = true
 			energy += a * x.powerW
-			if cfg.Trace {
+			if trace {
 				res.Events = append(res.Events, Event{
 					Task: tid, Node: int(x.node), Kind: x.kind, Iteration: iter,
 					StartSec: start, CopySec: copyDone - ready, DurSec: dur,
@@ -425,50 +437,52 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 			slot = 0
 		}
 	}
+	sum := sch.summary(topo, plan, makespan, energy)
+	if res == nil {
+		return sum
+	}
+	res.MakespanSec = sum.MakespanSec
+	res.EnergyJoules = sum.EnergyJoules
+	res.BytesCopied = sum.BytesCopied
+	res.BytesOnNetwork = sum.BytesOnNetwork
+	res.NumCopies = sum.NumCopies
+	res.Spills = sum.Spills
+	res.PeakMemBytes = plan.PeakMemBytes()
 	// TaskWallSec has an entry for every task that launches (even an
 	// all-zero one); every task in the launch order launches once per
 	// iteration, so the entry set is exactly the launch-order task set.
+	res.TaskWallSec = make(map[taskir.TaskID]float64, len(g.Tasks))
 	for _, tid := range topo.launch {
 		res.TaskWallSec[tid] = fs.taskWall[tid]
 	}
-	makespan += float64(g.Iterations) * g.SerialOverheadSec
-	res.MakespanSec = makespan
-	res.BytesCopied = sch.bytesCopied
-	res.BytesOnNetwork = sch.netBytes
-	res.NumCopies = sch.numCopies
+	res.ProcBusySec = make(map[machine.ProcKind]float64)
 	for k := range fs.busy {
 		if fs.seen[k] {
 			res.ProcBusySec[machine.ProcKind(k)] = fs.busy[k]
 		}
 	}
-	res.EnergyJoules = energy + float64(res.BytesCopied)*topo.m.CopyEnergyPerByte
-	return res
+	return sum
 }
 
-// foldLanes is foldSchedule for up to laneWidth repeats at once: one pass
-// over the schedule's ops, execs and launches drives one timeline per lane,
-// lane l multiplying execution ex's duration by noise[ex][l] (noise is nil
-// without noise). Every lane performs exactly foldSchedule's float
-// operations in the same order, so out[l] is bit-identical to foldSchedule
-// under lane l's tape. Lanes past len(out) are padding: their results are
-// discarded. Trace and Explain logs are not produced; RunKeyed serves
-// those configs.
-func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes, out []*Result, fs *foldScratch) {
-	g := topo.g
+// foldLanes is foldSchedule for up to laneWidth repeats at once, into
+// Summaries: one pass over the schedule's ops, execs and launches drives
+// one timeline per lane, lane l multiplying execution ex's duration by
+// noise[ex][l] (noise is nil without noise). Every lane performs exactly
+// foldSchedule's float operations for the Summary in the same order, so
+// out[l] is bit-identical to foldSchedule's Summary under lane l's tape.
+// Lanes past len(out) are padding: their results are discarded. Nothing
+// but the Summary is produced; RunKeyed serves Results.
+func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes, out []Summary, fs *foldScratch) {
 	perIter := len(topo.launch)
 	fs.laneProc = resetZero(fs.laneProc, topo.nodes*machine.NumProcKinds)
 	fs.laneCopy = resetZero(fs.laneCopy, topo.nodes)
 	fs.laneFinish = resetZero(fs.laneFinish, perIter+1)
-	fs.laneWall = resetZero(fs.laneWall, len(g.Tasks))
-	clear(fs.laneBusy[:])
-	clear(fs.seen[:])
 	noisy := noise != nil
 
 	var netAvail, energy, makespan, t, copyDone lanes
 	pos, row, slot := 0, 0, 0 // as in foldSchedule
 	opIdx, exIdx := 0, 0
 	for li := range sch.launches {
-		tid := topo.launch[pos]
 		var ready lanes
 		for _, d := range topo.preds[topo.predOff[row]:topo.predOff[row+1]] {
 			k := slot - int(d)
@@ -483,7 +497,6 @@ func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes
 			}
 		}
 		taskFinish := ready
-		var execWall lanes
 		exEnd := int(sch.launches[li].execEnd)
 		for ; exIdx < exEnd; exIdx++ {
 			x := &sch.execs[exIdx]
@@ -520,7 +533,6 @@ func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes
 				nz = &noise[exIdx]
 			}
 			pa := &fs.laneProc[int(x.node)*machine.NumProcKinds+int(x.kind)]
-			busy := &fs.laneBusy[x.kind]
 			for l := range pa {
 				dur := x.durBase
 				if noisy {
@@ -529,23 +541,16 @@ func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes
 				fin := fmax(cd[l], pa[l]) + dur
 				pa[l] = fin
 				a := x.activeF * dur
-				busy[l] += a
 				energy[l] += a * x.powerW
 				if fin > taskFinish[l] {
 					taskFinish[l] = fin
 				}
-				if dur > execWall[l] {
-					execWall[l] = dur
-				}
 			}
-			fs.seen[x.kind] = true
 		}
 		opIdx = int(sch.launches[li].opEnd)
 
 		fs.laneFinish[slot] = taskFinish
-		tw := &fs.laneWall[tid]
-		for l := range tw {
-			tw[l] += execWall[l]
+		for l := range makespan {
 			if taskFinish[l] > makespan[l] {
 				makespan[l] = taskFinish[l]
 			}
@@ -559,25 +564,6 @@ func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes
 		}
 	}
 	for l := range out {
-		res := &Result{
-			TaskWallSec:    make(map[taskir.TaskID]float64, len(g.Tasks)),
-			PeakMemBytes:   plan.PeakMemBytes(),
-			ProcBusySec:    make(map[machine.ProcKind]float64),
-			Spills:         plan.Spills,
-			MakespanSec:    makespan[l] + float64(g.Iterations)*g.SerialOverheadSec,
-			BytesCopied:    sch.bytesCopied,
-			BytesOnNetwork: sch.netBytes,
-			NumCopies:      sch.numCopies,
-		}
-		for _, tid := range topo.launch {
-			res.TaskWallSec[tid] = fs.laneWall[tid][l]
-		}
-		for k := range fs.laneBusy {
-			if fs.seen[k] {
-				res.ProcBusySec[machine.ProcKind(k)] = fs.laneBusy[k][l]
-			}
-		}
-		res.EnergyJoules = energy[l] + float64(res.BytesCopied)*topo.m.CopyEnergyPerByte
-		out[l] = res
+		out[l] = sch.summary(topo, plan, makespan[l], energy[l])
 	}
 }

@@ -137,6 +137,33 @@ type Result struct {
 	EnergyJoules float64
 }
 
+// Summary is the flat outcome of one measured run: the scalars of a
+// Result that the search's measurement protocol reads, without its
+// per-task and per-kind maps or its logs. The repeats of a candidate are
+// measured into Summaries (Instance.RunRepeats); a Result comes from
+// Simulate or Instance.RunKeyed. Each field means what the Result field of
+// the same name means.
+type Summary struct {
+	MakespanSec    float64
+	EnergyJoules   float64
+	BytesCopied    int64
+	BytesOnNetwork int64
+	NumCopies      int
+	Spills         int
+}
+
+// Summarize returns the Summary fields of r.
+func (r *Result) Summarize() Summary {
+	return Summary{
+		MakespanSec:    r.MakespanSec,
+		EnergyJoules:   r.EnergyJoules,
+		BytesCopied:    r.BytesCopied,
+		BytesOnNetwork: r.BytesOnNetwork,
+		NumCopies:      r.NumCopies,
+		Spills:         r.Spills,
+	}
+}
+
 // OOMError reports that a collection argument could not be placed in any
 // memory kind of its priority list.
 type OOMError struct {
@@ -156,8 +183,8 @@ func (e *OOMError) Error() string {
 // execution result, or an *OOMError if the mapping does not fit. The
 // mapping must already be valid for (g, m.Model()).
 //
-// Simulate returns what New(m, g).Run(mp, cfg) returns, without an
-// Instance or any cache: it builds the topology tables, plans placement,
+// Simulate returns what New(m, g).RunKeyed(mp.Key(), mp, cfg) returns,
+// without an Instance or any cache: it builds the topology tables, plans placement,
 // records the schedule into a fresh state's scratch and folds it there
 // under the config's noise stream. Callers running many mappings on one
 // (machine, program) pair should keep an Instance.
@@ -172,7 +199,9 @@ func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Conf
 	if cfg.NoiseSigma > 0 {
 		noise = newNoiseTape(noiseKey{seed: cfg.Seed, sigma: cfg.NoiseSigma}).prefix(len(sch.execs))
 	}
-	return foldSchedule(topo, plan, sch, cfg, noise, new(foldScratch)), nil
+	res := new(Result)
+	foldSchedule(topo, plan, sch, cfg, noise, new(foldScratch), res)
+	return res, nil
 }
 
 // sharedLoc is one valid location of a shared collection.

@@ -137,37 +137,50 @@ cmp "$tdir/a1.jsonl" "$tdir/a8.jsonl" || {
     echo "annealing event stream differs between -workers 1 and -workers 8" >&2; exit 1; }
 
 echo "== worker scaling smoke"
-# Regression gate for parallel evaluation: with more than one core, an htr
-# CCD search at -workers 0 (= GOMAXPROCS) must beat -workers 1 by at least
-# 1.10x. Each side is the minimum of 3 walls, the least noisy estimate of
-# a CPU-bound run; on a 2-core host the speedup measured 1.26-1.34x with
-# each candidate's repeats folded in one call.
+# Regression gate for parallel evaluation: with more than one core, htr
+# CCD searches at -workers 0 (= GOMAXPROCS) must beat -workers 1 by at
+# least 1.10x. One sample per side is the summed wall of the search for 8
+# seeds, over 1 s of work on a 2-core host, and the two sides' searches
+# alternate one by one, so host noise (steal time on a shared VM) lands
+# on both sides alike. Each side is the minimum of 3 samples, the least
+# noisy estimate of a CPU-bound run. On a 2-vCPU host with steal time, 28
+# runs read 0.91-1.26x (median 1.11x); the 12 below 1.10x ran while the
+# hypervisor stole 8-34% of the CPU time. Timing one 0.2 s search per
+# sample, 3 per side in two blocks, read 0.88-1.38x (median 0.99x, 11 of
+# 15 below 1.10x) over the same hours.
 # Trajectory byte-identity at every worker count is proven by the smokes
 # above; this gate is purely wall-clock. GOMAXPROCS is read from the
 # binary itself, since the driver clamps its pool to it; at 1 the two
 # runs are the same program and the gate is skipped with a log line.
 procs=$(./bin/automap env | awk '$1 == "gomaxprocs" { print $2 }')
 if [ "$procs" -ge 2 ]; then
+    search() {
+        ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed "$1" -workers "$2" >/dev/null
+    }
+    minof() {
+        awk -v b="$1" -v t="$2" 'BEGIN { print (b == "" || t < b) ? t : b }'
+    }
     # No `time` builtin in POSIX sh; nanosecond wall-clock via GNU date.
-    wall() {
-        s=$(date +%s%N)
-        "$@" >/dev/null
-        e=$(date +%s%N)
-        awk -v s="$s" -v e="$e" 'BEGIN { printf "%.3f", (e - s) / 1e9 }'
-    }
-    minwall() {
-        best=""
-        for _ in 1 2 3; do
-            t=$(wall ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed 7 -workers "$1")
-            best=$(awk -v b="$best" -v t="$t" 'BEGIN { print (b == "" || t < b) ? t : b }')
+    t1=""
+    tn=""
+    for _ in 1 2 3; do
+        s1=0
+        sn=0
+        for seed in 1 2 3 4 5 6 7 8; do
+            a=$(date +%s%N)
+            search "$seed" 1
+            b=$(date +%s%N)
+            search "$seed" 0
+            c=$(date +%s%N)
+            s1=$((s1 + b - a))
+            sn=$((sn + c - b))
         done
-        echo "$best"
-    }
-    t1=$(minwall 1)
-    tn=$(minwall 0)
+        t1=$(minof "$t1" "$s1")
+        tn=$(minof "$tn" "$sn")
+    done
     awk -v t1="$t1" -v tn="$tn" -v procs="$procs" 'BEGIN {
         speedup = (tn > 0) ? t1 / tn : 0
-        printf "htr scaling: w1 %.2fs, w%d %.2fs, speedup %.2fx (min of 3 each)\n", t1, procs, tn, speedup
+        printf "htr scaling: w1 %.2fs, w%d %.2fs per 8 searches, speedup %.2fx (min of 3 samples each)\n", t1 / 1e9, procs, tn / 1e9, speedup
         if (speedup < 1.10) {
             printf "REGRESSION: htr speedup %.2fx at -workers 0 (gomaxprocs %d) is below 1.10x\n", speedup, procs
             exit 1
