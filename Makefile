@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-search bench-serve benchmark fuzz check experiments experiments-quick cover clean
+.PHONY: all build test race vet bench bench-search benchmark fuzz check experiments experiments-quick cover clean
 
 all: build test
 
@@ -34,11 +34,6 @@ bench:
 # figures come from `make benchmark`.
 bench-search:
 	./scripts/bench.sh
-
-# Serving-path benchmark: open-loop QPS/latency curve for every arrival
-# pattern against a self-hosted fleet, written to BENCH_serve.json.
-bench-serve:
-	./scripts/bench_serve.sh
 
 # The repository's benchmark (BENCHMARK.json, benchmark/README.md): one
 # workload per run, WORKLOAD one of search-ccd-htr, search-anneal-pennant,

@@ -170,7 +170,7 @@ func cmdSearch(args []string) {
 	spaceFile := c.fs.String("space", "", "search-space file from 'automap profile' (skips re-profiling)")
 	check := c.fs.Bool("check", false, "lint the program statically before searching and enable infeasibility pre-pruning")
 	eventsFile := c.fs.String("events", "", "write the search telemetry event stream to this JSONL file")
-	metricsFile := c.fs.String("metrics", "", "write the final metrics snapshot to this text file")
+	metricsFile := c.fs.String("metrics", "", "write the final metrics snapshot to this file (Prometheus text format)")
 	searchTraceFile := c.fs.String("search-trace", "", "write a chrome://tracing JSON of the search timeline to this file")
 	workers := c.fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS); results are identical at any value")
 	ckptPath := c.fs.String("checkpoint", "", "periodically save search state to this file (and once more on exit)")
@@ -330,7 +330,7 @@ func cmdSearch(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := opts.Observer.Metrics.WriteText(f); err != nil {
+		if err := opts.Observer.Metrics.WritePrometheus(f); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -1,14 +1,11 @@
 // Command loadgen offers synthetic open-loop traffic at a mapd daemon or
-// mapfleet router and reports what came back (internal/loadgen).
-//
-// One measured point:
+// mapfleet router and reports what came back (internal/loadgen): one
+// measured point on the QPS/latency curve, as JSON.
 //
 //	loadgen -target http://127.0.0.1:8360 -pattern bursty -rps 200 -duration 10s
 //
-// A full benchmark sweep (the driver behind scripts/bench_serve.sh),
-// against a self-hosted in-process fleet when no target is given:
-//
-//	loadgen -bench -rates 50,200,800 -selfhost 3 -out BENCH_serve.json
+// The repository's serve benchmark is benchmark/'s serve-fleet-mixed
+// workload; loadgen is the hand-held probe.
 package main
 
 import (
@@ -17,55 +14,40 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
+	"slices"
 	"syscall"
 	"time"
 
-	"automap/internal/fleet"
 	"automap/internal/loadgen"
 )
 
 func main() {
 	log.SetFlags(0)
-	target := flag.String("target", "", "base URL under load (empty with -selfhost runs an in-process fleet)")
-	pattern := flag.String("pattern", "poisson", "arrival pattern: poisson, bursty, diurnal, or all")
-	rps := flag.Float64("rps", 50, "mean offered requests/sec (single-point mode)")
-	duration := flag.Duration("duration", 10*time.Second, "measurement window per point")
+	target := flag.String("target", "", "base URL under load (required)")
+	pattern := flag.String("pattern", "poisson", "arrival pattern: poisson, bursty or diurnal")
+	rps := flag.Float64("rps", 50, "mean offered requests/sec")
+	duration := flag.Duration("duration", 10*time.Second, "measurement window")
 	keys := flag.Int("keys", 8, "distinct request bodies in the popularity set")
 	zipfS := flag.Float64("zipf", 1.1, "Zipf popularity exponent")
 	seed := flag.Uint64("seed", 1, "schedule seed (same seed = same offered load)")
 	tenant := flag.String("tenant", "", "X-Tenant header value")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	bench := flag.Bool("bench", false, "run the full benchmark sweep (patterns x -rates)")
-	rates := flag.String("rates", "50,200,800", "comma-separated offered rates for -bench")
 	warmup := flag.Bool("warmup", true, "submit every body and wait for completion before measuring")
-	selfhost := flag.Int("selfhost", 0, "run N in-process replicas behind an in-process router and load that")
-	selfhostRPS := flag.Float64("selfhost-rps", 0, "default tenant quota of the self-hosted router (0 = unlimited)")
 	out := flag.String("out", "", "write the report JSON here (default stdout)")
 	flag.Parse()
 
+	if *target == "" {
+		log.Fatal("loadgen: need -target")
+	}
+	pat, err := patternFor(*pattern)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	replicas := 0
-	if *target == "" {
-		if *selfhost <= 0 {
-			log.Fatal("loadgen: need -target or -selfhost N")
-		}
-		url, shutdown, err := startSelfhost(*selfhost, *selfhostRPS)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer shutdown()
-		*target = url
-		replicas = *selfhost
-		fmt.Fprintf(os.Stderr, "self-hosted fleet of %d replica(s) at %s\n", replicas, url)
-	}
 
 	bodies := loadgen.DefaultBodies(*keys)
 	if *warmup {
@@ -75,54 +57,22 @@ func main() {
 		}
 	}
 
-	var doc any
-	if *bench {
-		rateVals, err := parseRates(*rates)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err := loadgen.RunBench(ctx, loadgen.BenchConfig{
-			Target:   *target,
-			Patterns: patternsFor(*pattern),
-			Rates:    rateVals,
-			Window:   *duration,
-			Bodies:   bodies,
-			ZipfS:    *zipfS,
-			Seed:     *seed,
-		}, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep.Env = loadgen.BenchEnviron{Replicas: replicas}
-		if replicas > 0 {
-			rep.Env.Note = "self-hosted in-process fleet"
-		}
-		doc = rep
-	} else {
-		pats := patternsFor(*pattern)
-		if len(pats) != 1 {
-			log.Fatal("loadgen: single-point mode needs one -pattern (use -bench for sweeps)")
-		}
-		pt, err := loadgen.Run(ctx, loadgen.Config{
-			Target:   *target,
-			Pattern:  pats[0],
-			RPS:      *rps,
-			Duration: *duration,
-			Bodies:   bodies,
-			ZipfS:    *zipfS,
-			Seed:     *seed,
-			Tenant:   *tenant,
-			Timeout:  *timeout,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		doc = pt
+	pt, err := loadgen.Run(ctx, loadgen.Config{
+		Target:   *target,
+		Pattern:  pat,
+		RPS:      *rps,
+		Duration: *duration,
+		Bodies:   bodies,
+		ZipfS:    *zipfS,
+		Seed:     *seed,
+		Tenant:   *tenant,
+		Timeout:  *timeout,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	data, err := json.MarshalIndent(doc, "", "  ")
+	data, err := json.MarshalIndent(pt, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,91 +87,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 }
 
-// patternsFor maps the -pattern flag to arrival patterns.
-func patternsFor(s string) []loadgen.Pattern {
-	if s == "all" {
-		return loadgen.Patterns
+// patternFor maps the -pattern flag to a built-in arrival pattern.
+// loadgen.Run treats any unknown name as Poisson, so a typo must fail
+// here rather than run under a misleading label.
+func patternFor(s string) (loadgen.Pattern, error) {
+	p := loadgen.Pattern(s)
+	if !slices.Contains(loadgen.Patterns, p) {
+		return "", fmt.Errorf("loadgen: unknown -pattern %q (want poisson, bursty or diurnal)", s)
 	}
-	return []loadgen.Pattern{loadgen.Pattern(s)}
-}
-
-// parseRates parses the -rates list.
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("loadgen: bad rate %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("loadgen: empty -rates")
-	}
-	return out, nil
-}
-
-// startSelfhost boots n replicas and a router on loopback listeners and
-// returns the router's base URL plus an ordered shutdown.
-func startSelfhost(n int, routerRPS float64) (url string, shutdown func(), err error) {
-	dir, err := os.MkdirTemp("", "loadgen-fleet-*")
-	if err != nil {
-		return "", nil, err
-	}
-	// Two passes: listeners first so every replica knows the full peer
-	// set before any replica starts.
-	listeners := make([]net.Listener, n)
-	peers := make(map[string]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		listeners[i] = l
-		peers[fmt.Sprintf("r%d", i)] = "http://" + l.Addr().String()
-	}
-	reps := make([]*fleet.Replica, n)
-	servers := make([]*http.Server, n)
-	for i := range reps {
-		rep, err := fleet.NewReplica(fleet.ReplicaConfig{
-			Name:  fmt.Sprintf("r%d", i),
-			Peers: peers,
-			Dir:   fmt.Sprintf("%s/r%d", dir, i),
-		})
-		if err != nil {
-			return "", nil, err
-		}
-		reps[i] = rep
-		servers[i] = &http.Server{Handler: rep.Handler()}
-		go servers[i].Serve(listeners[i])
-	}
-	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Replicas:    peers,
-		Quota:       fleet.Quota{RPS: routerRPS},
-		HealthEvery: 500 * time.Millisecond,
-	})
-	if err != nil {
-		return "", nil, err
-	}
-	rl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	rs := &http.Server{Handler: rt.Handler()}
-	go rs.Serve(rl)
-	shutdown = func() {
-		rs.Close()
-		rt.Close()
-		for i, rep := range reps {
-			rep.Server().Drain()
-			servers[i].Close()
-			rep.Close()
-		}
-		os.RemoveAll(dir)
-	}
-	return "http://" + rl.Addr().String(), shutdown, nil
+	return p, nil
 }

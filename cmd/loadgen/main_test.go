@@ -1,52 +1,20 @@
 package main
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"automap/internal/loadgen"
 )
 
-func TestParseRates(t *testing.T) {
-	got, err := parseRates(" 50, 200 ,800, ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{50, 200, 800}
-	if len(got) != len(want) {
-		t.Fatalf("parseRates = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseRates = %v, want %v", got, want)
+func TestPatternFor(t *testing.T) {
+	for _, p := range loadgen.Patterns {
+		if got, err := patternFor(string(p)); err != nil || got != p {
+			t.Errorf("patternFor(%q) = %q, %v", p, got, err)
 		}
 	}
-	for _, bad := range []string{"", ",", "abc", "50,-1", "0"} {
-		if got, err := parseRates(bad); err == nil {
-			t.Errorf("parseRates(%q) = %v, want error", bad, got)
+	for _, bad := range []string{"", "all", "Poisson", "burst"} {
+		if got, err := patternFor(bad); err == nil {
+			t.Errorf("patternFor(%q) = %q, want an error", bad, got)
 		}
-	}
-}
-
-func TestPatternsFor(t *testing.T) {
-	if got := patternsFor("all"); len(got) != len(loadgen.Patterns) {
-		t.Fatalf("patternsFor(all) = %v", got)
-	}
-	if got := patternsFor("bursty"); len(got) != 1 || got[0] != loadgen.Bursty {
-		t.Fatalf("patternsFor(bursty) = %v", got)
-	}
-}
-
-// TestSelfhost boots a tiny in-process fleet and checks the router
-// answers before shutting it down in order.
-func TestSelfhost(t *testing.T) {
-	url, shutdown, err := startSelfhost(2, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	if err := loadgen.Warmup(context.Background(), url, loadgen.DefaultBodies(1), 60*time.Second); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -20,9 +20,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"automap/internal/explain"
+	"automap/internal/telemetry"
 )
 
 func main() {
@@ -124,44 +126,41 @@ func cmdTop(base string) {
 		fmt.Println(line)
 	}
 
-	// Headline metrics from the legacy dump ("<kind> <name> <value>" per
-	// line — trivially parseable, unlike the bucketed exposition).
-	resp := get(base + "/metrics?format=text")
+	// Headline metrics from the Prometheus exposition, by exposed name.
+	resp := get(base + "/metrics")
 	defer resp.Body.Close()
+	samples, err := telemetry.ReadPrometheus(resp.Body)
+	if err != nil {
+		log.Fatalf("%s/metrics: %v", base, err)
+	}
 	want := map[string]bool{
-		"serve.requests":           true,
-		"serve.searches.started":   true,
-		"serve.searches.coalesced": true,
-		"serve.searches.completed": true,
-		"serve.searches.failed":    true,
-		"serve.searches.suspended": true,
-		"serve.pool.occupancy":     true,
-		"serve.pool.capacity":      true,
-		"serve.coalesce.hit_ratio": true,
+		"serve_requests_total":           true,
+		"serve_searches_started_total":   true,
+		"serve_searches_coalesced_total": true,
+		"serve_searches_completed_total": true,
+		"serve_searches_failed_total":    true,
+		"serve_searches_suspended_total": true,
+		"serve_pool_occupancy":           true,
+		"serve_pool_capacity":            true,
+		"serve_coalesce_hit_ratio":       true,
 	}
 	fmt.Println("daemon:")
 	// Wall-clock evaluation telemetry (driver.* — per-worker throughput,
 	// synchronous evaluations, superseded speculation) is collected by
 	// prefix: the per-worker series are labeled, so their names are
-	// open-ended.
+	// open-ended. Histogram buckets are left out; _sum and _count stay.
 	var workerLines []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 3 {
-			continue
-		}
+	for _, s := range samples {
+		value := strconv.FormatFloat(s.Value, 'g', -1, 64)
 		switch {
-		case want[fields[1]]:
-			fmt.Printf("  %-26s %s\n", fields[1], fields[2])
-		case strings.HasPrefix(fields[1], "driver.worker.") ||
-			strings.HasPrefix(fields[1], "driver.commit.") ||
-			strings.HasPrefix(fields[1], "driver.prefetch."):
-			workerLines = append(workerLines, fmt.Sprintf("  %-38s %s", fields[1], fields[2]))
+		case want[s.Name]:
+			fmt.Printf("  %-32s %s\n", s.Name+s.Labels, value)
+		case strings.HasSuffix(s.Name, "_bucket"):
+		case strings.HasPrefix(s.Name, "driver_worker_") ||
+			strings.HasPrefix(s.Name, "driver_commit_") ||
+			strings.HasPrefix(s.Name, "driver_prefetch_"):
+			workerLines = append(workerLines, fmt.Sprintf("  %-38s %s", s.Name+s.Labels, value))
 		}
-	}
-	if err := sc.Err(); err != nil {
-		log.Fatal(err)
 	}
 	if len(workerLines) > 0 {
 		fmt.Println("workers:")

@@ -188,3 +188,32 @@ func TestInterruptedSearchSkipsFinalPhase(t *testing.T) {
 		t.Fatalf("no final checkpoint after interrupt: %v", err)
 	}
 }
+
+// TestCheckpointlessSearchKeepsNoLog: only checkpoint writes read the
+// commit log, so an evaluator without a checkpoint path keeps none; with
+// one, every committed measurement is logged in commit order.
+func TestCheckpointlessSearchKeepsNoLog(t *testing.T) {
+	m := cluster.Shepard(1)
+	g := driverGraph(t)
+	a := mapping.Default(g, m.Model())
+	b := a.Clone()
+	b.SetDistribute(g.Tasks[0].ID, !a.Decision(g.Tasks[0].ID).Distribute)
+	for _, path := range []string{"", filepath.Join(t.TempDir(), "search.ckpt")} {
+		opts := quickOpts()
+		opts.CheckpointPath = path
+		ev := NewEvaluator(m, g, opts)
+		ev.Evaluate(a)
+		ev.Evaluate(b)
+		ev.Evaluate(a.Clone()) // cached: no new commit
+		if ev.Evaluated != 2 {
+			t.Fatalf("path %q: %d evaluations measured, want 2", path, ev.Evaluated)
+		}
+		want := 0
+		if path != "" {
+			want = 2
+		}
+		if len(ev.log) != want {
+			t.Errorf("path %q: commit log holds %d entries, want %d", path, len(ev.log), want)
+		}
+	}
+}

@@ -201,8 +201,8 @@ type Evaluator struct {
 	// and telemetry exactly; keys not in the map (past the recorded
 	// prefix) are simulated as usual with their key-derived seeds.
 	replay map[string][]checkpoint.Run
-	// log records every committed evaluation in commit order; checkpoint
-	// snapshots serialize it.
+	// log records every committed evaluation in commit order when
+	// Options.CheckpointPath is set; checkpoint snapshots serialize it.
 	log []checkpoint.Eval
 
 	// Checkpointing state, bound by bindSearch. tmpl carries the
@@ -529,7 +529,11 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 		times = append(times, r.ObjSec)
 		spent += r.MakespanSec
 	}
-	e.log = append(e.log, checkpoint.Eval{Key: key, Runs: runs})
+	// Only checkpoint writes read the log. Gate on the option, not on
+	// ckptPath, which bindSearch sets only later.
+	if e.Opts.CheckpointPath != "" {
+		e.log = append(e.log, checkpoint.Eval{Key: key, Runs: runs})
+	}
 	if failed {
 		// Out-of-memory mappings fail at startup. Charge the simulated
 		// time actually spent before the failure was detected — the

@@ -1,5 +1,5 @@
-// Flag-level helpers shared by the fleet binaries (mapd, mapfleet,
-// loadgen): parsing the name=url peer list every member must agree on.
+// Flag-level helpers shared by the fleet binaries (mapd, mapfleet):
+// parsing the name=url peer list every member must agree on.
 
 package fleet
 

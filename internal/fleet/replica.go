@@ -64,11 +64,14 @@ type Replica struct {
 	base   http.Handler
 	mux    *http.ServeMux
 
-	// stagedDir persists checkpoint bundles staged for adoption, so a
-	// restarted backup still holds them.
+	// stagedDir holds the checkpoint bundles staged for adoption, one
+	// file per fingerprint. The files are the only record: a bundle is
+	// adoptable exactly when its file is visible, and a restarted backup
+	// still holds them.
 	stagedDir string
-	mu        sync.Mutex
-	staged    map[string]*Bundle
+	// afterStageWrite, when non-nil, runs in stage once the bundle file
+	// is visible. Tests set it to land a submit inside stage.
+	afterStageWrite func(key string)
 
 	// adoptMu serializes the adopt/pull phase of concurrent submissions.
 	// Without it a duplicate submit can reach the daemon and begin a
@@ -112,7 +115,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		ring:      NewRing(cfg.Vnodes),
 		client:    cfg.Client,
 		stagedDir: filepath.Join(cfg.Dir, "fleet"),
-		staged:    make(map[string]*Bundle),
 		pushCh:    make(chan string, 256),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -144,10 +146,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	rep.mReclaimed = reg.Counter("fleet.reclaimed")
 	rep.mPulled = reg.Counter("fleet.pulled")
 	rep.mInstalled = reg.Counter("fleet.installed")
-	if err := rep.loadStaged(); err != nil {
-		cancel()
-		return nil, err
-	}
 	rep.base = srv.Handler()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/internal/replicate", rep.handleReplicate)
@@ -336,21 +334,21 @@ func (r *Replica) install(b *Bundle) error {
 		return err
 	}
 	r.mInstalled.Add(1)
-	r.mu.Lock()
-	_, had := r.staged[b.Key]
-	delete(r.staged, b.Key)
-	r.mu.Unlock()
-	if had {
-		os.Remove(filepath.Join(r.stagedDir, b.Key+stagedSuffix))
-	}
+	os.Remove(r.stagedPath(b.Key))
 	return nil
 }
 
-// stagedSuffix names persisted staged bundles inside stagedDir.
+// stagedSuffix names staged bundles inside stagedDir.
 const stagedSuffix = ".bundle.json"
 
-// stage records a checkpoint bundle in memory and on disk so this replica
-// can adopt the search if its owner dies — even across its own restart.
+// stagedPath is the file a checkpoint bundle for key is staged in.
+func (r *Replica) stagedPath(key string) string {
+	return filepath.Join(r.stagedDir, key+stagedSuffix)
+}
+
+// stage writes a checkpoint bundle to disk so this replica can adopt the
+// search if its owner dies — even across its own restart. The atomic
+// write is the whole hand-off: adopt reads the same file.
 func (r *Replica) stage(b *Bundle) error {
 	data, err := b.Encode()
 	if err != nil {
@@ -359,57 +357,33 @@ func (r *Replica) stage(b *Bundle) error {
 	if err := os.MkdirAll(r.stagedDir, 0o755); err != nil {
 		return err
 	}
-	if err := fsatomic.WriteFile(filepath.Join(r.stagedDir, b.Key+stagedSuffix), data); err != nil {
+	if err := fsatomic.WriteFile(r.stagedPath(b.Key), data); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.staged[b.Key] = b
-	r.mu.Unlock()
+	if r.afterStageWrite != nil {
+		r.afterStageWrite(b.Key)
+	}
 	r.mStaged.Add(1)
-	return nil
-}
-
-// loadStaged reloads persisted staged bundles at startup. Unreadable
-// bundles are discarded — the owner may still be alive and will re-push.
-func (r *Replica) loadStaged() error {
-	names, err := os.ReadDir(r.stagedDir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	for _, de := range names {
-		if !strings.HasSuffix(de.Name(), stagedSuffix) {
-			continue
-		}
-		path := filepath.Join(r.stagedDir, de.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		b, err := DecodeBundle(data)
-		if err != nil || b.Kind != KindCheckpoint {
-			os.Remove(path)
-			continue
-		}
-		r.staged[b.Key] = b
-	}
 	return nil
 }
 
 // adopt reclaims a staged search: it materializes the replicated
 // checkpoint and event prefix into the store's paths for the key, so the
 // submit that follows resumes the search exactly where the dead owner's
-// last replicated snapshot left it. The staged map hand-off makes the
-// reclaim exactly-once per staging: concurrent submits race through the
-// lock, one wins the bundle, the rest fall through to plain coalescing.
+// last replicated snapshot left it. Consuming the staged file makes the
+// reclaim exactly-once per staging: handleSubmit serializes adopts under
+// adoptMu, one wins the file, the rest fall through to plain coalescing.
+// An unreadable bundle is discarded — the owner may still be alive and
+// will re-push.
 func (r *Replica) adopt(key string) {
-	r.mu.Lock()
-	b, ok := r.staged[key]
-	delete(r.staged, key)
-	r.mu.Unlock()
-	if !ok {
+	path := r.stagedPath(key)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return
+	}
+	b, err := DecodeBundle(data)
+	if err != nil || b.Kind != KindCheckpoint || b.Key != key {
+		os.Remove(path)
 		return
 	}
 	st := r.srv.Store()
@@ -423,7 +397,7 @@ func (r *Replica) adopt(key string) {
 			return
 		}
 	}
-	os.Remove(filepath.Join(r.stagedDir, key+stagedSuffix))
+	os.Remove(path)
 	r.mReclaimed.Add(1)
 }
 

@@ -1,5 +1,4 @@
-// Package loadgen is the fleet's synthetic heavy-traffic client and
-// benchmark driver.
+// Package loadgen is the fleet's synthetic heavy-traffic client.
 //
 // It models the serving workload the ROADMAP aims at — many clients,
 // few distinct searches — as an open-loop arrival process (requests fire
@@ -14,9 +13,8 @@
 //
 // Schedules are generated deterministically from a seed (internal/xrand),
 // so two runs at the same configuration offer identical load; what the
-// service makes of it — latency, shedding — is the measurement. The same
-// Run primitive doubles as the benchmark driver behind
-// scripts/bench_serve.sh (bench.go).
+// service makes of it — latency, shedding — is the measurement. The
+// repository's serve benchmark is benchmark/'s serve-fleet-mixed workload.
 package loadgen
 
 import (

@@ -1,6 +1,6 @@
-// Bench: the sweep harness behind scripts/bench_serve.sh. It offers each
-// arrival pattern at several rates against a warmed-up target and
-// collects one Point per (pattern, rate) — the fleet's QPS/latency curve.
+// Warmup: the request bodies a load run offers, and the pass that submits
+// each of them once and waits, so a measurement sees a steady-state
+// (cache-serving) target.
 
 package loadgen
 
@@ -12,92 +12,6 @@ import (
 	"strings"
 	"time"
 )
-
-// BenchConfig parameterizes a sweep.
-type BenchConfig struct {
-	Target   string
-	Patterns []Pattern
-	// Rates are the offered mean RPS levels, swept low to high per
-	// pattern.
-	Rates  []float64
-	Window time.Duration
-	Bodies []string
-	ZipfS  float64
-	Seed   uint64
-	// Gap separates consecutive points so one window's stragglers do
-	// not pollute the next (0 = 500ms).
-	Gap time.Duration
-}
-
-// BenchReport is the BENCH_serve.json document.
-type BenchReport struct {
-	GeneratedBy string       `json:"generated_by"`
-	Target      string       `json:"target"`
-	Keys        int          `json:"keys"`
-	ZipfS       float64      `json:"zipf_s"`
-	WindowSec   float64      `json:"window_sec"`
-	Seed        uint64       `json:"seed"`
-	Points      []Point      `json:"points"`
-	Env         BenchEnviron `json:"env"`
-}
-
-// BenchEnviron records what served the load.
-type BenchEnviron struct {
-	Replicas int    `json:"replicas,omitempty"`
-	Note     string `json:"note,omitempty"`
-}
-
-// RunBench sweeps every (pattern, rate) pair in order and collects the
-// points. logf, when non-nil, narrates progress.
-func RunBench(ctx context.Context, cfg BenchConfig, logf func(format string, args ...any)) (*BenchReport, error) {
-	if len(cfg.Patterns) == 0 {
-		cfg.Patterns = Patterns
-	}
-	if len(cfg.Rates) == 0 {
-		return nil, fmt.Errorf("loadgen: bench needs at least one rate")
-	}
-	gap := cfg.Gap
-	if gap <= 0 {
-		gap = 500 * time.Millisecond
-	}
-	rep := &BenchReport{
-		GeneratedBy: "scripts/bench_serve.sh",
-		Target:      cfg.Target,
-		Keys:        len(cfg.Bodies),
-		ZipfS:       cfg.ZipfS,
-		WindowSec:   cfg.Window.Seconds(),
-		Seed:        cfg.Seed,
-	}
-	for _, p := range cfg.Patterns {
-		for i, rps := range cfg.Rates {
-			pt, err := Run(ctx, Config{
-				Target:   cfg.Target,
-				Pattern:  p,
-				RPS:      rps,
-				Duration: cfg.Window,
-				Bodies:   cfg.Bodies,
-				ZipfS:    cfg.ZipfS,
-				// Distinct seeds per point keep the schedules
-				// independent yet reproducible.
-				Seed: cfg.Seed + uint64(i)*1000 + uint64(len(rep.Points)),
-			})
-			if err != nil {
-				return nil, err
-			}
-			rep.Points = append(rep.Points, *pt)
-			if logf != nil {
-				logf("%-8s %6.0f rps offered: %6.2f rps accepted, p50 %.2fms p99 %.2fms, shed %d",
-					p, rps, pt.AchievedRPS, pt.P50Ms, pt.P99Ms, pt.Shed)
-			}
-			select {
-			case <-time.After(gap):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-	}
-	return rep, nil
-}
 
 // DefaultBodies returns n distinct quick search requests (distinct seeds,
 // hence distinct fingerprints) suitable for load generation: each first

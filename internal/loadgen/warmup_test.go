@@ -12,11 +12,11 @@ import (
 	"time"
 )
 
-// benchDaemon is a minimal in-memory daemon for bench/warmup tests: every
+// fakeDaemon is a minimal in-memory daemon for the warmup tests: every
 // submitted body gets an id; a search reports "running" for its first
 // polls minutes, then "done". shedFirst sheds that many submissions with
 // 429 before accepting (warmup retry path).
-type benchDaemon struct {
+type fakeDaemon struct {
 	mu        sync.Mutex
 	ids       map[string]string // body -> id
 	polls     map[string]int    // id -> polls served
@@ -25,7 +25,7 @@ type benchDaemon struct {
 	submits   int
 }
 
-func (d *benchDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (d *fakeDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
@@ -59,15 +59,15 @@ func (d *benchDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"id": id, "status": d.status(id)})
 }
 
-func (d *benchDaemon) status(id string) string {
+func (d *fakeDaemon) status(id string) string {
 	if d.polls[id] >= d.pollsDone {
 		return "done"
 	}
 	return "running"
 }
 
-func newBenchDaemon(pollsDone, shedFirst int) *benchDaemon {
-	return &benchDaemon{
+func newFakeDaemon(pollsDone, shedFirst int) *fakeDaemon {
+	return &fakeDaemon{
 		ids:       make(map[string]string),
 		polls:     make(map[string]int),
 		pollsDone: pollsDone,
@@ -97,7 +97,7 @@ func TestDefaultBodies(t *testing.T) {
 // TestWarmup: every body is submitted (tolerating initial shed), running
 // searches are polled to done.
 func TestWarmup(t *testing.T) {
-	d := newBenchDaemon(2, 2)
+	d := newFakeDaemon(2, 2)
 	ts := httptest.NewServer(d)
 	defer ts.Close()
 	if err := Warmup(context.Background(), ts.URL, DefaultBodies(3), 30*time.Second); err != nil {
@@ -118,59 +118,11 @@ func TestWarmup(t *testing.T) {
 // TestWarmupTimeout: a daemon that sheds forever fails the warmup with an
 // error, not a hang.
 func TestWarmupTimeout(t *testing.T) {
-	d := newBenchDaemon(1, 1<<30)
+	d := newFakeDaemon(1, 1<<30)
 	ts := httptest.NewServer(d)
 	defer ts.Close()
 	err := Warmup(context.Background(), ts.URL, DefaultBodies(1), 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("warmup against an always-shedding daemon succeeded")
-	}
-}
-
-// TestRunBench: the sweep produces one point per (pattern, rate) in
-// order, carries the config into the report, and narrates via logf.
-func TestRunBench(t *testing.T) {
-	d := newBenchDaemon(0, 0)
-	ts := httptest.NewServer(d)
-	defer ts.Close()
-	var logged int
-	rep, err := RunBench(context.Background(), BenchConfig{
-		Target:   ts.URL,
-		Patterns: []Pattern{Poisson, Bursty},
-		Rates:    []float64{50, 100},
-		Window:   200 * time.Millisecond,
-		Bodies:   DefaultBodies(4),
-		ZipfS:    1.1,
-		Seed:     11,
-		Gap:      10 * time.Millisecond,
-	}, func(format string, args ...any) { logged++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 4 {
-		t.Fatalf("sweep produced %d points, want 4", len(rep.Points))
-	}
-	if logged != 4 {
-		t.Errorf("logf called %d times, want once per point", logged)
-	}
-	want := []struct {
-		pattern string
-		rps     float64
-	}{{"poisson", 50}, {"poisson", 100}, {"bursty", 50}, {"bursty", 100}}
-	for i, w := range want {
-		pt := rep.Points[i]
-		if pt.Pattern != w.pattern || pt.OfferedRPS != w.rps {
-			t.Errorf("point %d = (%s, %v), want (%s, %v)", i, pt.Pattern, pt.OfferedRPS, w.pattern, w.rps)
-		}
-		if pt.Sent == 0 || pt.Accepted != pt.Sent {
-			t.Errorf("point %d: %d sent, %d accepted against an always-200 daemon", i, pt.Sent, pt.Accepted)
-		}
-	}
-	if rep.Target != ts.URL || rep.Keys != 4 || rep.Seed != 11 || rep.ZipfS != 1.1 {
-		t.Errorf("report config fields wrong: %+v", rep)
-	}
-
-	if _, err := RunBench(context.Background(), BenchConfig{Target: ts.URL}, nil); err == nil {
-		t.Error("bench with no rates succeeded")
 	}
 }

@@ -20,8 +20,8 @@ import (
 
 // TestMetricsPrometheusExposition checks the /metrics contract: proper
 // content type, # TYPE headers, _total-suffixed counters, a cumulative
-// request-latency histogram with at least 8 buckets, the build_info
-// gauge, and the ?format=text legacy fallback.
+// request-latency histogram with at least 8 buckets, and the build_info
+// gauge.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	srv, err := serve.New(t.TempDir(), 2)
 	if err != nil {
@@ -118,23 +118,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	if latencyBuckets < 8 || !sawInf {
 		t.Errorf("request latency histogram has %d buckets (inf=%v), want >= 8 plus +Inf", latencyBuckets, sawInf)
-	}
-
-	// The legacy dump stays available behind ?format=text.
-	resp, err = http.Get(ts.URL + "/metrics?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; charset=utf-8" {
-		t.Errorf("legacy Content-Type = %q", ct)
-	}
-	if !bytes.Contains(legacy, []byte("serve.requests ")) {
-		t.Error("legacy format lost the dotted metric names")
 	}
 	srv.Drain()
 }

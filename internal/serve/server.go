@@ -26,8 +26,7 @@
 //	GET  /v1/search/{id}/spans   live NDJSON serve-side span stream
 //	GET  /v1/search/{id}/explain makespan attribution of the winning mapping
 //	GET  /v1/searches            all known searches
-//	GET  /metrics                daemon metrics (Prometheus text exposition;
-//	                             ?format=text for the legacy name=value form)
+//	GET  /metrics                daemon metrics (Prometheus text exposition)
 //	GET  /healthz                liveness
 //
 // DebugHandler serves net/http/pprof on a separate, operator-only
@@ -712,19 +711,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the daemon's metrics registry in Prometheus text
-// exposition format; ?format=text selects the legacy name=value dump.
-// Derived gauges (pool occupancy, coalesce hit ratio) are computed at
-// scrape time.
+// exposition format. Derived gauges (pool occupancy, coalesce hit ratio)
+// are computed at scrape time.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.gOccupancy.Set(float64(len(s.sem)))
 	started, coalesced := s.mStarted.Value(), s.mCoalesced.Value()
 	if total := started + coalesced; total > 0 {
 		s.gHitRatio.Set(float64(coalesced) / float64(total))
-	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.reg.WriteText(w)
-		return
 	}
 	w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 	if s.cfg.Replica != "" {

@@ -1,12 +1,10 @@
 // Metrics registry: counters, gauges, and fixed-bucket histograms keyed by
-// dotted names ("search.eval.cache_hits", "sim.copies.network_bytes"), with
-// a stable text dump for golden tests and CI assertions.
+// dotted names ("search.eval.cache_hits", "sim.copies.network_bytes"),
+// exposed in the Prometheus text format (prometheus.go).
 
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -127,17 +125,14 @@ type Registry struct {
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	// hbounds remembers each histogram's bounds for the text dump.
-	hbounds map[string][]float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counts:  make(map[string]*Counter),
-		gauges:  make(map[string]*Gauge),
-		hists:   make(map[string]*Histogram),
-		hbounds: make(map[string][]float64),
+		counts: make(map[string]*Counter),
+		gauges: make(map[string]*Gauge),
+		hists:  make(map[string]*Histogram),
 	}
 }
 
@@ -188,7 +183,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		sort.Float64s(b)
 		h = &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
 		r.hists[name] = h
-		r.hbounds[name] = b
 	}
 	return h
 }
@@ -217,47 +211,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		out[name+".sum"] = h.Sum()
 	}
 	return out
-}
-
-// WriteText dumps every metric, one per line, sorted by name — a stable,
-// diffable format:
-//
-//	counter search.eval.cache_hits 12
-//	gauge search.best_sec 0.0377149
-//	histogram search.eval.mean_sec count=51 sum=12.3 le0.01=3 ... le+Inf=0
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lines := make([]string, 0, len(r.counts)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counts {
-		lines = append(lines, fmt.Sprintf("counter %s %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %s", name, formatFloat(g.Value())))
-	}
-	//mapvet:unordered lines are sorted below before writing
-	for name, h := range r.hists {
-		h.mu.Lock()
-		line := fmt.Sprintf("histogram %s count=%d sum=%s", name, h.count, formatFloat(h.sum))
-		for i, b := range h.bounds {
-			line += fmt.Sprintf(" le%s=%d", formatFloat(b), h.counts[i])
-		}
-		line += fmt.Sprintf(" le+Inf=%d", h.counts[len(h.bounds)])
-		h.mu.Unlock()
-		lines = append(lines, line)
-	}
-	// Sort on "<type> <name>", which groups by type then name; the
-	// per-line type prefix keeps the dump self-describing either way.
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := io.WriteString(w, l+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // formatFloat renders v with the shortest round-trippable representation,

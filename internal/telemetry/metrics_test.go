@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRegistryInstruments(t *testing.T) {
 	r := NewRegistry()
@@ -56,45 +53,5 @@ func TestSnapshotFlattens(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.Snapshot() != nil {
 		t.Error("nil registry snapshot should be nil")
-	}
-}
-
-func TestWriteTextStable(t *testing.T) {
-	build := func() *Registry {
-		r := NewRegistry()
-		// Register in one order...
-		r.Counter("z.last").Add(1)
-		r.Counter("a.first").Add(2)
-		r.Gauge("m.middle").Set(0.125)
-		r.Histogram("h.buckets", []float64{0.1, 1}).Observe(0.5)
-		return r
-	}
-	var a strings.Builder
-	if err := build().WriteText(&a); err != nil {
-		t.Fatal(err)
-	}
-	// ...and another: the dump must not depend on registration or map
-	// iteration order.
-	r2 := NewRegistry()
-	r2.Histogram("h.buckets", []float64{0.1, 1}).Observe(0.5)
-	r2.Gauge("m.middle").Set(0.125)
-	r2.Counter("a.first").Add(2)
-	r2.Counter("z.last").Add(1)
-	var b strings.Builder
-	if err := r2.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("dumps differ:\n%s\nvs\n%s", a.String(), b.String())
-	}
-
-	want := "counter a.first 2\ncounter z.last 1\ngauge m.middle 0.125\nhistogram h.buckets count=1 sum=0.5 le0.1=0 le1=1 le+Inf=0\n"
-	if a.String() != want {
-		t.Errorf("dump:\n%s\nwant:\n%s", a.String(), want)
-	}
-
-	var nilReg *Registry
-	if err := nilReg.WriteText(&a); err != nil {
-		t.Error("nil registry WriteText should be a no-op")
 	}
 }

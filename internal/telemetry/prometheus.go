@@ -1,7 +1,8 @@
-// Prometheus text exposition for the metrics registry. The daemon's
-// /metrics endpoint serves this format by default so a stock Prometheus
-// scraper works against mapd unmodified; the legacy sorted text dump
-// (WriteText) stays available behind ?format=text for golden tests.
+// Prometheus text exposition for the metrics registry: the one format
+// every metric leaves the process in. The daemon's /metrics endpoint
+// serves it so a stock Prometheus scraper works against mapd unmodified,
+// `automap search -metrics` writes it, and ReadPrometheus parses it back
+// for the in-repo readers (mapstat, the smoke and telemetry checks).
 //
 // Name mapping: dotted registry names become underscore-separated
 // Prometheus names ("serve.request.latency_sec" →
@@ -14,9 +15,11 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -231,4 +234,72 @@ func boundsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// Sample is one sample line of a text exposition.
+type Sample struct {
+	// Name is the series name as exposed: the family name, plus
+	// _bucket, _sum or _count for a histogram's series.
+	Name string
+	// Labels is the raw {...} label set, "" when the line has none.
+	Labels string
+	Value  float64
+}
+
+// ReadPrometheus parses a text exposition as WritePrometheus writes it:
+// each family's # TYPE line followed by that family's samples, in page
+// order.
+// A sample outside the family last declared, an unknown kind or an
+// unparsable line is an error; other # comments are skipped.
+func ReadPrometheus(r io.Reader) ([]Sample, error) {
+	var out []Sample
+	family, kind := "", ""
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		text := sc.Text()
+		if text == "" {
+			continue
+		}
+		if strings.HasPrefix(text, "#") {
+			if f := strings.Fields(text); len(f) == 4 && f[1] == "TYPE" {
+				switch f[3] {
+				case "counter", "gauge", "histogram":
+				default:
+					return nil, fmt.Errorf("line %d: unknown metric type %q", line, f[3])
+				}
+				family, kind = f[2], f[3]
+			}
+			continue
+		}
+		i := strings.LastIndexByte(text, ' ')
+		if i < 0 {
+			return nil, fmt.Errorf("line %d: no value in %q", line, text)
+		}
+		v, err := strconv.ParseFloat(text[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %v", line, err)
+		}
+		name, labels := text[:i], ""
+		if j := strings.IndexByte(name, '{'); j >= 0 {
+			name, labels = name[:j], name[j:]
+		}
+		if !inFamily(name, family, kind) {
+			return nil, fmt.Errorf("line %d: sample %q outside a declared family", line, name)
+		}
+		out = append(out, Sample{Name: name, Labels: labels, Value: v})
+	}
+	return out, sc.Err()
+}
+
+// inFamily reports whether a series name belongs to the declared family:
+// the family itself, or for a histogram one of its suffixed series.
+func inFamily(name, family, kind string) bool {
+	if kind != "histogram" || !strings.HasPrefix(name, family) {
+		return family != "" && name == family
+	}
+	switch name[len(family):] {
+	case "_bucket", "_sum", "_count":
+		return true
+	}
+	return false
 }

@@ -80,6 +80,38 @@ func TestWritePrometheus(t *testing.T) {
 		t.Error("two renders of the same registry differ")
 	}
 
+	// The page does not depend on registration or map iteration order.
+	build := func(order []int) string {
+		r := NewRegistry()
+		steps := []func(){
+			func() { r.Counter("z.last").Add(1) },
+			func() { r.Counter("a.first").Add(2) },
+			func() { r.Gauge("m.middle").Set(0.125) },
+			func() { r.Histogram("h.buckets", []float64{0.1, 1}).Observe(0.5) },
+		}
+		for _, i := range order {
+			steps[i]()
+		}
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	fwd, rev := build([]int{0, 1, 2, 3}), build([]int{3, 2, 1, 0})
+	if fwd != rev {
+		t.Fatalf("pages differ by registration order:\n%s\nvs\n%s", fwd, rev)
+	}
+	want := "# TYPE a_first_total counter\na_first_total 2\n" +
+		"# TYPE h_buckets histogram\n" +
+		"h_buckets_bucket{le=\"0.1\"} 0\nh_buckets_bucket{le=\"1\"} 1\nh_buckets_bucket{le=\"+Inf\"} 1\n" +
+		"h_buckets_sum 0.5\nh_buckets_count 1\n" +
+		"# TYPE m_middle gauge\nm_middle 0.125\n" +
+		"# TYPE z_last_total counter\nz_last_total 1\n"
+	if fwd != want {
+		t.Errorf("page:\n%s\nwant:\n%s", fwd, want)
+	}
+
 	// Families sort by name and each # TYPE appears exactly once.
 	if n := strings.Count(out, "# TYPE serve_request_latency_sec "); n != 1 {
 		t.Errorf("%d TYPE lines for the histogram family, want 1", n)
@@ -94,6 +126,65 @@ func TestWritePrometheusNil(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Errorf("nil registry wrote %q", b.String())
+	}
+	if err := r.WritePrometheusLabeled(&b, `replica="r0"`); err != nil || b.Len() != 0 {
+		t.Errorf("nil registry labeled write: %v, wrote %q", err, b.String())
+	}
+}
+
+// TestReadPrometheusRoundTrip: every sample WritePrometheus writes reads
+// back with its series name, labels and value.
+func TestReadPrometheusRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("search.suggested").Add(42)
+	r.Gauge("search.best_sec").Set(1.5)
+	r.Gauge(`driver.worker.busy_sec{worker="0"}`).Set(0.25)
+	h := r.Histogram("serve.request.latency_sec", []float64{0.1, 1})
+	h.Observe(0.05)
+	h.Observe(100)
+
+	var b strings.Builder
+	if err := r.WritePrometheusLabeled(&b, `replica="r1"`); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadPrometheus(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("ReadPrometheus: %v\n%s", err, b.String())
+	}
+	want := []Sample{
+		{"driver_worker_busy_sec", `{worker="0",replica="r1"}`, 0.25},
+		{"search_best_sec", `{replica="r1"}`, 1.5},
+		{"search_suggested_total", `{replica="r1"}`, 42},
+		{"serve_request_latency_sec_bucket", `{replica="r1",le="0.1"}`, 1},
+		{"serve_request_latency_sec_bucket", `{replica="r1",le="1"}`, 1},
+		{"serve_request_latency_sec_bucket", `{replica="r1",le="+Inf"}`, 2},
+		{"serve_request_latency_sec_sum", `{replica="r1"}`, 100.05},
+		{"serve_request_latency_sec_count", `{replica="r1"}`, 2},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d samples, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sample %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestReadPrometheusRejectsMalformed(t *testing.T) {
+	for _, page := range []string{
+		"orphan 1\n",                   // no # TYPE family
+		"# TYPE a gauge\nb 1\n",        // sample outside its family
+		"# TYPE a gauge\na_sum 1\n",    // suffix on a non-histogram
+		"# TYPE h histogram\nh 1\n",    // bare histogram series
+		"# TYPE a summary\na 1\n",      // unknown kind
+		"# TYPE a gauge\na\n",          // no value
+		"# TYPE a gauge\na one\n",      // unparsable value
+		"# TYPE h histogram\n_sum 1\n", // suffix without the family
+	} {
+		if got, err := ReadPrometheus(strings.NewReader(page)); err == nil {
+			t.Errorf("ReadPrometheus(%q) = %+v, want an error", page, got)
+		}
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"automap/internal/telemetry"
 )
 
 const request = `{"app":"stencil","input":"500x500","algorithm":"ccd","seed":9,` +
@@ -106,19 +108,20 @@ func waitDone(id string) status {
 	}
 }
 
+// metric reads one unlabeled series from /metrics by its exposed name.
 func metric(name string) float64 {
-	resp, err := http.Get(url("/metrics?format=text"))
+	resp, err := http.Get(url("/metrics"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sc, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(sc), "\n") {
-		// Registry.WriteText lines: "<kind> <name> <value>".
-		if f := strings.Fields(line); len(f) == 3 && f[1] == name {
-			var v float64
-			fmt.Sscanf(f[2], "%g", &v)
-			return v
+	samples, err := telemetry.ReadPrometheus(resp.Body)
+	if err != nil {
+		log.Fatalf("/metrics: %v", err)
+	}
+	for _, s := range samples {
+		if s.Name == name && s.Labels == "" {
+			return s.Value
 		}
 	}
 	log.Fatalf("metric %s not exported", name)
@@ -178,8 +181,8 @@ func main() {
 	if len(bytes.TrimSpace(events)) == 0 {
 		log.Fatal("event stream is empty")
 	}
-	if n := metric("serve.searches.started"); n != 1 {
-		log.Fatalf("serve.searches.started = %g, want 1", n)
+	if n := metric("serve_searches_started_total"); n != 1 {
+		log.Fatalf("serve_searches_started_total = %g, want 1", n)
 	}
 	checkPrometheus()
 	stopDaemon(cmd)
@@ -191,7 +194,7 @@ func main() {
 	if again.Status != "done" || !bytes.Equal(again.Result, done.Result) {
 		log.Fatalf("restarted daemon did not serve the stored result (status %s)", again.Status)
 	}
-	if n := metric("serve.searches.started"); n != 0 {
+	if n := metric("serve_searches_started_total"); n != 0 {
 		log.Fatalf("restarted daemon started %g searches for a stored result, want 0", n)
 	}
 	stopDaemon(cmd)

@@ -4,8 +4,8 @@
 // one CCD rotation, at least one dropped constraint edge, exactly one
 // search_finished with a stop reason), the span envelope must be well
 // formed (unique IDs, parents before children, every span closed, the root
-// "search" span closing last), and the metrics dump must name the counters
-// the observability layer promises. With a third argument, the two event
+// "search" span closing last), and the metrics file (Prometheus text) must
+// parse and name the series the observability layer promises. With a third argument, the two event
 // streams' span subsequences must additionally be byte-identical — the
 // worker-count-invariance gate for spans.
 //
@@ -18,7 +18,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
+
+	"automap/internal/telemetry"
 )
 
 // record mirrors the JSONL envelope written by telemetry.JSONLSink.
@@ -231,31 +232,28 @@ func spanLines(path string) []string {
 }
 
 func checkMetrics(path string) {
-	text, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	have := map[string]bool{}
-	for i, line := range strings.Split(strings.TrimRight(string(text), "\n"), "\n") {
-		// Dump format: "<kind> <name> <value...>".
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			log.Fatalf("%s:%d: malformed metrics line %q", path, i+1, line)
-		}
-		switch fields[0] {
-		case "counter", "gauge", "histogram":
-		default:
-			log.Fatalf("%s:%d: unknown instrument kind %q", path, i+1, fields[0])
-		}
-		have[fields[1]] = true
+	defer f.Close()
+	samples, err := telemetry.ReadPrometheus(f)
+	if err != nil {
+		log.Fatalf("%s: %v", path, err)
 	}
+	have := map[string]bool{}
+	for _, s := range samples {
+		have[s.Name] = true
+	}
+	// Names as exposed: counters carry _total, a histogram is named by
+	// its _count series.
 	for _, name := range []string{
-		"search.suggested", "search.evaluated", "search.new_best",
-		"search.rotations", "search.constraint_edges_dropped",
-		"search.eval.cache_hits", "search.eval.sim_runs",
-		"search.eval.mean_sec", "search.best_sec", "search.search_sec",
-		"sim.copies.count", "sim.copies.bytes", "sim.copies.network_bytes",
-		"driver.final_sec",
+		"search_suggested_total", "search_evaluated_total", "search_new_best_total",
+		"search_rotations_total", "search_constraint_edges_dropped_total",
+		"search_eval_cache_hits_total", "search_eval_sim_runs_total",
+		"search_eval_mean_sec_count", "search_best_sec", "search_search_sec",
+		"sim_copies_count_total", "sim_copies_bytes_total", "sim_copies_network_bytes_total",
+		"driver_final_sec",
 	} {
 		if !have[name] {
 			log.Fatalf("%s: required metric %q missing", path, name)
