@@ -15,12 +15,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"math"
 	"os"
@@ -279,16 +276,7 @@ func cmdSearch(args []string) {
 			var f *os.File
 			var err error
 			if opts.ResumeFrom != nil {
-				skip, err = countJSONLEvents(*eventsFile)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if skip > 0 {
-					if err := telemetry.TruncateJSONL(*eventsFile, skip); err != nil {
-						log.Fatal(err)
-					}
-				}
-				f, err = os.OpenFile(*eventsFile, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+				f, skip, _, err = telemetry.ResumeJSONL(*eventsFile)
 			} else {
 				f, err = os.Create(*eventsFile)
 			}
@@ -434,20 +422,6 @@ func cmdSearch(args []string) {
 		}
 		fmt.Printf("search trace written to %s\n", *searchTraceFile)
 	}
-}
-
-// countJSONLEvents counts the complete (newline-terminated) events in a
-// JSONL file; a missing file holds zero. A trailing partial line — a crash
-// mid-write — is not counted, and TruncateJSONL drops it before appending.
-func countJSONLEvents(path string) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return bytes.Count(data, []byte("\n")), nil
 }
 
 func cmdEvaluate(args []string) {

@@ -814,9 +814,6 @@ func (e *Evaluator) Mapping(key string) (*mapping.Mapping, bool) {
 	return e.top.get(key)
 }
 
-// Workers returns the effective worker-pool width.
-func (e *Evaluator) Workers() int { return e.workers }
-
 // SetDeltaBase declares mp the incumbent that subsequent candidate
 // evaluations are classified against (search.DeltaEvaluator). Search
 // algorithms call it on every accepted improvement, from the goroutine
@@ -831,10 +828,6 @@ func (e *Evaluator) DeltaEvalStats() (incremental, fallback int64) {
 	defer e.mu.Unlock()
 	return e.incEvals, e.fbEvals
 }
-
-// PlanCacheStats returns the simulator instance's placement-plan cache
-// hit/miss counters.
-func (e *Evaluator) PlanCacheStats() (hits, misses int64) { return e.inst.PlanCacheStats() }
 
 func inf() float64 { return math.Inf(1) }
 

@@ -219,47 +219,33 @@ func setLabels(tr *tracker, taskName string, mv move) {
 // distribution setting, then jointly sweep processor kinds and per-argument
 // memory kinds.
 //
-// When the evaluator supports batch evaluation, the whole remaining move
-// set is materialized against the incumbent and submitted speculatively
-// before the sequential accept loop; on an accepted improvement the
-// remaining moves are re-built and re-prefetched from the new incumbent.
-// The sequence of candidates passed to Evaluate is exactly the sequential
-// one — each candidate is built from the incumbent current at its turn — so
-// the trajectory is byte-identical with or without batching.
+// The remaining move set is built against the incumbent and tested in
+// order; on an accepted improvement the moves after it are rebuilt from
+// the new incumbent. Every candidate passed to Evaluate is therefore built
+// from the incumbent current at its turn: the sequential sweep. When the
+// evaluator supports batch evaluation, each built set is also submitted
+// speculatively before it is tested, which leaves the trajectory
+// byte-identical (TestCCDPrefetchKeepsTrajectory).
 func (c *CCD) optimizeTask(p *Problem, tr *tracker, og *overlap.Graph, tid taskir.TaskID, budget Budget) {
 	t := p.Graph.Task(tid)
 	observe := tr.obs.Enabled()
 	moves := c.enumerateMoves(p, tid)
-
 	batch, _ := tr.ev.(BatchEvaluator)
-	if batch == nil {
-		// Sequential path: build each candidate at its turn.
-		for _, mv := range moves {
-			// Deterministic budget bounds are only checked per task
-			// (existing trajectory), but a cancellation stops the
-			// sweep mid-task: with a real-runtime evaluator every
-			// further move is a real execution.
-			if budget.ContextStop() != "" {
-				return
-			}
-			cand := c.buildMove(p, tr, og, tid, mv)
-			if observe {
-				setLabels(tr, t.Name, mv)
-			}
-			tr.test(cand)
-		}
-		return
-	}
-
 	for i := 0; i < len(moves); {
 		rest := moves[i:]
 		cands := make([]*mapping.Mapping, len(rest))
 		for j, mv := range rest {
 			cands[j] = c.buildMove(p, tr, og, tid, mv)
 		}
-		batch.Prefetch(cands)
+		if batch != nil {
+			batch.Prefetch(cands)
+		}
 		advanced := false
 		for j, mv := range rest {
+			// Deterministic budget bounds are only checked per task,
+			// but a cancellation stops the sweep mid-task: with a
+			// real-runtime evaluator every further move is a real
+			// execution.
 			if budget.ContextStop() != "" {
 				return
 			}
@@ -268,7 +254,7 @@ func (c *CCD) optimizeTask(p *Problem, tr *tracker, og *overlap.Graph, tid taski
 			}
 			if tr.test(cands[j]) {
 				// New incumbent: the remaining moves must derive
-				// from it. Re-batch from the new best.
+				// from it.
 				i += j + 1
 				advanced = true
 				break

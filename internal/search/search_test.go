@@ -2,6 +2,8 @@ package search
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"automap/internal/machine"
@@ -235,6 +237,74 @@ func TestCCDDeterministic(t *testing.T) {
 	}
 	if !a.Best.Equal(b.Best) {
 		t.Fatal("CCD best mappings differ across runs")
+	}
+}
+
+// recordingEval is fakeEval that logs the key of every Evaluate call.
+type recordingEval struct {
+	*fakeEval
+	keys []string
+}
+
+func (r *recordingEval) Evaluate(mp *mapping.Mapping) Evaluation {
+	r.keys = append(r.keys, mp.Key())
+	return r.fakeEval.Evaluate(mp)
+}
+
+// prefetchingEval makes a recordingEval a BatchEvaluator. Prefetch measures
+// nothing; it keeps the batch's keys so Evaluate can count the calls the
+// latest batch covered.
+type prefetchingEval struct {
+	*recordingEval
+	batches int
+	batch   map[string]bool
+	covered int
+}
+
+func (p *prefetchingEval) Prefetch(cands []*mapping.Mapping) {
+	p.batches++
+	p.batch = make(map[string]bool, len(cands))
+	for _, c := range cands {
+		p.batch[c.Key()] = true
+	}
+}
+
+func (p *prefetchingEval) Evaluate(mp *mapping.Mapping) Evaluation {
+	if p.batch[mp.Key()] {
+		p.covered++
+	}
+	return p.recordingEval.Evaluate(mp)
+}
+
+// TestCCDPrefetchKeepsTrajectory runs CCD over the same recording
+// evaluator with and without Prefetch: the Evaluate key sequence and the
+// Outcome must be identical, every evaluation after the start must come
+// from the latest prefetched batch, and some task must have re-batched
+// after an accept.
+func TestCCDPrefetchKeepsTrajectory(t *testing.T) {
+	run := func(prefetch bool) (*Outcome, *recordingEval, *prefetchingEval) {
+		p := searchProblem(t)
+		rec := &recordingEval{fakeEval: newFakeEval(p.Graph, p.Model, [2]taskir.CollectionID{0, 1})}
+		if !prefetch {
+			return NewCCD().Search(p, rec, Budget{}), rec, nil
+		}
+		pf := &prefetchingEval{recordingEval: rec}
+		return NewCCD().Search(p, pf, Budget{}), rec, pf
+	}
+	seq, seqRec, _ := run(false)
+	bat, batRec, pf := run(true)
+	if !slices.Equal(seqRec.keys, batRec.keys) {
+		t.Fatalf("Evaluate key sequences differ: %d calls without Prefetch, %d with", len(seqRec.keys), len(batRec.keys))
+	}
+	if !seq.Best.Equal(bat.Best) || seq.BestSec != bat.BestSec || seq.Suggested != bat.Suggested ||
+		seq.Evaluated != bat.Evaluated || seq.StopReason != bat.StopReason || !reflect.DeepEqual(seq.Trace, bat.Trace) {
+		t.Fatalf("outcomes differ: %+v without Prefetch, %+v with", seq, bat)
+	}
+	if pf.covered != len(batRec.keys)-1 {
+		t.Errorf("%d of %d evaluations after the start were in the latest prefetched batch", pf.covered, len(batRec.keys)-1)
+	}
+	if sweeps := NewCCD().Rotations * len(searchProblem(t).Graph.Tasks); pf.batches <= sweeps {
+		t.Errorf("%d batches for %d task sweeps: no sweep re-batched after an accept", pf.batches, sweeps)
 	}
 }
 

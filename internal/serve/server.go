@@ -35,7 +35,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -375,26 +374,17 @@ func (s *Server) runSearch(e *store.Entry, req *Request, trace string) {
 	eventsPath := s.st.EventsPath(e.Key)
 
 	// Resume when an earlier run of this fingerprint left a checkpoint
-	// behind. The persisted event file is continued, exactly as the CLI
-	// does: truncate to the complete lines it holds (a crash can leave a
-	// partial tail), suppress that many replayed events, and append the
-	// suffix — the final file is byte-identical to an uninterrupted run's.
+	// behind. The persisted event file is continued through
+	// telemetry.ResumeJSONL, exactly as the CLI does: keep the complete
+	// lines it holds (a crash can leave a partial tail), suppress that many
+	// replayed events, and append the suffix — the final file is
+	// byte-identical to an uninterrupted run's.
 	skip := 0
 	var f *os.File
+	var prefix []byte
 	if snap, lerr := checkpoint.Load(ckptPath); lerr == nil {
 		p.opts.ResumeFrom = snap
-		skip, err = countJSONLEvents(eventsPath)
-		if err != nil {
-			fail("reading %s: %v", eventsPath, err)
-			return
-		}
-		if skip > 0 {
-			if err := telemetry.TruncateJSONL(eventsPath, skip); err != nil {
-				fail("%v", err)
-				return
-			}
-		}
-		f, err = os.OpenFile(eventsPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		f, skip, prefix, err = telemetry.ResumeJSONL(eventsPath)
 	} else {
 		if !errors.Is(lerr, fs.ErrNotExist) {
 			// Unreadable checkpoint (torn write survived the atomic
@@ -413,9 +403,7 @@ func (s *Server) runSearch(e *store.Entry, req *Request, trace string) {
 	// prefix so a client attaching mid-resume still sees the full stream.
 	log := e.Events()
 	if skip > 0 {
-		if prefix, err := os.ReadFile(eventsPath); err == nil {
-			log.Write(prefix)
-		}
+		log.Write(prefix)
 	}
 	sink := telemetry.NewJSONLSink(io.MultiWriter(f, log))
 	sink.SetAutoFlush(true)
@@ -739,18 +727,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // httpError writes a JSON error body.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// countJSONLEvents counts the complete (newline-terminated) events in a
-// JSONL file; a missing file holds zero. A trailing partial line — a crash
-// mid-write — is not counted; TruncateJSONL drops it before appending.
-func countJSONLEvents(path string) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return bytes.Count(data, []byte("\n")), nil
 }

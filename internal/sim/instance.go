@@ -77,8 +77,8 @@ const planShardCount = 64
 
 // schedCacheLimit bounds the recorded-schedule cache (schedule.go), which
 // holds RunKeyed's schedules. Schedules are much larger than plans — every
-// copy op and exec of a run — so the cache is kept small. When a shard
-// fills it is reset.
+// copy op and exec of the recorded iterations — so the cache is kept
+// small. When a shard fills it is reset.
 const schedCacheLimit = 64
 
 // schedShardCount partitions the schedule cache. Fewer shards than the
@@ -348,7 +348,7 @@ func (in *Instance) fold(sch *schedule, plan *PlacementPlan, cfg Config, res *Re
 	}
 	var noise []float64
 	if cfg.NoiseSigma > 0 {
-		noise = in.noiseFactors(fs, cfg.Seed, cfg.NoiseSigma, len(sch.execs))
+		noise = in.noiseFactors(fs, cfg.Seed, cfg.NoiseSigma, sch.numExecs)
 	}
 	sum := foldSchedule(in.topo, plan, sch, cfg, noise, fs, res)
 	in.foldPool.Put(fs)
@@ -369,7 +369,7 @@ func (in *Instance) foldRepeats(sch *schedule, plan *PlacementPlan, sigma float6
 			blk := seeds[i:min(i+laneWidth, len(seeds))]
 			var noise []lanes
 			if sigma > 0 {
-				noise = in.laneTape(fs, blk, sigma, len(sch.execs))
+				noise = in.laneTape(fs, blk, sigma, sch.numExecs)
 			}
 			foldLanes(in.topo, plan, sch, noise, out[i:i+len(blk)], fs)
 		}

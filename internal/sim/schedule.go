@@ -30,11 +30,17 @@
 // records depend on the plan and the coherence state alone, so once the
 // coherence state at the start of an iteration equals its state at the
 // start of the previous one, every remaining iteration records exactly
-// what the previous one did; state.record copies those launches
-// (copyLaunch) instead of running them. The result is the same schedule,
-// fully materialised, so the fold, the noise-tape indexing and the Trace
-// iteration numbers do not change (TestSteadyRecordMatchesFull compares it
-// with a recording that runs every launch).
+// what the previous one did. state.record stops there: a schedule holds
+// the iterations it recorded, and the last of them (the body) repeats reps
+// more times. Both folds walk the recorded launches and then replay the
+// body reps times, and the noise index, the Trace iteration number and the
+// finish ring carry on across the repetitions, so an outcome is what the
+// fold of the fully written-out schedule gives (the golden corpus pins it).
+// TestSteadyRecordMatchesFull expands every compressed schedule and
+// compares it with a recording that runs every launch, and requires the
+// fixed point to fire; TestScheduleRecordCounts pins the whole-run counts.
+// Legion's dynamic tracing (Lee et al., SC '18) memoizes a repeated loop
+// body the same way.
 //
 // The fold does not track which collections a launch reads or writes. A
 // launch is ready at the latest finish time among its predecessors: the
@@ -88,34 +94,31 @@ type launchRec struct {
 	execEnd int32
 }
 
-// schedule is the recorded structure of one full simulation: every copy
-// op, execution, and launch boundary in commit order, plus copy totals.
+// schedule is the recorded structure of one full simulation: the copy
+// ops, executions and launch boundaries of the iterations the structure
+// pass ran, in commit order, followed by reps more runs of the body, the
+// launches [body, len(launches)) of the last recorded iteration. The copy
+// totals and numExecs count the whole run, repetitions included.
 type schedule struct {
 	ops      []copyOp
 	execs    []execRec
 	launches []launchRec
+	body     int
+	reps     int
 
 	bytesCopied int64
 	netBytes    int64
 	numCopies   int
+	numExecs    int
 }
 
-// launchOpRange returns the [lo, hi) op range of launch li.
-func (sch *schedule) launchOpRange(li int) (int, int) {
-	lo := 0
-	if li > 0 {
-		lo = int(sch.launches[li-1].opEnd)
+// bodyStart returns the op and exec indices the body's records start at.
+func (sch *schedule) bodyStart() (int, int) {
+	if sch.body == 0 {
+		return 0, 0
 	}
-	return lo, int(sch.launches[li].opEnd)
-}
-
-// launchExecRange returns the [lo, hi) exec range of launch li.
-func (sch *schedule) launchExecRange(li int) (int, int) {
-	lo := 0
-	if li > 0 {
-		lo = int(sch.launches[li-1].execEnd)
-	}
-	return lo, int(sch.launches[li].execEnd)
+	l := sch.launches[sch.body-1]
+	return int(l.opEnd), int(l.execEnd)
 }
 
 // summary returns the Summary of a fold of sch under plan that reached
@@ -132,18 +135,25 @@ func (sch *schedule) summary(topo *topology, plan *PlacementPlan, makespan, ener
 	}
 }
 
-// finalize computes the copy totals from the recorded ops.
+// finalize computes the whole run's copy totals and execution count: the
+// body's records count reps more times.
 func (sch *schedule) finalize() {
+	opLo, exLo := sch.bodyStart()
 	var total, net int64
 	for i := range sch.ops {
-		total += sch.ops[i].bytes
+		n := int64(1)
+		if i >= opLo {
+			n += int64(sch.reps)
+		}
+		total += n * sch.ops[i].bytes
 		if sch.ops[i].network {
-			net += sch.ops[i].bytes
+			net += n * sch.ops[i].bytes
 		}
 	}
 	sch.bytesCopied = total
 	sch.netBytes = net
-	sch.numCopies = len(sch.ops)
+	sch.numCopies = len(sch.ops) + sch.reps*(len(sch.ops)-opLo)
+	sch.numExecs = len(sch.execs) + sch.reps*(len(sch.execs)-exLo)
 }
 
 // recorder is the schedule the structure pass writes. Every state carries
@@ -225,29 +235,16 @@ func (r *recorder) endLaunch() {
 	r.newChain = false
 }
 
-// copyLaunch appends launch li of base verbatim to the output schedule,
-// rebasing exec op ranges onto the output's op stream (the steady-state
-// fill of state.record). base may be the output schedule itself: append
-// reads its source range before it grows the slice, and the exec loop
-// reads only records below the length it started from.
-func (r *recorder) copyLaunch(base *schedule, li int) {
-	out := &r.sch
-	opLo, opHi := base.launchOpRange(li)
-	exLo, exHi := base.launchExecRange(li)
-	shift := int32(len(out.ops) - opLo)
-	out.ops = append(out.ops, base.ops[opLo:opHi]...)
-	for i := exLo; i < exHi; i++ {
-		x := base.execs[i]
-		x.opOff += shift
-		x.opEnd += shift
-		out.execs = append(out.execs, x)
+// rewind returns where a fold's next pass over sch starts: the body's
+// first launch, op and exec, and the noise tape advanced past the body's
+// draws just consumed, so that noise[exIdx] stays exec exIdx's draw of the
+// current repetition.
+func rewind[T any](sch *schedule, noise []T) (int, int, int, []T) {
+	op, ex := sch.bodyStart()
+	if noise != nil {
+		noise = noise[len(sch.execs)-ex:]
 	}
-	out.launches = append(out.launches, launchRec{
-		opEnd:   int32(len(out.ops)),
-		execEnd: int32(len(out.execs)),
-	})
-	r.opCursor = len(out.ops)
-	r.newChain = false
+	return sch.body, op, ex, noise
 }
 
 // foldScratch is the pooled working set of the folds: the availability
@@ -338,104 +335,107 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 	trace := res != nil && cfg.Trace
 	explain := res != nil && cfg.Explain
 	// Preallocate the logs only when non-empty so empty logs stay nil.
-	if trace && len(sch.execs) > 0 {
-		res.Events = make([]Event, 0, len(sch.execs))
+	if trace && sch.numExecs > 0 {
+		res.Events = make([]Event, 0, sch.numExecs)
 	}
-	if explain && len(sch.ops) > 0 {
-		res.Copies = make([]CopyEvent, 0, len(sch.ops))
+	if explain && sch.numCopies > 0 {
+		res.Copies = make([]CopyEvent, 0, sch.numCopies)
 	}
 
 	var netAvail, energy, makespan float64
 	// pos and iter are launch li's position and iteration, row its
 	// predecessor list, slot its place in the finish ring.
 	pos, iter, row, slot := 0, 0, 0, 0
-	opIdx, exIdx := 0, 0
-	for li := range sch.launches {
-		tid := topo.launch[pos]
-		ready := 0.0
-		for _, d := range topo.preds[topo.predOff[row]:topo.predOff[row+1]] {
-			k := slot - int(d)
-			if k < 0 {
-				k += perIter + 1
-			}
-			if fs.finish[k] > ready {
-				ready = fs.finish[k]
-			}
-		}
-		taskFinish := ready
-		var execWall float64
-		exEnd := int(sch.launches[li].execEnd)
-		for ; exIdx < exEnd; exIdx++ {
-			x := &sch.execs[exIdx]
-			t := ready
-			copyDone := ready
-			for ; opIdx < int(x.opEnd); opIdx++ {
-				o := &sch.ops[opIdx]
-				if o.chainFirst {
-					copyDone = fmax(copyDone, t)
-					t = ready
+	first, opIdx, exIdx := 0, 0, 0
+	for rep := 0; rep <= sch.reps; rep++ {
+		for li := first; li < len(sch.launches); li++ {
+			tid := topo.launch[pos]
+			ready := 0.0
+			for _, d := range topo.preds[topo.predOff[row]:topo.predOff[row+1]] {
+				k := slot - int(d)
+				if k < 0 {
+					k += perIter + 1
 				}
-				var start, done float64
-				if o.network {
-					start = fmax(t, netAvail)
-					done = start + o.durA + o.durB
-					netAvail = done
-				} else {
-					start = fmax(t, fs.copyAvail[o.srcNode])
-					done = start + o.durA + o.durB
-					fs.copyAvail[o.srcNode] = done
+				if fs.finish[k] > ready {
+					ready = fs.finish[k]
 				}
-				if explain {
-					res.Copies = append(res.Copies, CopyEvent{
-						SrcNode: int(o.srcNode), DstNode: int(o.dstNode),
-						SrcKind: o.srcKind, DstKind: o.dstKind, Network: o.network,
-						Bytes: o.bytes, StartSec: start, DoneSec: done,
+			}
+			taskFinish := ready
+			var execWall float64
+			exEnd := int(sch.launches[li].execEnd)
+			for ; exIdx < exEnd; exIdx++ {
+				x := &sch.execs[exIdx]
+				t := ready
+				copyDone := ready
+				for ; opIdx < int(x.opEnd); opIdx++ {
+					o := &sch.ops[opIdx]
+					if o.chainFirst {
+						copyDone = fmax(copyDone, t)
+						t = ready
+					}
+					var start, done float64
+					if o.network {
+						start = fmax(t, netAvail)
+						done = start + o.durA + o.durB
+						netAvail = done
+					} else {
+						start = fmax(t, fs.copyAvail[o.srcNode])
+						done = start + o.durA + o.durB
+						fs.copyAvail[o.srcNode] = done
+					}
+					if explain {
+						res.Copies = append(res.Copies, CopyEvent{
+							SrcNode: int(o.srcNode), DstNode: int(o.dstNode),
+							SrcKind: o.srcKind, DstKind: o.dstKind, Network: o.network,
+							Bytes: o.bytes, StartSec: start, DoneSec: done,
+						})
+					}
+					t = done
+				}
+				copyDone = fmax(copyDone, t)
+				dur := x.durBase
+				if noise != nil {
+					// noise[exIdx] is this exec's draw of the config's
+					// stream: one draw per exec, in run order.
+					dur *= noise[exIdx]
+				}
+				pa := &fs.procAvail[int(x.node)*machine.NumProcKinds+int(x.kind)]
+				start := fmax(copyDone, *pa)
+				fin := start + dur
+				*pa = fin
+				a := x.activeF * dur
+				fs.busy[x.kind] += a
+				fs.seen[x.kind] = true
+				energy += a * x.powerW
+				if trace {
+					res.Events = append(res.Events, Event{
+						Task: tid, Node: int(x.node), Kind: x.kind, Iteration: iter,
+						StartSec: start, CopySec: copyDone - ready, DurSec: dur,
 					})
 				}
-				t = done
+				if fin > taskFinish {
+					taskFinish = fin
+				}
+				if dur > execWall {
+					execWall = dur
+				}
 			}
-			copyDone = fmax(copyDone, t)
-			dur := x.durBase
-			if noise != nil {
-				// noise[exIdx] is the exIdx-th draw of the config's
-				// stream: one draw per exec, in exec order.
-				dur *= noise[exIdx]
-			}
-			pa := &fs.procAvail[int(x.node)*machine.NumProcKinds+int(x.kind)]
-			start := fmax(copyDone, *pa)
-			fin := start + dur
-			*pa = fin
-			a := x.activeF * dur
-			fs.busy[x.kind] += a
-			fs.seen[x.kind] = true
-			energy += a * x.powerW
-			if trace {
-				res.Events = append(res.Events, Event{
-					Task: tid, Node: int(x.node), Kind: x.kind, Iteration: iter,
-					StartSec: start, CopySec: copyDone - ready, DurSec: dur,
-				})
-			}
-			if fin > taskFinish {
-				taskFinish = fin
-			}
-			if dur > execWall {
-				execWall = dur
-			}
-		}
-		opIdx = int(sch.launches[li].opEnd)
+			opIdx = int(sch.launches[li].opEnd)
 
-		fs.finish[slot] = taskFinish
-		fs.taskWall[tid] += execWall
-		if taskFinish > makespan {
-			makespan = taskFinish
+			fs.finish[slot] = taskFinish
+			fs.taskWall[tid] += execWall
+			if taskFinish > makespan {
+				makespan = taskFinish
+			}
+			pos, row, slot = pos+1, row+1, slot+1
+			if pos == perIter {
+				pos, iter, row = 0, iter+1, perIter
+			}
+			if slot > perIter {
+				slot = 0
+			}
 		}
-		pos, row, slot = pos+1, row+1, slot+1
-		if pos == perIter {
-			pos, iter, row = 0, iter+1, perIter
-		}
-		if slot > perIter {
-			slot = 0
-		}
+		first, opIdx, exIdx, noise = rewind(sch, noise)
 	}
 	sum := sch.summary(topo, plan, makespan, energy)
 	if res == nil {
@@ -481,87 +481,90 @@ func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes
 
 	var netAvail, energy, makespan, t, copyDone lanes
 	pos, row, slot := 0, 0, 0 // as in foldSchedule
-	opIdx, exIdx := 0, 0
-	for li := range sch.launches {
-		var ready lanes
-		for _, d := range topo.preds[topo.predOff[row]:topo.predOff[row+1]] {
-			k := slot - int(d)
-			if k < 0 {
-				k += perIter + 1
-			}
-			f := &fs.laneFinish[k]
-			for l := range ready {
-				if f[l] > ready[l] {
-					ready[l] = f[l]
+	first, opIdx, exIdx := 0, 0, 0
+	for rep := 0; rep <= sch.reps; rep++ {
+		for li := first; li < len(sch.launches); li++ {
+			var ready lanes
+			for _, d := range topo.preds[topo.predOff[row]:topo.predOff[row+1]] {
+				k := slot - int(d)
+				if k < 0 {
+					k += perIter + 1
+				}
+				f := &fs.laneFinish[k]
+				for l := range ready {
+					if f[l] > ready[l] {
+						ready[l] = f[l]
+					}
 				}
 			}
-		}
-		taskFinish := ready
-		exEnd := int(sch.launches[li].execEnd)
-		for ; exIdx < exEnd; exIdx++ {
-			x := &sch.execs[exIdx]
-			// Without copies foldSchedule's copyDone is fmax(ready,
-			// ready), which is ready bit for bit.
-			cd := &ready
-			if opIdx < int(x.opEnd) {
-				t, copyDone = ready, ready
-				for ; opIdx < int(x.opEnd); opIdx++ {
-					o := &sch.ops[opIdx]
-					if o.chainFirst {
+			taskFinish := ready
+			exEnd := int(sch.launches[li].execEnd)
+			for ; exIdx < exEnd; exIdx++ {
+				x := &sch.execs[exIdx]
+				// Without copies foldSchedule's copyDone is fmax(ready,
+				// ready), which is ready bit for bit.
+				cd := &ready
+				if opIdx < int(x.opEnd) {
+					t, copyDone = ready, ready
+					for ; opIdx < int(x.opEnd); opIdx++ {
+						o := &sch.ops[opIdx]
+						if o.chainFirst {
+							for l := range t {
+								copyDone[l] = fmax(copyDone[l], t[l])
+								t[l] = ready[l]
+							}
+						}
+						avail := &netAvail
+						if !o.network {
+							avail = &fs.laneCopy[o.srcNode]
+						}
 						for l := range t {
-							copyDone[l] = fmax(copyDone[l], t[l])
-							t[l] = ready[l]
+							done := fmax(t[l], avail[l]) + o.durA + o.durB
+							avail[l] = done
+							t[l] = done
 						}
 					}
-					avail := &netAvail
-					if !o.network {
-						avail = &fs.laneCopy[o.srcNode]
-					}
 					for l := range t {
-						done := fmax(t[l], avail[l]) + o.durA + o.durB
-						avail[l] = done
-						t[l] = done
+						copyDone[l] = fmax(copyDone[l], t[l])
+					}
+					cd = &copyDone
+				}
+				var nz *lanes
+				if noisy {
+					nz = &noise[exIdx]
+				}
+				pa := &fs.laneProc[int(x.node)*machine.NumProcKinds+int(x.kind)]
+				for l := range pa {
+					dur := x.durBase
+					if noisy {
+						dur *= nz[l]
+					}
+					fin := fmax(cd[l], pa[l]) + dur
+					pa[l] = fin
+					a := x.activeF * dur
+					energy[l] += a * x.powerW
+					if fin > taskFinish[l] {
+						taskFinish[l] = fin
 					}
 				}
-				for l := range t {
-					copyDone[l] = fmax(copyDone[l], t[l])
-				}
-				cd = &copyDone
 			}
-			var nz *lanes
-			if noisy {
-				nz = &noise[exIdx]
-			}
-			pa := &fs.laneProc[int(x.node)*machine.NumProcKinds+int(x.kind)]
-			for l := range pa {
-				dur := x.durBase
-				if noisy {
-					dur *= nz[l]
-				}
-				fin := fmax(cd[l], pa[l]) + dur
-				pa[l] = fin
-				a := x.activeF * dur
-				energy[l] += a * x.powerW
-				if fin > taskFinish[l] {
-					taskFinish[l] = fin
-				}
-			}
-		}
-		opIdx = int(sch.launches[li].opEnd)
+			opIdx = int(sch.launches[li].opEnd)
 
-		fs.laneFinish[slot] = taskFinish
-		for l := range makespan {
-			if taskFinish[l] > makespan[l] {
-				makespan[l] = taskFinish[l]
+			fs.laneFinish[slot] = taskFinish
+			for l := range makespan {
+				if taskFinish[l] > makespan[l] {
+					makespan[l] = taskFinish[l]
+				}
+			}
+			pos, row, slot = pos+1, row+1, slot+1
+			if pos == perIter {
+				pos, row = 0, perIter
+			}
+			if slot > perIter {
+				slot = 0
 			}
 		}
-		pos, row, slot = pos+1, row+1, slot+1
-		if pos == perIter {
-			pos, row = 0, perIter
-		}
-		if slot > perIter {
-			slot = 0
-		}
+		first, opIdx, exIdx, noise = rewind(sch, noise)
 	}
 	for l := range out {
 		out[l] = sch.summary(topo, plan, makespan[l], energy[l])

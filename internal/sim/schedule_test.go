@@ -1,7 +1,7 @@
 // Tests of the recorded schedule itself: the record counts of the
-// structure pass, its steady-state fill, and the helpers the other sim
-// tests share. The
-// fold's Results are pinned by the golden corpus (corpus_test.go).
+// structure pass, its steady-state compression, and the helpers the other
+// sim tests share. The fold's Results are pinned by the golden corpus
+// (corpus_test.go).
 package sim
 
 import (
@@ -111,8 +111,10 @@ func execCount(plan *PlacementPlan) int {
 	return plan.g.Iterations * perIter
 }
 
-// TestScheduleRecordCounts pins the record counts of the structure pass:
-// one launch record per launch, one exec per (launch, node with points).
+// TestScheduleRecordCounts pins the whole-run record counts of the
+// structure pass: written out in full, a schedule has one launch record
+// per launch and one exec per (launch, node with points), and its
+// numExecs and numCopies count those execs and ops.
 func TestScheduleRecordCounts(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4} {
 		for name, g := range appProblems(t, nodes) {
@@ -134,9 +136,14 @@ func TestScheduleRecordCounts(t *testing.T) {
 					continue // OOM: nothing is recorded
 				}
 				sch := new(state).record(plan)
-				if len(sch.launches) != g.Iterations*len(topo.launch) || len(sch.execs) != execCount(plan) {
+				full := expand(sch)
+				if len(full.launches) != g.Iterations*len(topo.launch) || len(full.execs) != execCount(plan) {
 					t.Fatalf("%s/%d mapping %d: %d launches, %d execs; want %d, %d", name, nodes, i,
-						len(sch.launches), len(sch.execs), g.Iterations*len(topo.launch), execCount(plan))
+						len(full.launches), len(full.execs), g.Iterations*len(topo.launch), execCount(plan))
+				}
+				if sch.numExecs != len(full.execs) || sch.numCopies != len(full.ops) {
+					t.Fatalf("%s/%d mapping %d: numExecs %d, numCopies %d; written out %d, %d", name, nodes, i,
+						sch.numExecs, sch.numCopies, len(full.execs), len(full.ops))
 				}
 			}
 		}
@@ -145,7 +152,7 @@ func TestScheduleRecordCounts(t *testing.T) {
 
 // recordEveryLaunch is the reference recording of plan: the structure
 // pass run over every launch of every iteration, with no steady-state
-// fill.
+// compression.
 func recordEveryLaunch(plan *PlacementPlan) *schedule {
 	s := new(state)
 	s.init(plan)
@@ -160,28 +167,64 @@ func recordEveryLaunch(plan *PlacementPlan) *schedule {
 	return &s.scratch.sch
 }
 
+// expand returns the records of sch written out in full: its recorded
+// launches followed by reps copies of its body, each copy's exec op ranges
+// and launch ends rebased onto the written-out streams. The copy totals
+// are recomputed from the written-out ops.
+func expand(sch *schedule) *schedule {
+	full := &schedule{
+		ops:      slices.Clone(sch.ops),
+		execs:    slices.Clone(sch.execs),
+		launches: slices.Clone(sch.launches),
+	}
+	opLo, exLo := sch.bodyStart()
+	for r := 0; r < sch.reps; r++ {
+		opShift := int32(len(full.ops) - opLo)
+		exShift := int32(len(full.execs) - exLo)
+		full.ops = append(full.ops, sch.ops[opLo:]...)
+		for _, x := range sch.execs[exLo:] {
+			x.opOff += opShift
+			x.opEnd += opShift
+			full.execs = append(full.execs, x)
+		}
+		for _, l := range sch.launches[sch.body:] {
+			full.launches = append(full.launches, launchRec{opEnd: l.opEnd + opShift, execEnd: l.execEnd + exShift})
+		}
+	}
+	full.finalize()
+	return full
+}
+
 // requireSteadyMatchesFull records plan with state.record, which stops
 // running launches once the coherence state repeats, and with
-// recordEveryLaunch, and fails unless the two schedules hold the same
-// records and copy totals. It reports whether record reached its fixed
-// point.
-func requireSteadyMatchesFull(t *testing.T, ctx string, plan *PlacementPlan) bool {
+// recordEveryLaunch, and fails unless the expanded record holds the same
+// records as the reference and the compressed record the same copy totals
+// and exec count. It returns the iteration from which record repeated its
+// body, or 0 if it never reached a fixed point.
+func requireSteadyMatchesFull(t *testing.T, ctx string, plan *PlacementPlan) int {
 	t.Helper()
-	s := new(state)
-	got := s.record(plan)
+	got := new(state).record(plan)
+	full := expand(got)
 	want := recordEveryLaunch(plan)
-	if !slices.Equal(got.ops, want.ops) || !slices.Equal(got.execs, want.execs) ||
-		!slices.Equal(got.launches, want.launches) {
-		t.Errorf("%s: steady record (filled from iteration %d) has %d ops, %d execs, %d launches; "+
-			"full record %d, %d, %d, or the records differ", ctx, s.steadyFrom,
-			len(got.ops), len(got.execs), len(got.launches),
+	perIter := len(plan.topo.launch)
+	from := 0
+	if got.reps > 0 {
+		from = len(got.launches) / perIter
+	}
+	if !slices.Equal(full.ops, want.ops) || !slices.Equal(full.execs, want.execs) ||
+		!slices.Equal(full.launches, want.launches) {
+		t.Errorf("%s: record (body repeated from iteration %d) expands to %d ops, %d execs, %d launches; "+
+			"full record %d, %d, %d, or the records differ", ctx, from,
+			len(full.ops), len(full.execs), len(full.launches),
 			len(want.ops), len(want.execs), len(want.launches))
 	}
-	if got.bytesCopied != want.bytesCopied || got.netBytes != want.netBytes || got.numCopies != want.numCopies {
-		t.Errorf("%s: copy totals {%d %d %d} != {%d %d %d}", ctx,
-			got.bytesCopied, got.netBytes, got.numCopies, want.bytesCopied, want.netBytes, want.numCopies)
+	if got.bytesCopied != want.bytesCopied || got.netBytes != want.netBytes ||
+		got.numCopies != want.numCopies || got.numExecs != want.numExecs {
+		t.Errorf("%s: copy totals and execs {%d %d %d %d} != {%d %d %d %d}", ctx,
+			got.bytesCopied, got.netBytes, got.numCopies, got.numExecs,
+			want.bytesCopied, want.netBytes, want.numCopies, want.numExecs)
 	}
-	return s.steadyFrom > 0
+	return from
 }
 
 // steadyGraph builds a two-task loop over one collection c: "r" reads c on
@@ -206,14 +249,14 @@ func steadyGraph(partitioned bool) *taskir.Graph {
 	return g
 }
 
-// TestSteadyRecordMatchesFull is the oracle of the steady-state fill: a
-// record, which copies the iterations after the coherence fixed point,
-// must equal a recording that runs every launch, for every
-// bundled app on 1, 2 and 4 nodes under the default mapping and the
-// corpus walks, and for hand-built graphs that exercise each part of the
-// coherence state. It also requires that the fill fires: every default
-// mapping and every hand-built graph must reach its fixed point, so a
-// detection that never fires cannot pass.
+// TestSteadyRecordMatchesFull is the oracle of the steady-state
+// compression: a record, which stops at the coherence fixed point and
+// repeats its last iteration, must expand to a recording that runs every
+// launch, for every bundled app on 1, 2 and 4 nodes under the default
+// mapping and the corpus walks, and for hand-built graphs that exercise
+// each part of the coherence state. It also requires that the compression
+// fires: every default mapping and every hand-built graph must repeat its
+// body from iteration 2, so a detection that never fires cannot pass.
 func TestSteadyRecordMatchesFull(t *testing.T) {
 	placed, steady := 0, 0
 	for _, nodes := range []int{1, 2, 4} {
@@ -230,12 +273,12 @@ func TestSteadyRecordMatchesFull(t *testing.T) {
 					continue // OOM: nothing is recorded
 				}
 				ctx := fmt.Sprintf("%s/n%d/m%d", name, nodes, i)
-				ok := requireSteadyMatchesFull(t, ctx, plan)
-				if !ok && i == 0 {
-					t.Errorf("%s: the default mapping never reached a coherence fixed point", ctx)
+				from := requireSteadyMatchesFull(t, ctx, plan)
+				if i == 0 && from != 2 {
+					t.Errorf("%s: the default mapping repeats its body from iteration %d, want 2", ctx, from)
 				}
 				placed++
-				if ok {
+				if from > 0 {
 					steady++
 				}
 			}
@@ -274,11 +317,8 @@ func TestSteadyRecordMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		s := new(state)
-		s.record(plan)
-		if s.steadyFrom != 2 {
-			t.Errorf("%s: fixed point at iteration %d, want 2", tc.name, s.steadyFrom)
+		if from := requireSteadyMatchesFull(t, tc.name, plan); from != 2 {
+			t.Errorf("%s: body repeated from iteration %d, want 2", tc.name, from)
 		}
-		requireSteadyMatchesFull(t, tc.name, plan)
 	}
 }

@@ -197,7 +197,7 @@ func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Conf
 	sch := new(state).record(plan)
 	var noise []float64
 	if cfg.NoiseSigma > 0 {
-		noise = newNoiseTape(noiseKey{seed: cfg.Seed, sigma: cfg.NoiseSigma}).prefix(len(sch.execs))
+		noise = newNoiseTape(noiseKey{seed: cfg.Seed, sigma: cfg.NoiseSigma}).prefix(sch.numExecs)
 	}
 	res := new(Result)
 	foldSchedule(topo, plan, sch, cfg, noise, new(foldScratch), res)
@@ -251,26 +251,19 @@ type state struct {
 	// prev and cur are record's snapshots of the coherence state at the
 	// start of the previous and the current iteration.
 	prev, cur coherence
-	// steadyFrom is the iteration from which the last record copied the
-	// preceding iteration instead of recording, or 0 if it recorded every
-	// iteration.
-	steadyFrom int
 }
 
 // coherence is a flat snapshot of a state's coherence state at an
 // iteration boundary: every alias's sharedValid locations followed by its
 // shardValid holders, in alias order, with each sharedValid length (the
-// shardValid lengths are fixed), the partial markers, and the schedule
-// position (op and exec counts) the iteration starts at.
+// shardValid lengths are fixed) and the partial markers.
 type coherence struct {
 	locs       []sharedLoc
 	sharedLens []int32
 	partial    []partialInfo
-	ops, execs int
 }
 
-// take overwrites c with s's current coherence state and schedule
-// position, reusing c's buffers.
+// take overwrites c with s's current coherence state, reusing c's buffers.
 func (c *coherence) take(s *state) {
 	c.locs, c.sharedLens = c.locs[:0], c.sharedLens[:0]
 	for al := range s.sharedValid {
@@ -279,7 +272,6 @@ func (c *coherence) take(s *state) {
 		c.sharedLens = append(c.sharedLens, int32(len(s.sharedValid[al])))
 	}
 	c.partial = append(c.partial[:0], s.partial...)
-	c.ops, c.execs = len(s.scratch.sch.ops), len(s.scratch.sch.execs)
 }
 
 // sameState reports whether c and o hold the same coherence state. The
@@ -460,27 +452,27 @@ func (s *state) invalidateSharedExcept(c taskir.CollectionID, locs []sharedLoc) 
 	s.sharedValid[c] = append(s.sharedValid[c][:0], locs...)
 }
 
-// record runs the structure pass of plan: it records every launch of every
-// iteration into s's scratch and returns the finalized schedule, which
-// lives there until s records again. The pass takes no config, so one
-// record serves every repeat's fold.
+// record runs the structure pass of plan: it records the launches of the
+// loop's iterations into s's scratch and returns the finalized schedule,
+// which lives there until s records again. The pass takes no config, so
+// one record serves every repeat's fold.
 //
 // A launch's records are a function of the plan and the coherence state
 // alone. So when the coherence state at the start of an iteration equals
-// its state at the start of the previous one, this iteration records
-// exactly what the previous one did and ends in the same state, and so
-// does every later iteration: record stops running launches there and
-// fills the remaining iterations with copies of the previous one
-// (fillSteady). A mapping whose state never repeats records every
-// iteration.
+// its state at the start of the previous one, the previous iteration ended
+// in the state it started from, and every later iteration records exactly
+// what it did: record stops there and marks the previous iteration as the
+// schedule's body, repeated once per remaining iteration. A mapping whose
+// state never repeats records every iteration.
 func (s *state) record(plan *PlacementPlan) *schedule {
 	s.init(plan)
 	s.scratch.reset()
-	s.steadyFrom = 0
+	sch := &s.scratch.sch
 	for iter := 0; iter < s.g.Iterations; iter++ {
 		s.cur.take(s)
 		if iter > 0 && s.cur.sameState(&s.prev) {
-			s.fillSteady(iter)
+			sch.body = (iter - 1) * len(s.topo.launch)
+			sch.reps = s.g.Iterations - iter
 			break
 		}
 		s.prev, s.cur = s.cur, s.prev
@@ -489,27 +481,8 @@ func (s *state) record(plan *PlacementPlan) *schedule {
 			s.scratch.endLaunch()
 		}
 	}
-	s.scratch.sch.finalize()
-	return &s.scratch.sch
-}
-
-// fillSteady completes a recording whose coherence state at the start of
-// iteration iter (s.cur) repeats the state at the start of iter-1
-// (s.prev): each launch of every remaining iteration is a copy of the
-// launch one iteration before it. The buffers grow once to their final
-// length, and the copies read from the schedule being written, which
-// copyLaunch allows.
-func (s *state) fillSteady(iter int) {
-	sch := &s.scratch.sch
-	perIter := len(s.topo.launch)
-	rest := s.g.Iterations - iter
-	sch.ops = slices.Grow(sch.ops, rest*(s.cur.ops-s.prev.ops))
-	sch.execs = slices.Grow(sch.execs, rest*(s.cur.execs-s.prev.execs))
-	sch.launches = slices.Grow(sch.launches, rest*perIter)
-	for li := iter * perIter; li < s.g.Iterations*perIter; li++ {
-		s.scratch.copyLaunch(sch, li-perIter)
-	}
-	s.steadyFrom = iter
+	sch.finalize()
+	return sch
 }
 
 // runTask records one launch of group task tid: the coherence copies each

@@ -157,6 +157,31 @@ func TruncateJSONL(path string, events int) error {
 	return os.Truncate(path, int64(off))
 }
 
+// ResumeJSONL opens the JSONL event file at path for a resumed search to
+// continue. It keeps the file's complete (newline-terminated) lines, drops
+// a trailing partial line (a crash mid-write), and opens the file for
+// appending, creating it when missing. It returns the open file, the
+// number of kept events (the replayed events the resumed sink suppresses,
+// JSONLSink.Resume) and the kept bytes themselves, so the replayed
+// suffix continues the file without duplicates or gaps.
+func ResumeJSONL(path string) (*os.File, int, []byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, nil, err
+	}
+	kept := data[:bytes.LastIndexByte(data, '\n')+1]
+	if len(kept) < len(data) {
+		if err := os.Truncate(path, int64(len(kept))); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return f, bytes.Count(kept, []byte("\n")), kept, nil
+}
+
 // MemorySink retains events in memory, for tests and for post-search
 // exports (viz.WriteSearchTrace).
 type MemorySink struct {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -183,6 +184,70 @@ func TestTruncateJSONL(t *testing.T) {
 	}
 	if err := TruncateJSONL(missing, 1); err == nil {
 		t.Fatal("truncating a missing file to 1 event should fail")
+	}
+}
+
+// TestResumeJSONL continues an event file with a torn tail: the count and
+// the kept bytes exclude the partial line, and appends continue after the
+// last complete line. A file holding only a torn line is emptied, and a
+// missing file resumes empty and is created.
+func TestResumeJSONL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	var buf bytes.Buffer
+	s := NewJSONLSink(&buf)
+	emitAll(s)
+	s.Close()
+	complete := buf.Bytes()
+	torn := append(slices.Clone(complete), `{"seq":99,"ev`...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, events, kept, err := ResumeJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Count(complete, []byte("\n")); events != want || !bytes.Equal(kept, complete) {
+		t.Fatalf("resumed %d events (%d bytes), want %d (%d bytes)", events, len(kept), want, len(complete))
+	}
+	if _, err := f.WriteString("{\"seq\":7}\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(slices.Clone(complete), "{\"seq\":7}\n"...); !bytes.Equal(data, want) {
+		t.Fatalf("continued file:\n%s\nwant:\n%s", data, want)
+	}
+
+	// A file holding only a torn line resumes empty: nothing of it stays
+	// in front of the replayed stream.
+	if err := os.WriteFile(path, []byte(`{"seq":1,"ev`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, events, kept, err = ResumeJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if fi, err := os.Stat(path); err != nil || events != 0 || len(kept) != 0 || fi.Size() != 0 {
+		t.Fatalf("torn-only file resumed %d events, %d bytes kept, stat %v %v", events, len(kept), fi, err)
+	}
+
+	missing := filepath.Join(t.TempDir(), "none.jsonl")
+	f, events, kept, err = ResumeJSONL(missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if events != 0 || len(kept) != 0 {
+		t.Fatalf("missing file resumed %d events, %d bytes", events, len(kept))
+	}
+	if _, err := os.Stat(missing); err != nil {
+		t.Fatalf("missing file not created: %v", err)
 	}
 }
 

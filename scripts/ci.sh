@@ -1,6 +1,7 @@
 #!/bin/sh
 # Static gate for the AutoMap reproduction: gofmt, vet, race-enabled
-# tests, a coverage ratchet, the paper figures against results/, mapcheck
+# tests, a coverage ratchet, the benchmark module's tests and replay
+# self-check, the paper figures against results/, mapcheck
 # over every bundled application's default mapping on both machine models,
 # and smoke tests for telemetry, worker determinism, checkpoint/resume,
 # checkpoint and fleet fuzzing, and the mapd and mapfleet binaries
@@ -68,6 +69,27 @@ echo "== micro-benchmarks, one iteration each"
 # Nothing else executes the benchmarks that scripts/bench.sh names; one
 # iteration of each fails the gate when a benchmark's setup rots or panics.
 $GO test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/search ./internal/driver
+
+echo "== benchmark module: vet, tests, traced search passes"
+# benchmark/ is a module of its own over these packages: its expected.json
+# pins each search workload's outcomes, and its replay self-check requires
+# Instance.RunKeyed, sim.Simulate and DeltaInstance.RunKeyed to agree bit
+# for bit on every replayed candidate. A 1-second traced pass of each
+# search workload (built by benchmark/run.sh into .bench_build/) fails the
+# gate when the module stops building, an outcome moves, or the replay
+# disagrees: the last line must report "correct":true and "failed":0.
+$GO -C benchmark vet ./...
+$GO -C benchmark test -count=1 ./...
+for w in search-ccd-htr search-anneal-pennant; do
+    last=$(bash benchmark/run.sh --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    case "$last" in
+    *'"correct":true,'*'"failed":0,'*) echo "-- $w: correct, 0 failed" ;;
+    *)
+        echo "benchmark $w did not report correct with 0 failed: $last" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "== paper figures byte-identical to results/"
 # The committed figures are the reproduction's output: every CSV of

@@ -222,20 +222,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (not a method).
-func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // pkgFunc returns (pkgPath, name) of the package-level function call invokes,
 // or ok=false for methods and non-function callees.
 func pkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string, ok bool) {
