@@ -76,8 +76,9 @@ type Options struct {
 	// into the registry; the search algorithms emit the decision-level
 	// events. Nil disables observation at zero cost.
 	Observer *telemetry.Observer
-	// Workers bounds the number of concurrently executing simulations
-	// across repeats and speculative batch evaluation. Zero or negative
+	// Workers bounds the number of candidates a Prefetch batch measures
+	// at once, each with all its repeats in one simulator call; Evaluate
+	// and the final phase measure on the search goroutine. Zero or negative
 	// means GOMAXPROCS; positive values are clamped to GOMAXPROCS, since
 	// simulations are CPU-bound and workers beyond the scheduler's
 	// parallelism can only add context-switch overhead and wasted
@@ -176,15 +177,13 @@ type Evaluator struct {
 	evalSec   float64
 
 	// inst amortizes simulator topology tables, placement plans, and
-	// run scratch across every simulation of the search; sem bounds the
-	// candidates measured at once to `workers` (each measureRuns call
-	// holds one slot for all its repeats). delta wraps inst with
+	// run scratch across every simulation of the search; workers bounds
+	// the goroutines a Prefetch batch measures on. delta wraps inst with
 	// classification against the search incumbent (sim.DeltaInstance),
 	// which feeds the attribution counters below; every measurement
 	// goes through inst.
 	inst    *sim.Instance
 	delta   *sim.DeltaInstance
-	sem     chan struct{}
 	workers int
 
 	// Commit-path attribution of evaluations (guarded by mu): how many
@@ -297,7 +296,6 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 		model:   m.Model(),
 		inst:    inst,
 		delta:   sim.NewDelta(inst),
-		sem:     make(chan struct{}, workers),
 		workers: workers,
 		spec:    make(map[string]specResult),
 		replay:  replay,
@@ -435,7 +433,7 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	e.specMu.Unlock()
 	if !ok {
 		e.wall.syncEval()
-		s.sums, s.err = measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+		s.sums, s.err = measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed)
 	}
 	e.mu.Lock()
 	verdict := e.commitRuns(key, mp, toRuns(s.sums, s.err, e.Opts.objective()))
@@ -775,7 +773,7 @@ func (e *Evaluator) measureJobs(jobs []specJob) {
 				}
 				j := &jobs[i]
 				start := e.wall.now()
-				j.res.sums, j.res.err = measureRuns(e.inst, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+				j.res.sums, j.res.err = measureRuns(e.inst, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed)
 				e.wall.workerEval(slot, e.wall.now()-start)
 			}
 		}()
@@ -1091,7 +1089,7 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	// failed finalist completed before failing.
 	var finalSec float64
 	finalMeasure := func(mp *mapping.Mapping) ([]float64, bool) {
-		sums, err := measureRuns(ev.inst, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase, ev.sem)
+		sums, err := measureRuns(ev.inst, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase)
 		if err != nil {
 			return nil, false
 		}
@@ -1152,8 +1150,7 @@ func MeasureMapping(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, re
 	if repeats < 1 {
 		repeats = 1
 	}
-	inst := sim.New(m, g)
-	sums, err := measureRuns(inst, mp.Key(), mp, repeats, noise, seed, make(chan struct{}, 1))
+	sums, err := measureRuns(sim.New(m, g), mp.Key(), mp, repeats, noise, seed)
 	if err != nil {
 		return 0, err
 	}

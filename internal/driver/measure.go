@@ -2,10 +2,12 @@
 // candidate evaluation (7 repeats), final re-measurement (31 repeats),
 // Prefetch batch jobs, and baseline MeasureMapping — funnels through
 // measureRuns, which measures all of a candidate's repeats in one
-// simulator call (one schedule, one lane-wise fold over all seeds) under
-// one slot of the worker semaphore, with order-independent noise seeds.
-// Parallelism comes from measuring different candidates at once, never
-// from splitting one candidate's repeats.
+// simulator call (one schedule, one lane-wise fold over all seeds) with
+// order-independent noise seeds. Parallelism comes from measuring
+// different candidates at once, never from splitting one candidate's
+// repeats: measureJobs runs at most `workers` goroutines and joins them
+// before Prefetch returns, and Evaluate and the final phase measure on
+// the search goroutine, so no more than `workers` calls ever run at once.
 //
 // Seed derivation: each run's seed is a hash of (base seed, repeat index).
 // This replaced a sequential runSeed++ counter, whose seeds depended on how
@@ -21,9 +23,9 @@
 // repeat i experiences the same noise draw sequence (common random numbers,
 // the standard variance-reduction protocol for comparing alternatives
 // under simulated noise), and the simulator can memoize the per-seed noise
-// tape across the thousands of candidate evaluations of a search instead
-// of re-deriving log-normal draws for every run (see sim's noise tapes and
-// DESIGN §14).
+// tapes across the thousands of candidate evaluations of a search: each
+// seed's tape, and each lane block of 8, is drawn once per search (see
+// sim's noise tapes and DESIGN §14).
 
 package driver
 
@@ -66,11 +68,11 @@ func resolveWorkers(w int) int {
 }
 
 // measureRuns measures `repeats` simulations of mp (whose canonical key is
-// key) with seeds runSeed(base, i), in one RunRepeats call holding one slot
-// of the semaphore sem, and returns their Summaries in repeat order. A
-// simulation error (placement failure) fails every repeat: it is returned
-// with zero Summaries. A non-positive repeat count returns nil.
-func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]sim.Summary, error) {
+// key) with seeds runSeed(base, i), in one RunRepeats call, and returns
+// their Summaries in repeat order. A simulation error (placement failure)
+// fails every repeat: it is returned with zero Summaries. A non-positive
+// repeat count returns nil.
+func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64) ([]sim.Summary, error) {
 	if repeats < 1 {
 		return nil, nil
 	}
@@ -79,8 +81,5 @@ func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats in
 		seeds[i] = runSeed(base, i)
 	}
 	sums := make([]sim.Summary, repeats)
-	sem <- struct{}{}
-	err := inst.RunRepeats(key, mp, noise, seeds, sums)
-	<-sem
-	return sums, err
+	return sums, inst.RunRepeats(key, mp, noise, seeds, sums)
 }

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"testing"
-	"time"
 
 	"automap/internal/cluster"
 	"automap/internal/machine"
@@ -11,9 +10,7 @@ import (
 	"automap/internal/taskir"
 )
 
-// TestMeasureRunsOneCall pins the measurement protocol: measureRuns looks
-// the candidate up once (one RunRepeats call, so one plan-cache probe),
-// runs only while it holds a slot of the semaphore and releases it, and
+// TestMeasureRunsOneCall pins the measurement protocol: measureRuns
 // returns the Summaries of seeds runSeed(base, i) in repeat order, each
 // equal to the fields of RunKeyed's Result at that seed; a placement
 // failure is returned as the error with zero Summaries.
@@ -23,32 +20,7 @@ func TestMeasureRunsOneCall(t *testing.T) {
 	g := driverGraph(t)
 	mp := mapping.Default(g, m.Model())
 
-	// One slot, taken before the call: measureRuns must wait for it (a call
-	// that skipped the acquire would return early), and a call that took a
-	// second slot would block forever.
-	sem := make(chan struct{}, 1)
-	sem <- struct{}{}
-	inst := sim.New(m, g)
-	var sums []sim.Summary
-	var err error
-	done := make(chan struct{})
-	go func() {
-		sums, err = measureRuns(inst, mp.Key(), mp, repeats, 0.04, base, sem)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("measureRuns returned while every semaphore slot was held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	<-sem
-	<-done
-	if hits, misses := inst.PlanCacheStats(); hits+misses != 1 {
-		t.Errorf("%d plan lookups, want 1 (one RunRepeats call)", hits+misses)
-	}
-	if len(sem) != 0 {
-		t.Errorf("%d semaphore slots held after the call, want 0", len(sem))
-	}
+	sums, err := measureRuns(sim.New(m, g), mp.Key(), mp, repeats, 0.04, base)
 	if err != nil || len(sums) != repeats {
 		t.Fatalf("got %d summaries, error %v; want %d and no error", len(sums), err, repeats)
 	}
@@ -71,7 +43,7 @@ func TestMeasureRunsOneCall(t *testing.T) {
 		Args:     []taskir.Arg{{Collection: c.ID, Privilege: taskir.ReadWrite, BytesPerPoint: 1 << 20}}})
 	og.Iterations = 2
 	oom := mapping.Default(og, m.Model())
-	sums, err = measureRuns(sim.New(m, og), oom.Key(), oom, repeats, 0.04, base, sem)
+	sums, err = measureRuns(sim.New(m, og), oom.Key(), oom, repeats, 0.04, base)
 	if _, ok := err.(*sim.OOMError); !ok {
 		t.Fatalf("OOM: error %v, want *sim.OOMError", err)
 	}

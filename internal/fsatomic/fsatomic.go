@@ -11,8 +11,8 @@
 // documents) must go through WriteFile. Direct os.WriteFile/os.Create calls
 // on persistence paths are forbidden and mechanically rejected by the
 // atomicwrite analyzer in tools/mapvet. Append-only event streams are the
-// one exception: they are recovered by line-count truncation, not by
-// rename (see telemetry.TruncateJSONL).
+// one exception: they are recovered by truncation to their last complete
+// line, not by rename (see telemetry.ResumeJSONL).
 package fsatomic
 
 import (

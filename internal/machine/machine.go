@@ -344,19 +344,6 @@ func (m *Machine) MemsOfKindOnNode(k MemKind, node int) []MemID {
 	return out
 }
 
-// ClosestMemOfKind returns the memory of kind k addressable by p that is
-// closest to p (first in affinity order), implementing the paper's rule that
-// "the mapper instantiates each collection in the memory of the desired kind
-// that is closest to the selected processor" (Section 3.2).
-func (m *Machine) ClosestMemOfKind(p ProcID, k MemKind) (MemID, bool) {
-	for _, id := range m.affinity[p] {
-		if m.Mems[id].Kind == k {
-			return id, true
-		}
-	}
-	return -1, false
-}
-
 // HasKind reports whether the machine has at least one processor of kind k.
 func (m *Machine) HasKind(k ProcKind) bool {
 	for i := range m.Procs {

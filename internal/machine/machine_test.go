@@ -83,18 +83,6 @@ func TestProcsAndMemsOfKind(t *testing.T) {
 	}
 }
 
-func TestClosestMemOfKind(t *testing.T) {
-	m := twoKindMachine(t)
-	cpu := m.ProcsOfKind(CPU)[0]
-	id, ok := m.ClosestMemOfKind(cpu, SysMem)
-	if !ok || m.Mem(id).Kind != SysMem {
-		t.Fatalf("CPU closest SysMem = (%v, %v)", id, ok)
-	}
-	if _, ok := m.ClosestMemOfKind(cpu, FrameBuffer); ok {
-		t.Fatalf("CPU should not reach FrameBuffer")
-	}
-}
-
 func TestChannelBetweenIsBidirectional(t *testing.T) {
 	m := twoKindMachine(t)
 	sys := m.MemsOfKindOnNode(SysMem, 0)[0]

@@ -238,25 +238,3 @@ func TestComputeStats(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
-
-func TestDiff(t *testing.T) {
-	g, md := testGraph(t), testModel()
-	a := Default(g, md)
-	b := a.Clone()
-	if d := a.Diff(g, b); len(d) != 0 {
-		t.Fatalf("identical mappings diff: %v", d)
-	}
-	b.SetProc(0, machine.CPU)
-	b.RebuildPriorityLists(md, 0)
-	b.SetDistribute(1, false)
-	d := a.Diff(g, b)
-	// Proc change of t0, its two arg memories (FB->Sys), and t1's
-	// distribute bit.
-	fields := map[string]bool{}
-	for _, e := range d {
-		fields[e.Field] = true
-	}
-	if !fields["proc"] || !fields["distribute"] || !fields["mem[0]"] {
-		t.Fatalf("diff fields = %v", d)
-	}
-}

@@ -59,34 +59,3 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "; %d distributed", s.Distributed)
 	return b.String()
 }
-
-// DiffEntry is one decision difference between two mappings.
-type DiffEntry struct {
-	Task  taskir.TaskID
-	Field string // "proc", "distribute", or "mem[i]"
-	From  string
-	To    string
-}
-
-// Diff lists the decisions where m and o differ for program g. Both
-// mappings must cover g.
-func (m *Mapping) Diff(g *taskir.Graph, o *Mapping) []DiffEntry {
-	var out []DiffEntry
-	for _, t := range g.Tasks {
-		a, b := m.Decision(t.ID), o.Decision(t.ID)
-		if a.Proc != b.Proc {
-			out = append(out, DiffEntry{Task: t.ID, Field: "proc", From: a.Proc.String(), To: b.Proc.String()})
-		}
-		if a.Distribute != b.Distribute {
-			out = append(out, DiffEntry{Task: t.ID, Field: "distribute",
-				From: fmt.Sprint(a.Distribute), To: fmt.Sprint(b.Distribute)})
-		}
-		for i := range t.Args {
-			if a.PrimaryMem(i) != b.PrimaryMem(i) {
-				out = append(out, DiffEntry{Task: t.ID, Field: fmt.Sprintf("mem[%d]", i),
-					From: a.PrimaryMem(i).ShortString(), To: b.PrimaryMem(i).ShortString()})
-			}
-		}
-	}
-	return out
-}

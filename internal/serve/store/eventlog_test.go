@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"automap/internal/telemetry"
 )
 
 // TestEventLogConcurrentReaders is the blocking-reader race: many
@@ -77,9 +75,8 @@ func TestEventLogConcurrentReaders(t *testing.T) {
 
 // TestEventLogResumeTruncateRace models the daemon's resume path racing
 // live readers: an events file with a torn tail is truncated to its
-// complete lines (telemetry.TruncateJSONL), the surviving prefix is
-// preloaded into a fresh entry's log, and a resumed sink appends the
-// suffix — all while streaming readers attached before, during, and after
+// first 20 complete lines, the surviving prefix is preloaded into a fresh
+// entry's log, and a resumed sink appends the suffix — all while streaming readers attached before, during, and after
 // the preload. Every reader must end up with the byte-identical
 // uninterrupted stream, and the file must match it.
 func TestEventLogResumeTruncateRace(t *testing.T) {
@@ -123,7 +120,7 @@ func TestEventLogResumeTruncateRace(t *testing.T) {
 	}
 
 	// The resume sequence, concurrent with the blocked readers above.
-	if err := telemetry.TruncateJSONL(path, 20); err != nil {
+	if err := os.Truncate(path, int64(len(prefix))); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, err := os.ReadFile(path)

@@ -1,8 +1,9 @@
 // Micro-benchmarks of the simulator hot path: one-shot Simulate (a
 // throwaway Instance per call, so topology, placement and the recorded
 // schedule are rebuilt every time) against the reusable Instance (cached
-// topology, plan and schedule caches, pooled run state), and the
-// plan-cache hit and miss paths in isolation. Allocation counts are part
+// topology, plans and noise tapes, pooled run state), the worker pool's
+// call on one shared Instance, and the plan-cache hit and miss paths in
+// isolation. Allocation counts are part
 // of the contract: the search runs hundreds of thousands of simulations,
 // so allocs/op here dominate its GC load. The miss path also prices what
 // the cache retains per candidate: a flat plan of a few pointer-free
@@ -12,6 +13,7 @@ package sim
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"automap/internal/apps"
@@ -90,57 +92,53 @@ func BenchmarkInstanceRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkInstanceRepeats prices one candidate's measurement protocol on
-// a warm schedule: RunRepeats over n seeds against n RunKeyed calls, for
-// the repeat counts the driver and the experiments use (1, 3, 7, 31).
-// RunRepeats must not be slower than the RunKeyed loop at any n; the
-// lane-block crossover (laneMin) is set from these rows.
+// BenchmarkInstanceRepeats prices the fold side of one candidate's
+// measurement: foldRepeats over n seeds against n per-seed folds of the
+// same recorded schedule, for the repeat counts the driver and the
+// experiments use (1, 3, 7, 31). foldRepeats must not be slower than the
+// per-seed folds at any n; the lane-block crossover (laneMin) is set from
+// these rows.
 func BenchmarkInstanceRepeats(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)
-	key := mp.Key()
+	plan, err := inst.PlanPlacement(mp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sch := new(state).record(plan)
 	for _, n := range []int{1, 3, 7, 31} {
 		seeds := make([]uint64, n)
 		for i := range seeds {
 			seeds[i] = uint64(i)
 		}
 		out := make([]Summary, n)
-		// Warm the plan, schedule and noise tapes: the timed loops
-		// measure only the folds. RunKeyed caches the schedule, which
-		// both loops then fold; RunRepeats alone would cache nothing.
+		// Draw the noise tapes and lane blocks: the timed loops measure
+		// only the folds.
+		inst.foldRepeats(sch, plan, 0.04, seeds, out)
 		for _, seed := range seeds {
-			if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: seed}); err != nil {
-				b.Fatal(err)
-			}
+			inst.fold(sch, plan, Config{NoiseSigma: 0.04, Seed: seed}, nil)
 		}
-		if err := inst.RunRepeats(key, mp, 0.04, seeds, out); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("seeds=%d/RunRepeats", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("seeds=%d/foldRepeats", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := inst.RunRepeats(key, mp, 0.04, seeds, out); err != nil {
-					b.Fatal(err)
-				}
+				inst.foldRepeats(sch, plan, 0.04, seeds, out)
 			}
 		})
-		b.Run(fmt.Sprintf("seeds=%d/RunKeyed", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("seeds=%d/fold", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, seed := range seeds {
-					if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: seed}); err != nil {
-						b.Fatal(err)
-					}
+					inst.fold(sch, plan, Config{NoiseSigma: 0.04, Seed: seed}, nil)
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkInstanceRepeatsCold prices a new candidate under the driver's
-// protocol: RunRepeats over 7 seeds with no cached schedule, so each
-// iteration records the structure into recycled scratch and folds it for
-// every seed. The placement plan and noise tapes stay warm. The Summaries
+// BenchmarkInstanceRepeatsCold prices a revisited candidate under the
+// driver's protocol: RunRepeats over 7 seeds, which records the structure
+// into recycled scratch and folds it for every seed. The placement plan
+// and the noise block stay warm. The Summaries
 // are the caller's and the schedule allocates nothing once the scratch has
 // held the longest recording, so a measured candidate allocates nearly
 // nothing here.
@@ -162,29 +160,31 @@ func BenchmarkInstanceRepeatsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkInstanceRunParallel is BenchmarkInstanceRun with concurrent
-// runners sharing one Instance — the worker-pool shape the driver creates.
-// Run with -cpu 1,4,8: near-flat ns/op across the -cpu values means the
-// shared caches (sharded plan/schedule maps, copy-on-publish noise tapes,
-// pooled scratch) are not serializing independent candidate evaluations;
-// ns/op growing with -cpu is the contention regression this benchmark
-// exists to catch.
+// BenchmarkInstanceRunParallel times the worker pool's real call with
+// concurrent runners sharing one Instance: RunRepeats over the driver's 7
+// seeds on a distinct, cold candidate per iteration (a key no earlier call
+// used), so every call plans placement, records the structure and folds a
+// lane block, and only the noise block is warm. ns/op is wall time per
+// candidate across all runners: up to the host's core count it should
+// fall as -cpu grows, and a flat or rising ns/op means the runners
+// serialize on the Instance. Values of -cpu above the core count measure
+// oversubscription, not contention.
 func BenchmarkInstanceRunParallel(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)
 	key := mp.Key()
-	// Warm the plan and schedule caches so the parallel section measures
-	// the steady-state fold path, as a mid-search worker pool would.
-	if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: 0}); err != nil {
+	seeds := []uint64{0, 1, 2, 3, 4, 5, 6}
+	if err := inst.RunRepeats(key, mp, 0.04, seeds, make([]Summary, len(seeds))); err != nil {
 		b.Fatal(err)
 	}
+	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var i uint64
+		out := make([]Summary, len(seeds))
 		for pb.Next() {
-			i++
-			if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: i % 7}); err != nil {
+			k := key + strconv.FormatInt(next.Add(1), 10)
+			if err := inst.RunRepeats(k, mp, 0.04, seeds, out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"automap/internal/apps"
 	"automap/internal/cluster"
 	"automap/internal/machine"
 	"automap/internal/mapping"
@@ -83,6 +84,24 @@ func TestInstanceResultsDetached(t *testing.T) {
 	}
 }
 
+// schedFor returns RunKeyed's cached schedule for key, or nil.
+func (in *Instance) schedFor(key string) *schedule {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.scheds[key]
+}
+
+// dropSchedule forgets key's cached schedule, so the next RunKeyed of key
+// records again.
+func (in *Instance) dropSchedule(key string) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	delete(in.scheds, key)
+}
+
+// TestPlanCacheHitMiss pins the plan cache: a revisit of a mapping, under
+// any config and through either run path, returns the plan its first run
+// made, and another mapping gets a plan of its own.
 func TestPlanCacheHitMiss(t *testing.T) {
 	m := cluster.Shepard(1)
 	g := simpleGraph(4, 1<<20)
@@ -93,9 +112,9 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	if _, err := inst.RunKeyed(mp.Key(), mp, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := inst.PlanCacheStats()
-	if hits != 0 || misses != 1 {
-		t.Fatalf("after first run: hits=%d misses=%d, want 0/1", hits, misses)
+	plan, err := inst.PlanPlacement(mp)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Same mapping (the 7-repeat protocol): plan is reused.
 	for i := 0; i < 6; i++ {
@@ -103,19 +122,46 @@ func TestPlanCacheHitMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses = inst.PlanCacheStats()
-	if hits != 6 || misses != 1 {
-		t.Fatalf("after repeats: hits=%d misses=%d, want 6/1", hits, misses)
+	if _, err := runRepeats(inst, mp, 0.04, repeatSeeds(7)); err != nil {
+		t.Fatal(err)
 	}
-	// A different mapping misses.
+	if again, _ := inst.PlanPlacement(mp); again != plan {
+		t.Fatal("a revisit of the mapping planned placement again")
+	}
+	// A different mapping gets its own plan.
 	mp2 := mapping.Default(g, md)
 	mp2.SetDistribute(0, !mp2.Decision(0).Distribute)
 	if _, err := inst.RunKeyed(mp2.Key(), mp2, Config{Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses = inst.PlanCacheStats()
-	if hits != 6 || misses != 2 {
-		t.Fatalf("after new mapping: hits=%d misses=%d, want 6/2", hits, misses)
+	if plan2, _ := inst.PlanPlacement(mp2); plan2 == plan {
+		t.Fatal("another mapping was served the first mapping's plan")
+	}
+}
+
+// TestNoiseTapeBound pins the noise tape length: every app × node count ×
+// mapping of the fold corpus records at most tapeLen execs, so a fold
+// never reads past the tape drawn once at that length. The bound is
+// tight: on one node every mapping of every app records exactly tapeLen.
+func TestNoiseTapeBound(t *testing.T) {
+	for _, nodes := range []int{1, 2, 4} {
+		m := cluster.Shepard(nodes)
+		md := m.Model()
+		probs := appProblems(t, nodes)
+		for ai, name := range apps.Names() {
+			g := probs[name]
+			inst := New(m, g)
+			rng := xrand.New(0xC0A905 + uint64(nodes)*131 + uint64(ai))
+			for i, mp := range corpusMappings(g, md, rng) {
+				plan, err := inst.PlanPlacement(mp)
+				if err != nil {
+					continue
+				}
+				if n := new(state).record(plan).numExecs; n > inst.tapeLen {
+					t.Errorf("%s/n%d/m%d: %d execs, noise tape holds %d", name, nodes, i, n, inst.tapeLen)
+				}
+			}
+		}
 	}
 }
 

@@ -248,27 +248,14 @@ func rewind[T any](sch *schedule, noise []T) (int, int, int, []T) {
 }
 
 // foldScratch is the pooled working set of the folds: the availability
-// timelines and launch finish ring of a timing replay. It doubles as the
-// per-worker noise-tape memo: sync.Pool hands scratches out per-P, so the
-// noise table below gives each worker its own (seed, sigma) → tape map and
-// steady-state folds never touch the Instance's shared noise map.
+// timelines and launch finish ring of a timing replay.
 type foldScratch struct {
-	// noise is the local L1 over Instance.noise. Entries are never stale:
-	// a tape is a pure function of its key, valid for the life of the
-	// Instance.
-	noise map[noiseKey]*noiseTape
-
 	procAvail []float64 // [node*NumProcKinds + kind]
 	copyAvail []float64 // per node
 	finish    []float64 // ring of the last perIter+1 launches' finish times
 	taskWall  []float64 // per task, summed into TaskWallSec at the end
 	busy      [machine.NumProcKinds]float64
 	seen      [machine.NumProcKinds]bool
-
-	// laneTapes is the transposed-noise memo of foldLanes: entry [ex][l]
-	// is draw ex of lane l's tape. Like noise, an entry is a pure function
-	// of its key and never stale.
-	laneTapes map[laneTapeKey][]lanes
 
 	// The availability timelines and finish ring, one lane block per
 	// element, for foldLanes.
@@ -299,11 +286,6 @@ type laneTapeKey struct {
 	seeds [laneWidth]uint64
 	sigma float64
 }
-
-// laneTapeLimit bounds a fold scratch's laneTapes memo. The driver's seeds
-// depend only on the repeat index, so a search folds one block per 8
-// repeats plus the final phase's blocks.
-const laneTapeLimit = 16
 
 // resetZero returns s resized to n with every element zeroed.
 func resetZero[T any](s []T, n int) []T {

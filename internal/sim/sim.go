@@ -197,7 +197,7 @@ func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Conf
 	sch := new(state).record(plan)
 	var noise []float64
 	if cfg.NoiseSigma > 0 {
-		noise = newNoiseTape(noiseKey{seed: cfg.Seed, sigma: cfg.NoiseSigma}).prefix(sch.numExecs)
+		noise = drawNoise(cfg.Seed, cfg.NoiseSigma, sch.numExecs)
 	}
 	res := new(Result)
 	foldSchedule(topo, plan, sch, cfg, noise, new(foldScratch), res)

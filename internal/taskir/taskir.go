@@ -371,34 +371,6 @@ func (g *Graph) DepsInto(id TaskID) []Dep {
 	return g.adjCache[id]
 }
 
-// Readers returns the IDs of tasks that read collection c.
-func (g *Graph) Readers(c CollectionID) []TaskID {
-	var out []TaskID
-	for _, t := range g.Tasks {
-		for _, a := range t.Args {
-			if a.Collection == c && a.Privilege.Reads() {
-				out = append(out, t.ID)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Writers returns the IDs of tasks that write collection c.
-func (g *Graph) Writers(c CollectionID) []TaskID {
-	var out []TaskID
-	for _, t := range g.Tasks {
-		for _, a := range t.Args {
-			if a.Collection == c && a.Privilege.Writes() {
-				out = append(out, t.ID)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: every argument references an
 // existing collection, every task has at least one variant, points are
 // positive, and the dependence graph is acyclic within an iteration.

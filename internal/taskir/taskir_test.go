@@ -145,16 +145,6 @@ func TestAliasIDPartialOverlapIsNotAlias(t *testing.T) {
 	}
 }
 
-func TestReadersWriters(t *testing.T) {
-	g, c := chainGraph(t)
-	if r := g.Readers(c.ID); len(r) != 1 || r[0] != 1 {
-		t.Errorf("Readers = %v", r)
-	}
-	if w := g.Writers(c.ID); len(w) != 1 || w[0] != 0 {
-		t.Errorf("Writers = %v", w)
-	}
-}
-
 func TestValidateErrors(t *testing.T) {
 	g := NewGraph("bad")
 	if err := g.Validate(); err == nil {

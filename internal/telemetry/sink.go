@@ -6,7 +6,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -128,34 +127,6 @@ func (s *JSONLSink) Close() error {
 
 // Err returns the first write or marshal error encountered, if any.
 func (s *JSONLSink) Err() error { return s.err }
-
-// TruncateJSONL truncates the JSONL event file at path to its first events
-// lines. A resume uses it to drop events the interrupted run emitted after
-// its final checkpoint (e.g. after a hard crash between checkpoints), so
-// the replayed suffix continues the file without duplicates or gaps. It is
-// an error for the file to hold fewer lines than requested — the file then
-// cannot be continued seamlessly. A missing file with events == 0 is fine.
-func TruncateJSONL(path string, events int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) && events == 0 {
-			return nil
-		}
-		return err
-	}
-	off := 0
-	for n := 0; n < events; n++ {
-		i := bytes.IndexByte(data[off:], '\n')
-		if i < 0 {
-			return fmt.Errorf("telemetry: %s holds %d events, cannot truncate to %d", path, n, events)
-		}
-		off += i + 1
-	}
-	if off == len(data) {
-		return nil
-	}
-	return os.Truncate(path, int64(off))
-}
 
 // ResumeJSONL opens the JSONL event file at path for a resumed search to
 // continue. It keeps the file's complete (newline-terminated) lines, drops

@@ -150,43 +150,6 @@ func TestJSONLSinkResumeSkipsPrefix(t *testing.T) {
 	}
 }
 
-func TestTruncateJSONL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
-	emitAll(s)
-	s.Close()
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := TruncateJSONL(path, 3); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(data, []byte("\n")); got != 3 {
-		t.Fatalf("truncated file holds %d events, want 3", got)
-	}
-	// Truncating to the current length is a no-op; to more is an error.
-	if err := TruncateJSONL(path, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := TruncateJSONL(path, 5); err == nil {
-		t.Fatal("truncating beyond the file length should fail")
-	}
-	// A missing file is only acceptable for an empty prefix.
-	missing := filepath.Join(t.TempDir(), "none.jsonl")
-	if err := TruncateJSONL(missing, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := TruncateJSONL(missing, 1); err == nil {
-		t.Fatal("truncating a missing file to 1 event should fail")
-	}
-}
-
 // TestResumeJSONL continues an event file with a torn tail: the count and
 // the kept bytes exclude the partial line, and appends continue after the
 // last complete line. A file holding only a torn line is emptied, and a

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Search-pipeline micro-benchmarks. Runs the simulator hot-path and
-# candidate-construction micro-benchmarks (ns/op, allocs/op) at -cpu 1, 4,
-# and 8 so parallel scaling is visible in the rows, then writes the results
-# as JSON (default: BENCH_search.json). End-to-end searches are measured by
-# the repository's benchmark (benchmark/run.sh), not here. Run from the
+# candidate-construction micro-benchmarks (ns/op, allocs/op) -count 10
+# times each, all at -cpu 1 except InstanceRunParallel, which also runs at
+# the host's GOMAXPROCS so the worker pool's parallel scaling is visible,
+# and writes the median and interquartile range of every row as JSON
+# (default: BENCH_search.json). End-to-end searches are measured by the
+# repository's benchmark (benchmark/run.sh), not here. Run from the
 # repository root, directly or via `make bench-search`.
 #
 # Environment:
@@ -28,39 +30,64 @@ $GO build -o bin/automap ./cmd/automap
 # measurements actually ran with.
 GMP=$(./bin/automap env | awk '/^gomaxprocs /{print $2}')
 
-echo "== micro-benchmarks (-benchtime $BENCHTIME, -cpu 1,4,8; host gomaxprocs $GMP)"
-$GO test ./internal/sim/ -run xxx -benchmem -benchtime "$BENCHTIME" -cpu 1,4,8 \
-    -bench 'SimulateOneShot|InstanceRun|InstanceRecord|InstanceRepeats|InstanceRepeatsCold|PlanCacheHit|PlanCacheMiss' \
-    | grep '^Benchmark' | tee -a "$tmp/micro.txt"
-$GO test ./internal/search/ -run xxx -benchmem -benchtime "$BENCHTIME" -cpu 1,4,8 \
-    -bench 'CCDCandidateConstruction' \
-    | grep '^Benchmark' | tee -a "$tmp/micro.txt"
+bench() { # package, -cpu list, -bench regexp
+    $GO test "$1" -run '^$' -benchmem -benchtime "$BENCHTIME" -count 10 -cpu "$2" -bench "$3" \
+        | grep '^Benchmark' | tee -a "$tmp/micro.txt"
+}
 
-# Emit one JSON object per benchmark line: scan fields for the unit markers
-# so the extra ReportMetric columns (moves/op) don't shift the parse. The
-# -N suffix Go appends to the benchmark name is the GOMAXPROCS that run
-# executed under (absent means 1); it becomes the row's gomaxprocs field.
-awk '{
+echo "== micro-benchmarks (-benchtime $BENCHTIME, -count 10; host gomaxprocs $GMP)"
+bench ./internal/sim/ 1 'SimulateOneShot|InstanceRun$|InstanceRecord|InstanceRepeats|PlanCacheHit|PlanCacheMiss'
+bench ./internal/sim/ "1,$GMP" 'InstanceRunParallel'
+bench ./internal/search/ 1 'CCDCandidateConstruction'
+
+# One JSON object per (benchmark, gomaxprocs): the median and the
+# interquartile range (linear-interpolated quartiles) of ns/op over the
+# samples, and the median B/op and allocs/op. Fields are found by their
+# unit markers so extra ReportMetric columns (moves/op) don't shift the
+# parse. The -N suffix Go appends to the benchmark name is the GOMAXPROCS
+# the sample ran under (absent means 1).
+awk '
+function q(a, n, p,    i, j, v, h, lo) {
+    for (i = 2; i <= n; i++) {
+        v = a[i]
+        for (j = i - 1; j >= 1 && a[j] > v; j--) a[j+1] = a[j]
+        a[j+1] = v
+    }
+    h = (n - 1) * p + 1; lo = int(h)
+    return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo+1] - a[lo])
+}
+{
     name = $1; procs = 1
     if (match(name, /-[0-9]+$/)) {
         procs = substr(name, RSTART + 1)
         name = substr(name, 1, RSTART - 1)
     }
     sub(/^Benchmark/, "", name)
-    ns = ""; allocs = ""; bytes = ""
+    row = name SUBSEP procs
+    if (!(row in n)) { order[++rows] = row; rname[row] = name; rprocs[row] = procs }
+    k = ++n[row]
     for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op") ns = $(i-1)
-        if ($i == "allocs/op") allocs = $(i-1)
-        if ($i == "B/op") bytes = $(i-1)
+        if ($i == "ns/op") ns[row, k] = $(i-1)
+        if ($i == "B/op") by[row, k] = $(i-1)
+        if ($i == "allocs/op") al[row, k] = $(i-1)
     }
-    printf "    {\"name\": \"%s\", \"gomaxprocs\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s},\n", name, procs, ns, bytes, allocs
-}' "$tmp/micro.txt" | sed '$ s/,$//' > "$tmp/micro.json"
+}
+END {
+    for (r = 1; r <= rows; r++) {
+        row = order[r]; c = n[row]
+        for (k = 1; k <= c; k++) { x[k] = ns[row, k]; y[k] = by[row, k]; z[k] = al[row, k] }
+        med = q(x, c, 0.5); iqr = q(x, c, 0.75) - q(x, c, 0.25)
+        printf "    {\"name\": \"%s\", \"gomaxprocs\": %s, \"samples\": %d, \"ns_per_op\": %.0f, \"ns_iqr\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.0f}%s\n", \
+            rname[row], rprocs[row], c, med, iqr, q(y, c, 0.5), q(z, c, 0.5), (r < rows ? "," : "")
+    }
+}' "$tmp/micro.txt" > "$tmp/micro.json"
 
 {
     echo '{'
-    echo '  "benchmark": "search pipeline micro-benchmarks (simulator hot path, candidate construction)",'
+    echo '  "benchmark": "search pipeline micro-benchmarks (simulator hot path, candidate construction): median and IQR of ns/op over 10 samples",'
     echo "  \"generated_unix\": $(date +%s),"
     echo "  \"gomaxprocs\": $GMP,"
+    echo "  \"benchtime\": \"$BENCHTIME\","
     echo '  "micro": ['
     cat "$tmp/micro.json"
     echo '  ]'
