@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadCheckpoint -fuzztime 30s ./internal/checkpoint
 	$(GO) test -fuzz FuzzDecodeBundle -fuzztime 20s ./internal/fleet
 	$(GO) test -fuzz FuzzRingChurn -fuzztime 20s ./internal/fleet
+	$(GO) test -fuzz FuzzFoldLanesKernel -fuzztime 20s ./internal/sim
 
 # Static gate: vet, race-enabled tests, and mapcheck over every bundled
 # application's default mapping on both machine models.

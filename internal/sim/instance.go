@@ -15,9 +15,10 @@
 //   - RunRepeats measures all of a candidate's repeats in one call into
 //     the caller's Summaries: one plan lookup, one schedule, and one
 //     lane-wise fold that carries up to 8 repeats' timelines side by side
-//     (foldLanes), with no per-repeat allocation. It records into the
-//     recycled scratch schedule of a pooled run state and caches nothing,
-//     since no later call is left to fold it;
+//     (foldLanes, or its AVX2 kernel where the CPU has AVX2), with no
+//     per-repeat allocation. It records into the recycled scratch
+//     schedule of a pooled run state and caches nothing, since no later
+//     call is left to fold it;
 //   - RunKeyed caches its schedule by mapping key, copied out of the
 //     scratch at exact length, so a revisit of the key folds without
 //     recording;
@@ -194,12 +195,17 @@ func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Resu
 // of a candidate's repeats are folded by this one call, so a stored copy
 // would serve only a later revisit.
 func (in *Instance) RunRepeats(key string, mp *mapping.Mapping, sigma float64, seeds []uint64, out []Summary) error {
+	return in.runRepeats(hostLanes, key, mp, sigma, seeds, out)
+}
+
+// runRepeats is RunRepeats with its lane blocks folded by lf.
+func (in *Instance) runRepeats(lf laneFold, key string, mp *mapping.Mapping, sigma float64, seeds []uint64, out []Summary) error {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return err
 	}
 	s := in.getState()
-	in.foldRepeats(s.record(plan), plan, sigma, seeds, out)
+	in.foldRepeats(lf, s.record(plan), plan, sigma, seeds, out)
 	in.putState(s)
 	return nil
 }
@@ -245,19 +251,18 @@ func (in *Instance) fold(sch *schedule, plan *PlacementPlan, cfg Config, res *Re
 }
 
 // foldRepeats folds sch once per seed into out: blocks of laneWidth seeds
-// go through foldLanes, and a remainder shorter than laneMin folds seed by
-// seed.
-func (in *Instance) foldRepeats(sch *schedule, plan *PlacementPlan, sigma float64, seeds []uint64, out []Summary) {
+// go through lf, and a remainder shorter than lf.min folds seed by seed.
+func (in *Instance) foldRepeats(lf laneFold, sch *schedule, plan *PlacementPlan, sigma float64, seeds []uint64, out []Summary) {
 	i := 0
-	if len(seeds) >= laneMin {
+	if len(seeds) >= lf.min {
 		fs := in.getFold()
-		for ; len(seeds)-i >= laneMin; i += laneWidth {
+		for ; len(seeds)-i >= lf.min; i += laneWidth {
 			blk := seeds[i:min(i+laneWidth, len(seeds))]
 			var noise []lanes
 			if sigma > 0 {
 				noise = in.laneTape(blk, sigma)
 			}
-			foldLanes(in.topo, plan, sch, noise, out[i:i+len(blk)], fs)
+			lf.fold(in.topo, plan, sch, noise, out[i:i+len(blk)], fs)
 		}
 		in.foldPool.Put(fs)
 	}

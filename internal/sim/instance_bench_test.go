@@ -93,11 +93,12 @@ func BenchmarkInstanceRecord(b *testing.B) {
 }
 
 // BenchmarkInstanceRepeats prices the fold side of one candidate's
-// measurement: foldRepeats over n seeds against n per-seed folds of the
-// same recorded schedule, for the repeat counts the driver and the
-// experiments use (1, 3, 7, 31). foldRepeats must not be slower than the
-// per-seed folds at any n; the lane-block crossover (laneMin) is set from
-// these rows.
+// measurement: foldRepeats over n seeds as RunRepeats folds them (the
+// host's lane fold above its crossover), the Go lane fold (foldLanes) in
+// blocks at every n (portable), and n per-seed folds of the same recorded
+// schedule, for the repeat counts the driver and the experiments use (1,
+// 3, 7, 31). foldRepeats must not be slower than the per-seed folds at
+// any n; each lane fold's crossover (laneFold.min) is set from these rows.
 func BenchmarkInstanceRepeats(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)
@@ -114,14 +115,22 @@ func BenchmarkInstanceRepeats(b *testing.B) {
 		out := make([]Summary, n)
 		// Draw the noise tapes and lane blocks: the timed loops measure
 		// only the folds.
-		inst.foldRepeats(sch, plan, 0.04, seeds, out)
+		inst.foldRepeats(hostLanes, sch, plan, 0.04, seeds, out)
+		goBlocks := laneFold{fold: foldLanes, min: 1}
+		inst.foldRepeats(goBlocks, sch, plan, 0.04, seeds, out)
 		for _, seed := range seeds {
 			inst.fold(sch, plan, Config{NoiseSigma: 0.04, Seed: seed}, nil)
 		}
 		b.Run(fmt.Sprintf("seeds=%d/foldRepeats", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				inst.foldRepeats(sch, plan, 0.04, seeds, out)
+				inst.foldRepeats(hostLanes, sch, plan, 0.04, seeds, out)
+			}
+		})
+		b.Run(fmt.Sprintf("seeds=%d/portable", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inst.foldRepeats(goBlocks, sch, plan, 0.04, seeds, out)
 			}
 		})
 		b.Run(fmt.Sprintf("seeds=%d/fold", n), func(b *testing.B) {

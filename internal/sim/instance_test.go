@@ -122,7 +122,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := runRepeats(inst, mp, 0.04, repeatSeeds(7)); err != nil {
+	if _, err := runRepeats(hostLanes, inst, mp, 0.04, repeatSeeds(7)); err != nil {
 		t.Fatal(err)
 	}
 	if again, _ := inst.PlanPlacement(mp); again != plan {
@@ -174,13 +174,26 @@ func repeatSeeds(n int) []uint64 {
 	return seeds
 }
 
-// runRepeats is RunRepeats returning a fresh Summary slice.
-func runRepeats(in *Instance, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]Summary, error) {
+// runRepeats is RunRepeats with lane fold lf, returning a fresh Summary
+// slice.
+func runRepeats(lf laneFold, in *Instance, mp *mapping.Mapping, sigma float64, seeds []uint64) ([]Summary, error) {
 	out := make([]Summary, len(seeds))
-	if err := in.RunRepeats(mp.Key(), mp, sigma, seeds, out); err != nil {
+	if err := in.runRepeats(lf, mp.Key(), mp, sigma, seeds, out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// forEachLaneFold runs f as a subtest per lane fold: the Go fold
+// (portable) everywhere, the AVX2 kernel (avx2) where the host has it.
+func forEachLaneFold(t *testing.T, f func(t *testing.T, lf laneFold)) {
+	t.Run("portable", func(t *testing.T) { f(t, portableLanes) })
+	t.Run("avx2", func(t *testing.T) {
+		if !haveAVX2 {
+			t.Skip("the host has no AVX2")
+		}
+		f(t, avx2Lanes)
+	})
 }
 
 // requireRepeatsMatch checks every Summary of RunRepeats against the
@@ -201,14 +214,18 @@ func requireRepeatsMatch(t *testing.T, ctx string, got []Summary, ref *Instance,
 	}
 }
 
-// TestRepeatsMatchRunKeyed is the oracle of the lane-wise fold: every
-// Summary RunRepeats writes must equal the fields of RunKeyed's Result
-// under that seed bit for bit, for every app and node count, default and
-// random mappings, with and without noise, and seed counts on both sides
-// of the lane-block edges (scalar remainder, one partial block, full
-// blocks, a block plus one). An OOM mapping returns the same error value
-// from both calls.
+// TestRepeatsMatchRunKeyed is the oracle of the lane-wise folds: with
+// each lane fold, every Summary RunRepeats writes must equal the fields of
+// RunKeyed's Result under that seed bit for bit, for every app and node
+// count, default and random mappings, with and without noise, and seed
+// counts on both sides of the lane-block edges (scalar remainder, one
+// partial block, full blocks, a block plus one). An OOM mapping returns
+// the same error value from both calls.
 func TestRepeatsMatchRunKeyed(t *testing.T) {
+	forEachLaneFold(t, testRepeatsMatchRunKeyed)
+}
+
+func testRepeatsMatchRunKeyed(t *testing.T, lf laneFold) {
 	counts := []int{1, 3, 7, 8, 9, 31}
 	for _, nodes := range []int{1, 2, 4} {
 		for name, g := range appProblems(t, nodes) {
@@ -228,7 +245,7 @@ func TestRepeatsMatchRunKeyed(t *testing.T) {
 				for _, sigma := range []float64{0, 0.04} {
 					for _, n := range counts {
 						ctx := fmt.Sprintf("%s/%d mapping %d sigma %v seeds %d", name, nodes, i, sigma, n)
-						got, err := runRepeats(inst, mp, sigma, repeatSeeds(n))
+						got, err := runRepeats(lf, inst, mp, sigma, repeatSeeds(n))
 						if err != nil {
 							if _, werr := ref.RunKeyed(mp.Key(), mp, Config{}); werr == nil || werr.Error() != err.Error() {
 								t.Fatalf("%s: RunRepeats err %v, RunKeyed err %v", ctx, err, werr)
@@ -253,7 +270,7 @@ func TestRepeatsMatchRunKeyed(t *testing.T) {
 		}
 	}
 	in := New(m, g)
-	got, err := runRepeats(in, oom, 0.04, repeatSeeds(7))
+	got, err := runRepeats(lf, in, oom, 0.04, repeatSeeds(7))
 	if _, ok := err.(*OOMError); !ok || got != nil {
 		t.Fatalf("RunRepeats on an OOM mapping: summaries %v, err %v; want *OOMError", got, err)
 	}
@@ -299,7 +316,7 @@ func TestRecycledScheduleReuse(t *testing.T) {
 		// An earlier step's RunKeyed cached this key's schedule; forget
 		// it so this step records.
 		in.dropSchedule(key)
-		got, err := runRepeats(in, mp, 0.04, seeds)
+		got, err := runRepeats(hostLanes, in, mp, 0.04, seeds)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -374,7 +391,7 @@ func TestRecycledScheduleReuseConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(mps)
 				mp := mps[i]
-				got, err := runRepeats(in, mp, 0.04, seeds)
+				got, err := runRepeats(hostLanes, in, mp, 0.04, seeds)
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", w, r, err)
 					return

@@ -23,7 +23,10 @@
 // caller that passes one. The repeats of one candidate differ only in
 // their noise tape, so foldLanes folds up to laneWidth of them in one pass
 // over the schedule into Summaries, each lane repeating foldSchedule's
-// float operations exactly (TestRepeatsMatchRunKeyed).
+// float operations exactly (TestRepeatsMatchRunKeyed). On amd64 hosts with
+// AVX2 an assembly kernel folds each launch's lanes in ymm registers
+// (foldlanes_amd64.s), bit-identical to foldLanes (FuzzFoldLanesKernel);
+// foldLanes is the lane fold everywhere else and the kernel's oracle.
 //
 // The applications are fixed-iteration loops, and the structure pass runs
 // each launch only until the loop reaches its steady state. A launch's
@@ -270,13 +273,34 @@ type foldScratch struct {
 // is what makes one pass over the schedule cheaper than laneWidth folds.
 const laneWidth = 8
 
-// laneMin is the smallest number of repeats worth a lane block; fewer
-// fold one at a time through foldSchedule. A block does the work of
-// laneWidth lanes whatever the number of real ones, and on a 2-vCPU
-// x86-64 host it cost 4.3–5.2 scalar folds (pennant 320x720 on 1 and 4
-// nodes, htr 32x256y36z on 2): at 5 seeds a block beat 5 scalar folds on
-// pennant but broke even or lost on htr, and at 6 it won on all three.
-const laneMin = 6
+// laneFold is one implementation of the lane fold, and min the smallest
+// number of repeats worth one of its blocks; fewer fold one at a time
+// through foldSchedule. A block does the work of laneWidth lanes whatever
+// the number of real ones.
+type laneFold struct {
+	fold func(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes, out []Summary, fs *foldScratch)
+	min  int
+}
+
+var (
+	// portableLanes is the Go lane fold. On a 2-vCPU x86-64 host its
+	// block cost 4.3–5.2 scalar folds (pennant 320x720 on 1 and 4 nodes,
+	// htr 32x256y36z on 2): at 5 seeds a block beat 5 scalar folds on
+	// pennant but broke even or lost on htr, and at 6 it won on all three.
+	portableLanes = laneFold{foldLanes, 6}
+	// avx2Lanes is the AVX2 kernel. Its block of 1 or 3 real seeds cost
+	// 21 µs against 46 µs for one scalar fold (pennant 320x720 ×4,
+	// BenchmarkInstanceRepeats), so every repeat count folds in blocks.
+	avx2Lanes = laneFold{foldLanesAVX2, 1}
+	// hostLanes is the lane fold RunRepeats uses: the kernel where the
+	// CPU has AVX2, the Go fold everywhere else.
+	hostLanes = func() laneFold {
+		if haveAVX2 {
+			return avx2Lanes
+		}
+		return portableLanes
+	}()
+)
 
 // lanes holds one timeline value per repeat of a lane block.
 type lanes [laneWidth]float64
@@ -453,7 +477,8 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 // foldSchedule's float operations for the Summary in the same order, so
 // out[l] is bit-identical to foldSchedule's Summary under lane l's tape.
 // Lanes past len(out) are padding: their results are discarded. Nothing
-// but the Summary is produced; RunKeyed serves Results.
+// but the Summary is produced; RunKeyed serves Results. foldLanesAVX2
+// folds the same lanes with the same operations in assembly.
 func foldLanes(topo *topology, plan *PlacementPlan, sch *schedule, noise []lanes, out []Summary, fs *foldScratch) {
 	perIter := len(topo.launch)
 	fs.laneProc = resetZero(fs.laneProc, topo.nodes*machine.NumProcKinds)

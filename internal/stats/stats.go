@@ -69,19 +69,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive xs, or 0 for an empty
-// slice.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
 // CI95 returns the half-width of an approximate 95% confidence interval of
 // the mean (normal approximation, 1.96 σ/√n).
 func (s Summary) CI95() float64 {
@@ -91,24 +78,7 @@ func (s Summary) CI95() float64 {
 	return 1.96 * s.Stddev / math.Sqrt(float64(s.N))
 }
 
-// CV returns the coefficient of variation (σ/μ), or 0 when the mean is 0.
-func (s Summary) CV() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Stddev / s.Mean
-}
-
 // String formats the summary as "mean ± ci95 (n)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", s.Mean, s.CI95(), s.N)
-}
-
-// Speedup returns base/x — how many times faster x is than base. Panics if
-// x is not positive.
-func Speedup(base, x float64) float64 {
-	if x <= 0 {
-		panic("stats: Speedup with non-positive time")
-	}
-	return base / x
 }

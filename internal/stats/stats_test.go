@@ -60,38 +60,13 @@ func TestSummarizeProperties(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Error("empty means should be 0")
+func TestMean(t *testing.T) {
+	if Mean(nil) != 0 {
+		t.Error("empty mean should be 0")
 	}
 	if Mean([]float64{2, 4}) != 3 {
 		t.Error("Mean wrong")
 	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", g)
-	}
-}
-
-func TestCV(t *testing.T) {
-	s := Summarize([]float64{10, 10, 10})
-	if s.CV() != 0 {
-		t.Errorf("CV of constant sample = %v", s.CV())
-	}
-	if (Summary{Mean: 0, Stddev: 1}).CV() != 0 {
-		t.Error("CV with zero mean should be 0")
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if Speedup(10, 5) != 2 {
-		t.Error("Speedup wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-positive time")
-		}
-	}()
-	Speedup(1, 0)
 }
 
 func TestSummaryString(t *testing.T) {

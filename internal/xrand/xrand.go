@@ -60,22 +60,3 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 func (r *RNG) UnitMeanLogNormal(sigma float64) float64 {
 	return r.LogNormal(-sigma*sigma/2, sigma)
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Split returns a new generator derived from this one, so concurrent or
-// nested components can have independent deterministic streams.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xa5a5a5a5a5a5a5a5)
-}

@@ -100,27 +100,6 @@ func TestUnitMeanLogNormal(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(5)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	r := New(11)
-	s1 := r.Split()
-	s2 := r.Split()
-	if s1.Uint64() == s2.Uint64() {
-		t.Fatal("split streams collide immediately")
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var r RNG
 	_ = r.Uint64() // must not panic
