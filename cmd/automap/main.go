@@ -122,22 +122,20 @@ func (c *commonFlags) build() (*machine.Machine, *taskir.Graph) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var spec cluster.NodeSpec
-	switch *c.cluster {
-	case "shepard":
-		spec = cluster.ShepardNode()
-	case "lassen":
-		spec = cluster.LassenNode()
-	case "perlmutter":
-		spec = cluster.PerlmutterNode()
-	default:
-		var err error
+	return c.machine(), g
+}
+
+// machine builds the -cluster model: a named cluster or a machine-spec
+// file.
+func (c *commonFlags) machine() *machine.Machine {
+	spec, err := cluster.Spec(*c.cluster)
+	if err != nil {
 		spec, err = cluster.LoadSpec(*c.cluster)
 		if err != nil {
 			log.Fatalf("-cluster must be shepard, lassen, perlmutter, or a machine-spec file: %v", err)
 		}
 	}
-	return cluster.Build(spec, *c.nodes), g
+	return cluster.Build(spec, *c.nodes)
 }
 
 func cmdProfile(args []string) {
@@ -196,26 +194,9 @@ func cmdSearch(args []string) {
 		}
 	}
 
-	var alg search.Algorithm
-	switch *algoName {
-	case "ccd":
-		alg = search.NewCCD()
-	case "cd":
-		alg = search.NewCD()
-	case "ot":
-		alg = search.NewOpenTuner()
-		if *budget == 0 {
-			*budget = 2 * 3600 // the ensemble needs a bound
-		}
-	case "random":
-		alg = search.NewRandom()
-		if *budget == 0 {
-			*budget = 2 * 3600
-		}
-	case "anneal":
-		alg = search.NewAnneal()
-	default:
-		log.Fatalf("unknown algorithm %q", *algoName)
+	alg, err := search.New(*algoName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	opts := driver.DefaultOptions()
@@ -327,7 +308,7 @@ func cmdSearch(args []string) {
 		fmt.Printf("metrics written to %s\n", *metricsFile)
 	}
 
-	rep, err := driver.SearchFromSpace(m, g, sp, alg, opts, search.Budget{MaxSearchSec: *budget, Context: ctx})
+	rep, err := driver.SearchFromSpace(m, g, sp, alg, opts, search.Budget{MaxSearchSec: *budget, Context: ctx}.Bounded(*algoName))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -534,22 +515,7 @@ func cmdMachine(args []string) {
 	c.fs.Parse(args)
 	// The machine subcommand does not need an application; render the
 	// topology directly.
-	var spec cluster.NodeSpec
-	switch *c.cluster {
-	case "shepard":
-		spec = cluster.ShepardNode()
-	case "lassen":
-		spec = cluster.LassenNode()
-	case "perlmutter":
-		spec = cluster.PerlmutterNode()
-	default:
-		var err error
-		spec, err = cluster.LoadSpec(*c.cluster)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Print(viz.RenderMachine(cluster.Build(spec, *c.nodes)))
+	fmt.Print(viz.RenderMachine(c.machine()))
 }
 
 func cmdApps() {

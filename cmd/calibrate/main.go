@@ -26,7 +26,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	appName := flag.String("app", "circuit", "application name")
-	clusterName := flag.String("cluster", "shepard", "cluster: shepard or lassen")
+	clusterName := flag.String("cluster", "shepard", "cluster: shepard, lassen, or perlmutter")
 	nodes := flag.Int("nodes", 1, "machine nodes")
 	inputs := flag.String("inputs", "", "comma-separated inputs (default: app's list for -nodes)")
 	budget := flag.Float64("budget", 0, "search budget in simulated seconds (0 = unlimited)")
@@ -36,14 +36,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var spec cluster.NodeSpec
-	switch *clusterName {
-	case "shepard":
-		spec = cluster.ShepardNode()
-	case "lassen":
-		spec = cluster.LassenNode()
-	default:
-		log.Fatalf("unknown cluster %q", *clusterName)
+	spec, err := cluster.Spec(*clusterName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	var list []string
 	if *inputs != "" {

@@ -70,15 +70,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var spec cluster.NodeSpec
-	switch *machineName {
-	case "shepard":
-		spec = cluster.ShepardNode()
-	case "lassen":
-		spec = cluster.LassenNode()
-	case "perlmutter":
-		spec = cluster.PerlmutterNode()
-	default:
+	spec, err := cluster.Spec(*machineName)
+	if err != nil {
 		spec, err = cluster.LoadSpec(*machineName)
 		if err != nil {
 			log.Printf("-machine must be shepard, lassen, perlmutter, or a machine-spec file: %v", err)

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -183,80 +182,6 @@ func cmdExplain(base string, args []string) {
 	getJSON(base+"/v1/search/"+id+"/explain", &rep)
 	if err := rep.Render(os.Stdout, *topK); err != nil {
 		log.Fatal(err)
-	}
-	printRotationStats(base, id)
-}
-
-// printRotationStats appends a per-rotation evaluation-path table to the
-// explain output, built from the search's telemetry stream: each CCD
-// rotation span's end carries the rotation's sim.eval.incremental /
-// sim.eval.fallback attribution in its attrs (DESIGN §14). The table is
-// best-effort decoration — searches recorded without rotation spans (other
-// algorithms, older streams) or an unreachable events endpoint just omit
-// it.
-func printRotationStats(base, id string) {
-	resp, err := http.Get(base + "/v1/search/" + id + "/events")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	type rotation struct {
-		detail  string
-		inc, fb int64
-		end     float64
-		attrs   bool
-	}
-	open := map[int]string{} // open rotation span ID → detail
-	var rots []rotation
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	for sc.Scan() {
-		var ev struct {
-			Event string `json:"event"`
-			Data  struct {
-				ID     int              `json:"id"`
-				Name   string           `json:"name"`
-				Detail string           `json:"detail"`
-				EndSec float64          `json:"end_sec"`
-				Attrs  map[string]int64 `json:"attrs"`
-			} `json:"data"`
-		}
-		if json.Unmarshal(sc.Bytes(), &ev) != nil {
-			continue
-		}
-		switch ev.Event {
-		case "span_start":
-			if ev.Data.Name == "rotation" {
-				open[ev.Data.ID] = ev.Data.Detail
-			}
-		case "span_end":
-			detail, ok := open[ev.Data.ID]
-			if !ok {
-				continue
-			}
-			delete(open, ev.Data.ID)
-			inc, incOK := ev.Data.Attrs["sim.eval.incremental"]
-			fb := ev.Data.Attrs["sim.eval.fallback"]
-			rots = append(rots, rotation{
-				detail: detail, inc: inc, fb: fb,
-				end: ev.Data.EndSec, attrs: incOK,
-			})
-		}
-	}
-	if sc.Err() != nil || len(rots) == 0 {
-		return
-	}
-	fmt.Println()
-	fmt.Println("rotations (simulation path per committed evaluation):")
-	for _, r := range rots {
-		if r.attrs {
-			fmt.Printf("  %-12s  incremental %-6d fallback %-6d (ended %.1fs)\n", r.detail, r.inc, r.fb, r.end)
-		} else {
-			fmt.Printf("  %-12s  (no path attribution recorded)\n", r.detail)
-		}
 	}
 }
 

@@ -14,7 +14,11 @@
 // datasheets; only their relative magnitudes matter for mapping decisions.
 package cluster
 
-import "automap/internal/machine"
+import (
+	"fmt"
+
+	"automap/internal/machine"
+)
 
 // GiB is 2^30 bytes.
 const GiB = int64(1) << 30
@@ -165,6 +169,20 @@ func PerlmutterNode() NodeSpec {
 
 // Perlmutter builds an n-node Perlmutter machine.
 func Perlmutter(nodes int) *machine.Machine { return Build(PerlmutterNode(), nodes) }
+
+// Spec returns the node specification of a named cluster model:
+// shepard, lassen, or perlmutter.
+func Spec(name string) (NodeSpec, error) {
+	switch name {
+	case "shepard":
+		return ShepardNode(), nil
+	case "lassen":
+		return LassenNode(), nil
+	case "perlmutter":
+		return PerlmutterNode(), nil
+	}
+	return NodeSpec{}, fmt.Errorf("unknown cluster %q (have shepard, lassen, perlmutter)", name)
+}
 
 // Build constructs a concrete machine with the given number of nodes from
 // the node specification. Panics if nodes < 1 (caller bug).

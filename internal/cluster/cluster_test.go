@@ -11,10 +11,10 @@ func TestShepardStructure(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := len(m.ProcsOfKind(machine.CPU)); got != 2 {
+	if got := len(m.ProcsOfKindOnNode(machine.CPU, 0)); got != 2 {
 		t.Errorf("CPU sockets = %d, want 2", got)
 	}
-	if got := len(m.ProcsOfKind(machine.GPU)); got != 1 {
+	if got := len(m.ProcsOfKindOnNode(machine.GPU, 0)); got != 1 {
 		t.Errorf("GPUs = %d, want 1 (one P100 per node)", got)
 	}
 	if got := len(m.MemsOfKindOnNode(machine.SysMem, 0)); got != 2 {
@@ -41,7 +41,7 @@ func TestLassenStructure(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := len(m.ProcsOfKind(machine.GPU)); got != 4 {
+	if got := len(m.ProcsOfKindOnNode(machine.GPU, 0)); got != 4 {
 		t.Errorf("GPUs = %d, want 4 (V100s per node)", got)
 	}
 	for _, id := range m.MemsOfKindOnNode(machine.FrameBuffer, 0) {
@@ -53,7 +53,7 @@ func TestLassenStructure(t *testing.T) {
 
 func TestAffinityOrderClosestFirst(t *testing.T) {
 	m := Shepard(1)
-	for _, pid := range m.ProcsOfKind(machine.CPU) {
+	for _, pid := range m.ProcsOfKindOnNode(machine.CPU, 0) {
 		mems := m.AddressableMems(pid)
 		if len(mems) < 2 {
 			t.Fatalf("CPU %d addresses %d memories", pid, len(mems))
@@ -64,7 +64,7 @@ func TestAffinityOrderClosestFirst(t *testing.T) {
 				pid, first.Kind, first.Socket)
 		}
 	}
-	for _, pid := range m.ProcsOfKind(machine.GPU) {
+	for _, pid := range m.ProcsOfKindOnNode(machine.GPU, 0) {
 		mems := m.AddressableMems(pid)
 		if m.Mem(mems[0]).Kind != machine.FrameBuffer {
 			t.Errorf("GPU %d first affinity should be its Frame-Buffer", pid)
@@ -74,7 +74,7 @@ func TestAffinityOrderClosestFirst(t *testing.T) {
 
 func TestGPUCannotAddressSystem(t *testing.T) {
 	m := Lassen(1)
-	for _, pid := range m.ProcsOfKind(machine.GPU) {
+	for _, pid := range m.ProcsOfKindOnNode(machine.GPU, 0) {
 		for _, mid := range m.AddressableMems(pid) {
 			if m.Mem(mid).Kind == machine.SysMem {
 				t.Fatalf("GPU %d addresses System memory", pid)
@@ -144,7 +144,7 @@ func TestLassenZeroCopyFasterThanShepard(t *testing.T) {
 func TestSocketThroughputAggregatesCores(t *testing.T) {
 	spec := ShepardNode()
 	m := Build(spec, 1)
-	cpu := m.Proc(m.ProcsOfKind(machine.CPU)[0])
+	cpu := m.Proc(m.ProcsOfKindOnNode(machine.CPU, 0)[0])
 	want := float64(spec.CoresPerSocket) * spec.CPUCoreFLOPS
 	if cpu.ThroughputFLOPS != want {
 		t.Fatalf("socket throughput = %v, want %v", cpu.ThroughputFLOPS, want)
@@ -177,5 +177,19 @@ func TestPerlmutterStructure(t *testing.T) {
 	}
 	if err := ValidateSpec(PerlmutterNode()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSpecNames(t *testing.T) {
+	for _, name := range []string{"shepard", "lassen", "perlmutter"} {
+		spec, err := Spec(name)
+		if err != nil {
+			t.Error(err)
+		} else if spec.Name != name {
+			t.Errorf("Spec(%q).Name = %q", name, spec.Name)
+		}
+	}
+	if _, err := Spec("frontier"); err == nil {
+		t.Error("unknown cluster accepted")
 	}
 }

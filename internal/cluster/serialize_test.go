@@ -76,8 +76,10 @@ func TestCPUOnlyClusterBuilds(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("CPU-only machine invalid: %v", err)
 	}
-	if m.HasKind(machine.GPU) {
-		t.Fatal("CPU-only machine has GPUs")
+	for node := 0; node < 2; node++ {
+		if len(m.ProcsOfKindOnNode(machine.GPU, node)) > 0 {
+			t.Fatalf("CPU-only machine has GPUs on node %d", node)
+		}
 	}
 	md := m.Model()
 	if md.HasProcKind(machine.GPU) {

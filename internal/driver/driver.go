@@ -248,9 +248,9 @@ type Evaluator struct {
 	mFbEvals   *telemetry.Counter
 	// Logical cache counters, attributed on the sequential commit path —
 	// a pure function of the commit sequence, so byte-identical at any
-	// worker count and across resume
-	// (unlike the Instance's physical probe counters, which speculative
-	// evaluation perturbs).
+	// worker count and across resume. They restate Repeats and the commit
+	// count, and stay only because benchmark/expected.json pins them: its
+	// digest hashes every metric of the report.
 	mPlanHits    *telemetry.Counter
 	mPlanMisses  *telemetry.Counter
 	mNoiseHits   *telemetry.Counter
@@ -477,6 +477,8 @@ func toRuns(sums []sim.Summary, err error, obj func(*sim.Summary) float64) []che
 func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoint.Run) search.Evaluation {
 	// Attribute this evaluation to the incremental or the fallback
 	// counter, as classified against the incumbent at the commit point.
+	// The classification selects nothing (every candidate is measured in
+	// full); it stays because benchmark/expected.json pins its totals.
 	// Classification is pure and the commit sequence (including the
 	// SetDeltaBase calls interleaved by the search) is deterministic, so
 	// these counters are identical across worker counts, prefetch timing,
@@ -488,9 +490,10 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 		e.fbEvals++
 		e.mFbEvals.Add(1)
 	}
-	// Logical cache attribution (same discipline as the delta counters
-	// above): placement is a pure function of the key, so the counters
-	// charge a committed candidate's first repeat a miss and the rest hits
+	// Logical cache attribution, kept only for the benchmark's digest
+	// (same discipline as the delta counters above): placement is a pure
+	// function of the key, so the counters charge a committed
+	// candidate's first repeat a miss and the rest hits
 	// (RunRepeats physically looks the plan up once for all of them); the
 	// noise stream is a pure function of the repeat index, so a repeat
 	// index draws its tape the first time any committed candidate reaches

@@ -77,7 +77,6 @@ func TestConcurrentPrefetchAndDB(t *testing.T) {
 				for _, mp := range cands {
 					key := mp.Key()
 					ev.DB.Lookup(key)
-					ev.DB.MeanOf(key)
 				}
 				ev.DB.Len()
 				ev.DB.Keys()
@@ -324,7 +323,7 @@ func TestPrefetchSupersedeCountsDroppedResults(t *testing.T) {
 }
 
 // TestConcurrentDBRecord pins profile.DB's own locking: concurrent Record,
-// RecordFailure, Lookup, MeanOf, Save-path iteration (Keys) on overlapping
+// RecordFailure, Lookup, Save-path iteration (Keys) on overlapping
 // keys.
 func TestConcurrentDBRecord(t *testing.T) {
 	db := profile.NewDB()
@@ -339,10 +338,8 @@ func TestConcurrentDBRecord(t *testing.T) {
 				switch r % 4 {
 				case 0:
 					db.Record(k, []float64{float64(r)})
-				case 1:
+				case 1, 2:
 					db.Lookup(k)
-				case 2:
-					db.MeanOf(k)
 				case 3:
 					db.Keys()
 				}

@@ -19,9 +19,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"automap/internal/cluster"
 	"automap/internal/driver"
 	"automap/internal/machine"
 	"automap/internal/mapping"
@@ -59,20 +56,6 @@ func QuickConfig() Config {
 		Driver:          opts,
 		Budget:          search.Budget{MaxSuggestions: 300},
 		BaselineRepeats: 5,
-	}
-}
-
-// ClusterSpec resolves a cluster name ("shepard" or "lassen").
-func ClusterSpec(name string) (cluster.NodeSpec, error) {
-	switch name {
-	case "shepard":
-		return cluster.ShepardNode(), nil
-	case "lassen":
-		return cluster.LassenNode(), nil
-	case "perlmutter":
-		return cluster.PerlmutterNode(), nil
-	default:
-		return cluster.NodeSpec{}, fmt.Errorf("unknown cluster %q (want shepard, lassen, or perlmutter)", name)
 	}
 }
 

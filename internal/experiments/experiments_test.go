@@ -134,18 +134,6 @@ func TestFig9CCDBeatsOthers(t *testing.T) {
 	}
 }
 
-func TestClusterSpecNames(t *testing.T) {
-	if _, err := ClusterSpec("shepard"); err != nil {
-		t.Error(err)
-	}
-	if _, err := ClusterSpec("lassen"); err != nil {
-		t.Error(err)
-	}
-	if _, err := ClusterSpec("frontier"); err == nil {
-		t.Error("unknown cluster accepted")
-	}
-}
-
 func TestFig9PanelsMatchPaper(t *testing.T) {
 	panels := Fig9Panels()
 	if len(panels) != 4 {

@@ -39,7 +39,7 @@ type Fig8Row struct {
 
 // Fig8 reproduces the memory-constrained experiment for one cluster.
 func Fig8(clusterName string, nodeCounts []int, overPcts []float64, cfg Config) ([]Fig8Row, error) {
-	spec, err := ClusterSpec(clusterName)
+	spec, err := cluster.Spec(clusterName)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func TestGoldenDefaultMakespans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := ClusterSpec(gcase.cluster)
+		spec, err := cluster.Spec(gcase.cluster)
 		if err != nil {
 			t.Fatal(err)
 		}

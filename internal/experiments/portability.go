@@ -49,7 +49,7 @@ func Portability(appName, input string, clusters []string, cfg Config) ([]Portab
 	}
 	var tunedList []tuned
 	for _, cname := range clusters {
-		spec, err := ClusterSpec(cname)
+		spec, err := cluster.Spec(cname)
 		if err != nil {
 			return nil, err
 		}

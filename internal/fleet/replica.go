@@ -257,20 +257,12 @@ func (r *Replica) bundleFor(key string) (*Bundle, error) {
 	if !ok {
 		return nil, nil
 	}
+	if b, err := resultBundle(st, e); b != nil || err != nil {
+		return b, err
+	}
 	events, err := os.ReadFile(st.EventsPath(key))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
-	}
-	if result, errMsg, done := e.Result(); done {
-		return &Bundle{
-			Key:     key,
-			Kind:    KindResult,
-			Request: e.Request(),
-			Status:  string(e.Status()),
-			Result:  result,
-			Error:   errMsg,
-			Events:  completeLines(events),
-		}, nil
 	}
 	ckpt, err := os.ReadFile(st.CheckpointPath(key))
 	if err != nil {
@@ -282,6 +274,29 @@ func (r *Replica) bundleFor(key string) (*Bundle, error) {
 		Request:    e.Request(),
 		Checkpoint: ckpt,
 		Events:     completeLines(events),
+	}, nil
+}
+
+// resultBundle builds the result bundle of a finished entry: its terminal
+// status, result and persisted event stream. It returns nil with a nil
+// error while the search is still running.
+func resultBundle(st *store.Store, e *store.Entry) (*Bundle, error) {
+	result, errMsg, done := e.Result()
+	if !done {
+		return nil, nil
+	}
+	events, err := os.ReadFile(st.EventsPath(e.Key))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	return &Bundle{
+		Key:     e.Key,
+		Kind:    KindResult,
+		Request: e.Request(),
+		Status:  string(e.Status()),
+		Result:  result,
+		Error:   errMsg,
+		Events:  completeLines(events),
 	}, nil
 }
 
@@ -463,24 +478,14 @@ func (r *Replica) handleInternalResult(w http.ResponseWriter, req *http.Request)
 		http.Error(w, "unknown search", http.StatusNotFound)
 		return
 	}
-	result, errMsg, done := e.Result()
-	if !done {
-		http.Error(w, "search not finished", http.StatusConflict)
-		return
-	}
-	events, err := os.ReadFile(st.EventsPath(key))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	b, err := resultBundle(st, e)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	b := &Bundle{
-		Key:     key,
-		Kind:    KindResult,
-		Request: e.Request(),
-		Status:  string(e.Status()),
-		Result:  result,
-		Error:   errMsg,
-		Events:  completeLines(events),
+	if b == nil {
+		http.Error(w, "search not finished", http.StatusConflict)
+		return
 	}
 	data, err := b.Encode()
 	if err != nil {

@@ -310,18 +310,6 @@ func (m *Machine) Proc(id ProcID) *Processor { return &m.Procs[id] }
 // Mem returns the memory with the given ID.
 func (m *Machine) Mem(id MemID) *Memory { return &m.Mems[id] }
 
-// ProcsOfKind returns all processors of kind k, ordered by (node, socket,
-// device).
-func (m *Machine) ProcsOfKind(k ProcKind) []ProcID {
-	var out []ProcID
-	for i := range m.Procs {
-		if m.Procs[i].Kind == k {
-			out = append(out, m.Procs[i].ID)
-		}
-	}
-	return out
-}
-
 // ProcsOfKindOnNode returns the processors of kind k on the given node.
 func (m *Machine) ProcsOfKindOnNode(k ProcKind, node int) []ProcID {
 	var out []ProcID
@@ -342,16 +330,6 @@ func (m *Machine) MemsOfKindOnNode(k MemKind, node int) []MemID {
 		}
 	}
 	return out
-}
-
-// HasKind reports whether the machine has at least one processor of kind k.
-func (m *Machine) HasKind(k ProcKind) bool {
-	for i := range m.Procs {
-		if m.Procs[i].Kind == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate checks structural invariants: every processor addresses at least

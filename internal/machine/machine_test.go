@@ -69,8 +69,8 @@ func TestAddAssignsIDsAndNodes(t *testing.T) {
 
 func TestProcsAndMemsOfKind(t *testing.T) {
 	m := twoKindMachine(t)
-	if got := len(m.ProcsOfKind(CPU)); got != 1 {
-		t.Errorf("CPUs = %d, want 1", got)
+	if got := len(m.ProcsOfKindOnNode(CPU, 0)); got != 1 {
+		t.Errorf("CPUs on node 0 = %d, want 1", got)
 	}
 	if got := len(m.ProcsOfKindOnNode(GPU, 0)); got != 1 {
 		t.Errorf("GPUs on node 0 = %d, want 1", got)

@@ -211,7 +211,7 @@ type Sample struct {
 // *Sample pointers returned by Lookup/Record alias live entries, so callers
 // that interleave reads of a sample with concurrent Record calls on the
 // same key must synchronize externally (the driver commits all writes from
-// one goroutine and uses MeanOf where only the aggregate is needed).
+// one goroutine).
 type DB struct {
 	mu      sync.RWMutex
 	samples map[string]*Sample
@@ -229,19 +229,6 @@ func (db *DB) Lookup(key string) (*Sample, bool) {
 	s, ok := db.samples[key]
 	db.mu.RUnlock()
 	return s, ok
-}
-
-// MeanOf returns the mean execution time recorded for the mapping key
-// (+Inf for failed mappings), without exposing the live sample.
-func (db *DB) MeanOf(key string) (float64, bool) {
-	db.mu.RLock()
-	s, ok := db.samples[key]
-	var mean float64
-	if ok {
-		mean = s.Mean()
-	}
-	db.mu.RUnlock()
-	return mean, ok
 }
 
 // Record stores measurements for a mapping key, appending to any existing

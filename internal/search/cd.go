@@ -102,19 +102,14 @@ func (c *CCD) Search(p *Problem, ev Evaluator, budget Budget) *Outcome {
 		// the deterministic stream, so it leaves the span open and the
 		// resumed run — replaying the same trajectory — closes it at the
 		// position the uninterrupted run would have.
-		// The span's end carries the rotation's incremental-vs-fallback
-		// evaluation attribution (DESIGN §14) as attrs, taken as deltas
-		// of the evaluator's commit-time counters — deterministic at any
-		// worker count, so the span stream stays byte-identical.
 		rotSpan := tr.obs.StartSpan(p.Span, "rotation", fmt.Sprintf("rotation %d", r), ev.SearchTimeSec())
-		rotInc, rotFb := tr.deltaStats()
 		for _, tid := range taskOrder {
 			if tunable != nil && !tunable[tid] {
 				continue
 			}
 			if reason := budget.reason(ev, tr.suggested); reason != "" {
 				if !reason.Stopped() {
-					tr.obs.EndSpanAttrs(rotSpan, ev.SearchTimeSec(), tr.deltaAttrs(rotInc, rotFb))
+					tr.obs.EndSpan(rotSpan, ev.SearchTimeSec())
 				}
 				return tr.outcome(reason)
 			}
@@ -143,7 +138,7 @@ func (c *CCD) Search(p *Problem, ev Evaluator, budget Budget) *Outcome {
 				}
 			}
 		}
-		tr.obs.EndSpanAttrs(rotSpan, ev.SearchTimeSec(), tr.deltaAttrs(rotInc, rotFb))
+		tr.obs.EndSpan(rotSpan, ev.SearchTimeSec())
 	}
 	return tr.outcome(StopConverged)
 }

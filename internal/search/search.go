@@ -20,6 +20,7 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 
 	"automap/internal/machine"
@@ -90,8 +91,8 @@ type BatchEvaluator interface {
 // changes a result, so algorithms call it on every accept and never on
 // rejects. DeltaEvalStats returns the evaluator's commit-time attribution
 // counters (how many committed evaluations classified as bounded deltas
-// of the incumbent vs fallbacks); both are monotone, so per-phase figures
-// are taken as deltas between two reads.
+// of the incumbent vs fallbacks). No algorithm reads them; the benchmark's
+// traced evaluator forwards them.
 type DeltaEvaluator interface {
 	Evaluator
 	SetDeltaBase(mp *mapping.Mapping)
@@ -114,6 +115,16 @@ type Budget struct {
 	// checkpoint and replays to the same result it would have reached
 	// uninterrupted (see internal/checkpoint).
 	Context context.Context
+}
+
+// Bounded returns b with a two-hour MaxSearchSec when the named
+// algorithm never stops on its own (ot, random) and b bounds neither time
+// nor suggestions.
+func (b Budget) Bounded(algorithm string) Budget {
+	if (algorithm == "ot" || algorithm == "random") && b.MaxSearchSec == 0 && b.MaxSuggestions == 0 {
+		b.MaxSearchSec = 2 * 3600
+	}
+	return b
 }
 
 // StopReason records why a search ended.
@@ -242,6 +253,24 @@ type Algorithm interface {
 	Search(p *Problem, ev Evaluator, budget Budget) *Outcome
 }
 
+// New returns a fresh instance of the named algorithm: ccd, cd, ot,
+// random, or anneal.
+func New(name string) (Algorithm, error) {
+	switch name {
+	case "ccd":
+		return NewCCD(), nil
+	case "cd":
+		return NewCD(), nil
+	case "ot":
+		return NewOpenTuner(), nil
+	case "random":
+		return NewRandom(), nil
+	case "anneal":
+		return NewAnneal(), nil
+	}
+	return nil, fmt.Errorf("unknown algorithm %q (have ccd, cd, ot, random, anneal)", name)
+}
+
 // tracker centralizes proposal bookkeeping shared by the algorithms: the
 // incumbent, the Section 5.3 counters, the Figure 9 trace, and — when the
 // problem carries an Observer — the telemetry event stream and metric
@@ -257,7 +286,8 @@ type tracker struct {
 	// delta is ev's classification surface when it has one (nil
 	// otherwise): each accepted candidate becomes the delta base, so
 	// subsequent candidates are classified against the current
-	// incumbent.
+	// incumbent. It stays only for the incremental/fallback totals that
+	// benchmark/expected.json pins.
 	delta DeltaEvaluator
 
 	obs *telemetry.Observer
@@ -340,30 +370,6 @@ func (tr *tracker) testEval(cand *mapping.Mapping) (Evaluation, bool) {
 		return res, true
 	}
 	return res, false
-}
-
-// deltaAttrs returns span attributes attributing the evaluations committed
-// since the counter snapshot (incStart, fbStart) to the incremental or
-// fallback counter; nil when the evaluator has no classification surface,
-// so spans of plain evaluators are unchanged.
-func (tr *tracker) deltaAttrs(incStart, fbStart int64) map[string]int64 {
-	if tr.delta == nil {
-		return nil
-	}
-	inc, fb := tr.delta.DeltaEvalStats()
-	return map[string]int64{
-		"sim.eval.incremental": inc - incStart,
-		"sim.eval.fallback":    fb - fbStart,
-	}
-}
-
-// deltaStats snapshots the evaluator's commit-time attribution counters
-// (zero without a classification surface), for a later deltaAttrs call.
-func (tr *tracker) deltaStats() (int64, int64) {
-	if tr.delta == nil {
-		return 0, 0
-	}
-	return tr.delta.DeltaEvalStats()
 }
 
 func (tr *tracker) outcome(reason StopReason) *Outcome {

@@ -223,6 +223,40 @@ func TestBudgetStopsSearch(t *testing.T) {
 	}
 }
 
+func TestNewAndBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name, algo string
+		bounded    bool
+	}{
+		{"ccd", "AM-CCD", false},
+		{"cd", "AM-CD", false},
+		{"ot", "AM-OT", true},
+		{"random", "AM-Random", true},
+		{"anneal", "AM-Anneal", false},
+	} {
+		alg, err := New(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alg.Name() != tc.algo {
+			t.Errorf("New(%q).Name() = %q, want %q", tc.name, alg.Name(), tc.algo)
+		}
+		want := 0.0
+		if tc.bounded {
+			want = 2 * 3600
+		}
+		if got := (Budget{}).Bounded(tc.name).MaxSearchSec; got != want {
+			t.Errorf("%s: unbounded budget becomes %v s, want %v", tc.name, got, want)
+		}
+		if got := (Budget{MaxSuggestions: 10}).Bounded(tc.name).MaxSearchSec; got != 0 {
+			t.Errorf("%s: a suggestion bound gained a time bound of %v s", tc.name, got)
+		}
+	}
+	if _, err := New("gradient-descent"); err == nil {
+		t.Error("unknown algorithm accepted")
+	}
+}
+
 func TestCCDDeterministic(t *testing.T) {
 	run := func() (*Outcome, int) {
 		p := searchProblem(t)

@@ -94,9 +94,8 @@ func (r *Request) Normalize() error {
 	}
 	// The unbounded algorithms need a bound in a shared daemon too: an
 	// unlimited random walk would hold a worker slot forever.
-	if (r.Algorithm == "ot" || r.Algorithm == "random") && r.BudgetSec == 0 && r.MaxSuggestions == 0 {
-		r.BudgetSec = 2 * 3600
-	}
+	bound := search.Budget{MaxSearchSec: r.BudgetSec, MaxSuggestions: r.MaxSuggestions}.Bounded(r.Algorithm)
+	r.BudgetSec = bound.MaxSearchSec
 	if r.BudgetSec < 0 || r.MaxSuggestions < 0 {
 		return fmt.Errorf("budget bounds must be non-negative")
 	}
@@ -124,31 +123,13 @@ func (r *Request) build() (*problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	var spec cluster.NodeSpec
-	switch r.Cluster {
-	case "shepard":
-		spec = cluster.ShepardNode()
-	case "lassen":
-		spec = cluster.LassenNode()
-	case "perlmutter":
-		spec = cluster.PerlmutterNode()
-	default:
-		return nil, fmt.Errorf("unknown cluster %q (have shepard, lassen, perlmutter)", r.Cluster)
+	spec, err := cluster.Spec(r.Cluster)
+	if err != nil {
+		return nil, err
 	}
-	var alg search.Algorithm
-	switch r.Algorithm {
-	case "ccd":
-		alg = search.NewCCD()
-	case "cd":
-		alg = search.NewCD()
-	case "ot":
-		alg = search.NewOpenTuner()
-	case "random":
-		alg = search.NewRandom()
-	case "anneal":
-		alg = search.NewAnneal()
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (have ccd, cd, ot, random, anneal)", r.Algorithm)
+	alg, err := search.New(r.Algorithm)
+	if err != nil {
+		return nil, err
 	}
 	opts := driver.DefaultOptions()
 	opts.Seed = r.Seed

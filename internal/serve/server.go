@@ -574,10 +574,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown search %q", r.PathValue("id"))
 		return
 	}
+	streamNDJSON(w, r, e.Events(), func() bool { return false })
+}
+
+// handleSpans streams a search's serve-side spans as NDJSON. Live
+// searches stream until the run reaches a terminal state (the span log
+// closes) or the client disconnects; finished searches get whatever the
+// current stream holds as an immediate snapshot.
+func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
+	e, ok := s.st.Get(r.PathValue("id"))
+	if !ok {
+		httpError(w, http.StatusNotFound, "unknown search %q", r.PathValue("id"))
+		return
+	}
+	// A finished entry's stream never closes (it may be a fresh log
+	// created after the run's own stream was retired); serve it as a
+	// snapshot rather than blocking a reader forever.
+	streamNDJSON(w, r, s.spanLog(e.Key).log, func() bool { return e.Status().Finished() })
+}
+
+// streamNDJSON tails log to w: everything so far at once, then each append
+// as it arrives, until the log closes, finished reports true once the
+// reader has caught up, or the client disconnects.
+func streamNDJSON(w http.ResponseWriter, r *http.Request, log *store.EventLog, finished func() bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	log := e.Events()
 	off := 0
 	for {
 		data, closed, changed := log.Next(off)
@@ -591,48 +613,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			continue // re-check: more may have arrived while writing
 		}
-		if closed {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// handleSpans streams a search's serve-side spans as NDJSON. Live
-// searches stream until the run reaches a terminal state (the span log
-// closes) or the client disconnects; finished searches get whatever the
-// current stream holds as an immediate snapshot.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.st.Get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown search %q", r.PathValue("id"))
-		return
-	}
-	sl := s.spanLog(e.Key)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	off := 0
-	for {
-		data, closed, changed := sl.log.Next(off)
-		if len(data) > 0 {
-			if _, err := w.Write(data); err != nil {
-				return
-			}
-			off += len(data)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			continue
-		}
-		// A finished entry's stream never closes (it may be a fresh log
-		// created after the run's own stream was retired); serve it as a
-		// snapshot rather than blocking a reader forever.
-		if closed || e.Status().Finished() {
+		if closed || finished() {
 			return
 		}
 		select {

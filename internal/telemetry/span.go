@@ -39,13 +39,10 @@ type SpanStart struct {
 // Kind implements Event.
 func (SpanStart) Kind() string { return "span_start" }
 
-// SpanEnd closes the span with the matching ID. Attrs optionally carries
-// integer span attributes accumulated over the span's extent (e.g. a
-// rotation's incremental-evaluation counts); omitted when empty.
+// SpanEnd closes the span with the matching ID.
 type SpanEnd struct {
-	ID     int              `json:"id"`
-	EndSec float64          `json:"end_sec"`
-	Attrs  map[string]int64 `json:"attrs,omitempty"`
+	ID     int     `json:"id"`
+	EndSec float64 `json:"end_sec"`
 }
 
 // Kind implements Event.
@@ -81,20 +78,6 @@ func (o *Observer) EndSpan(id int, endSec float64) {
 		return
 	}
 	o.Emit(SpanEnd{ID: id, EndSec: endSec})
-}
-
-// EndSpanAttrs is EndSpan with span attributes attached. A nil or empty
-// attrs is equivalent to EndSpan. The map is emitted as-is; callers must
-// not mutate it afterwards.
-func (o *Observer) EndSpanAttrs(id int, endSec float64, attrs map[string]int64) {
-	if o == nil || o.Sink == nil || id == 0 {
-		return
-	}
-	if len(attrs) == 0 {
-		o.Emit(SpanEnd{ID: id, EndSec: endSec})
-		return
-	}
-	o.Emit(SpanEnd{ID: id, EndSec: endSec, Attrs: attrs})
 }
 
 // Clock yields the current time in seconds on some monotonic axis.

@@ -47,52 +47,19 @@ func TestStartEndSpan(t *testing.T) {
 	}
 }
 
-func TestEndSpanAttrs(t *testing.T) {
-	sink := NewMemorySink()
-	o := &Observer{Sink: sink}
-
-	a := o.StartSpan(0, "rotation", "", 1.0)
-	o.EndSpanAttrs(a, 2.0, map[string]int64{"sim.eval.incremental": 7, "sim.eval.fallback": 2})
-	b := o.StartSpan(0, "rotation", "", 2.0)
-	o.EndSpanAttrs(b, 3.0, nil) // nil attrs ≡ EndSpan
-
-	events := sink.Events()
-	if len(events) != 4 {
-		t.Fatalf("%d events, want 4", len(events))
-	}
-	e0, ok := events[1].(SpanEnd)
-	if !ok || e0.ID != a || e0.EndSec != 2.0 ||
-		e0.Attrs["sim.eval.incremental"] != 7 || e0.Attrs["sim.eval.fallback"] != 2 {
-		t.Errorf("attributed SpanEnd = %+v", events[1])
-	}
-	e1, ok := events[3].(SpanEnd)
-	if !ok || e1.ID != b || e1.Attrs != nil {
-		t.Errorf("nil-attrs SpanEnd = %+v, want no attrs", events[3])
-	}
-
-	// Nil-safety and the 0-ID drop mirror EndSpan.
-	var nilObs *Observer
-	nilObs.EndSpanAttrs(1, 1, map[string]int64{"x": 1})
-	o.EndSpanAttrs(0, 1, map[string]int64{"x": 1})
-	if n := len(sink.Events()); n != 4 {
-		t.Errorf("%d events after dropped EndSpanAttrs calls, want 4", n)
-	}
-}
-
-func TestEndSpanAttrsJSONL(t *testing.T) {
+func TestSpanEndJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	sink.SetAutoFlush(true)
 	o := &Observer{Sink: sink}
 	id := o.StartSpan(0, "rotation", "", 0.25)
-	o.EndSpanAttrs(id, 0.5, map[string]int64{"sim.eval.fallback": 1, "sim.eval.incremental": 41})
+	o.EndSpan(id, 0.5)
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("%d JSONL lines, want 2: %q", len(lines), buf.String())
 	}
-	// Map keys marshal sorted, so the line is deterministic.
-	if want := `{"seq":2,"event":"span_end","data":{"id":1,"end_sec":0.5,"attrs":{"sim.eval.fallback":1,"sim.eval.incremental":41}}}`; lines[1] != want {
+	if want := `{"seq":2,"event":"span_end","data":{"id":1,"end_sec":0.5}}`; lines[1] != want {
 		t.Errorf("span_end line = %s, want %s", lines[1], want)
 	}
 }

@@ -100,7 +100,7 @@ done
 
 echo "== paper figures byte-identical to results/"
 # The committed figures are the reproduction's output: every CSV of
-# `-fig all` (~1 min on 2 vCPUs) must equal its copy in results/. A change
+# `-fig all` (~15 s wall on 2 vCPUs) must equal its copy in results/. A change
 # that moves a figure on purpose regenerates results/ with
 # `make experiments` and says which cells moved.
 $GO run ./cmd/experiments -fig all -csv "$tdir/figs" >/dev/null
