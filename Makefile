@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeBundle -fuzztime 20s ./internal/fleet
 	$(GO) test -fuzz FuzzRingChurn -fuzztime 20s ./internal/fleet
 	$(GO) test -fuzz FuzzFoldLanesKernel -fuzztime 20s ./internal/sim
+	$(GO) test -fuzz FuzzApplyColocation -fuzztime 20s ./internal/search
 
 # Static gate: vet, race-enabled tests, and mapcheck over every bundled
 # application's default mapping on both machine models.

@@ -398,7 +398,6 @@ func (m *Machine) Model() *Model {
 		}
 	}
 	sort.Slice(md.MemKinds, func(i, j int) bool { return md.MemKinds[i] < md.MemKinds[j] })
-	md.accessible = make(map[ProcKind][]MemKind)
 	//mapvet:unordered each key is handled independently and its list is sorted before assignment
 	for pk, mems := range kindMems {
 		var ks []MemKind
@@ -406,7 +405,7 @@ func (m *Machine) Model() *Model {
 			ks = append(ks, mk)
 		}
 		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-		md.accessible[pk] = ks
+		md.setAccessible(pk, ks)
 	}
 	return md
 }
@@ -426,13 +425,27 @@ type Model struct {
 	ProcKinds []ProcKind
 	MemKinds  []MemKind
 
-	accessible map[ProcKind][]MemKind
+	// accessible[pk] lists the memory kinds processor kind pk addresses,
+	// sorted; indexing by kind keeps CanAccess, which every validation
+	// and co-location step calls, free of hashing.
+	accessible [NumProcKinds][]MemKind
+}
+
+// setAccessible records pk's sorted accessibility list. A processor kind
+// outside the enumeration has no slot: the simulator indexes its
+// per-kind tables the same way.
+func (md *Model) setAccessible(pk ProcKind, mks []MemKind) {
+	if int(pk) >= NumProcKinds {
+		panic(fmt.Sprintf("machine: model %q has unknown processor kind %s", md.Name, pk))
+	}
+	md.accessible[pk] = mks
 }
 
 // NewModel builds a model directly from a kind-level accessibility relation.
-// The map is copied.
+// The map is copied. Every key must be one of the enumerated processor
+// kinds.
 func NewModel(name string, accessible map[ProcKind][]MemKind) *Model {
-	md := &Model{Name: name, accessible: make(map[ProcKind][]MemKind, len(accessible))}
+	md := &Model{Name: name}
 	memSeen := make(map[MemKind]bool)
 	//mapvet:unordered every collected slice (ProcKinds, MemKinds, each accessibility list) is sorted before the model escapes
 	for pk, mks := range accessible {
@@ -443,7 +456,7 @@ func NewModel(name string, accessible map[ProcKind][]MemKind) *Model {
 		// list here would make move enumeration depend on how the model
 		// was constructed.
 		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-		md.accessible[pk] = cp
+		md.setAccessible(pk, cp)
 		for _, mk := range cp {
 			if !memSeen[mk] {
 				memSeen[mk] = true
@@ -457,15 +470,20 @@ func NewModel(name string, accessible map[ProcKind][]MemKind) *Model {
 }
 
 // Accessible returns the memory kinds addressable by processor kind pk, in a
-// deterministic order.
+// deterministic (ascending) order; nil for a kind outside the enumeration.
 func (md *Model) Accessible(pk ProcKind) []MemKind {
+	if int(pk) >= NumProcKinds {
+		return nil
+	}
 	return md.accessible[pk]
 }
 
 // CanAccess reports whether processor kind pk can address memory kind mk.
-// This is the paper's correctness constraint (1) in Section 4.2.
+// This is the paper's correctness constraint (1) in Section 4.2. A kind
+// outside the enumeration (a loaded mapping can carry any byte) addresses
+// nothing.
 func (md *Model) CanAccess(pk ProcKind, mk MemKind) bool {
-	for _, k := range md.accessible[pk] {
+	for _, k := range md.Accessible(pk) {
 		if k == mk {
 			return true
 		}

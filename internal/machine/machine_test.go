@@ -159,6 +159,33 @@ func TestNewModelDirect(t *testing.T) {
 	}
 }
 
+func TestModelOutOfRangeKinds(t *testing.T) {
+	md := NewModel("direct", map[ProcKind][]MemKind{
+		CPU: {ZeroCopy, SysMem},
+		GPU: {ZeroCopy, FrameBuffer},
+	})
+	if got := md.Accessible(CPU); len(got) != 2 || got[0] != SysMem || got[1] != ZeroCopy {
+		t.Fatalf("Accessible(CPU) = %v, want sorted [System Zero-Copy]", got)
+	}
+	// A loaded or fuzzed mapping can carry any processor-kind byte.
+	for _, pk := range []ProcKind{ProcKind(NumProcKinds), 7, 255} {
+		if got := md.Accessible(pk); got != nil {
+			t.Errorf("Accessible(%v) = %v, want nil", pk, got)
+		}
+		for mk := MemKind(0); mk < MemKind(NumMemKinds); mk++ {
+			if md.CanAccess(pk, mk) {
+				t.Errorf("CanAccess(%v, %v) = true", pk, mk)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewModel accepted an unknown processor kind")
+		}
+	}()
+	NewModel("bad", map[ProcKind][]MemKind{ProcKind(9): {SysMem}})
+}
+
 func TestAccessModelBandwidth(t *testing.T) {
 	am := AccessModel{
 		CPUSys: 1, CPUSysRemote: 2, CPUZeroCopy: 3,

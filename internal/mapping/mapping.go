@@ -38,11 +38,21 @@ type Decision struct {
 	Mems [][]machine.MemKind
 }
 
-// clone returns a deep copy of the decision.
+// clone returns a deep copy of the decision. The copied priority lists
+// share one backing array, each capped at its own length, so a list that
+// grows moves out instead of overwriting its neighbour.
 func (d *Decision) clone() *Decision {
 	cp := &Decision{Distribute: d.Distribute, Proc: d.Proc, Mems: make([][]machine.MemKind, len(d.Mems))}
+	n := 0
+	for _, ms := range d.Mems {
+		n += len(ms)
+	}
+	flat := make([]machine.MemKind, n)
 	for i, ms := range d.Mems {
-		cp.Mems[i] = append([]machine.MemKind(nil), ms...)
+		if len(ms) > 0 {
+			cp.Mems[i] = flat[:len(ms):len(ms)]
+			flat = flat[copy(flat, ms):]
+		}
 	}
 	return cp
 }
@@ -65,6 +75,11 @@ type Mapping struct {
 	// (a COW parent or clone); setters must copy it before mutating. A nil
 	// slice means no decision is shared.
 	shared []bool
+	// owned lists the decisions the setters copied since the last
+	// CloneCOW, in copy order. Such a copy is exclusive to this mapping,
+	// so its priority lists are rewritten in place, and they are the only
+	// decisions Sanitize has to visit.
+	owned []taskir.TaskID
 }
 
 // New returns a mapping with one zero-valued decision per task of g. All
@@ -114,8 +129,13 @@ func PreferredMem(k machine.ProcKind) machine.MemKind {
 // pk in the model's deterministic order. If prim is not addressable by pk,
 // the list is just the addressable kinds.
 func PriorityList(md *machine.Model, pk machine.ProcKind, prim machine.MemKind) []machine.MemKind {
+	return appendPriorityList(make([]machine.MemKind, 0, len(md.Accessible(pk))), md, pk, prim)
+}
+
+// appendPriorityList appends PriorityList(md, pk, prim) to the empty slice
+// out, reusing its capacity.
+func appendPriorityList(out []machine.MemKind, md *machine.Model, pk machine.ProcKind, prim machine.MemKind) []machine.MemKind {
 	acc := md.Accessible(pk)
-	out := make([]machine.MemKind, 0, len(acc))
 	if md.CanAccess(pk, prim) {
 		out = append(out, prim)
 	}
@@ -169,6 +189,7 @@ func (m *Mapping) CloneCOW() *Mapping {
 		m.shared[i] = true
 		cp.shared[i] = true
 	}
+	m.owned = m.owned[:0]
 	return cp
 }
 
@@ -178,8 +199,21 @@ func (m *Mapping) mutable(id taskir.TaskID) *Decision {
 	if m.shared != nil && m.shared[id] {
 		m.decisions[id] = m.decisions[id].clone()
 		m.shared[id] = false
+		m.owned = append(m.owned, id)
 	}
 	return m.decisions[id]
+}
+
+// listBuf returns an empty slice with room for n memory kinds to rebuild
+// the priority list ms into. A mapping under copy-on-write (shared !=
+// nil) mutates only decisions mutable copied for it, whose lists are
+// exclusive, so ms is reused; otherwise a builder may have shared one list
+// between decisions, and the slice is new.
+func (m *Mapping) listBuf(ms []machine.MemKind, n int) []machine.MemKind {
+	if m.shared != nil && cap(ms) >= n {
+		return ms[:0]
+	}
+	return make([]machine.MemKind, 0, n)
 }
 
 // SetProc assigns task id to processor kind pk without touching memories.
@@ -197,7 +231,7 @@ func (m *Mapping) SetDistribute(id taskir.TaskID, d bool) {
 // addressable by the task's current processor kind.
 func (m *Mapping) SetArgMem(md *machine.Model, id taskir.TaskID, arg int, mk machine.MemKind) {
 	d := m.mutable(id)
-	d.Mems[arg] = PriorityList(md, d.Proc, mk)
+	d.Mems[arg] = appendPriorityList(m.listBuf(d.Mems[arg], len(md.Accessible(d.Proc))), md, d.Proc, mk)
 }
 
 // SetArgMemRaw sets the primary memory kind of argument arg of task id
@@ -207,19 +241,29 @@ func (m *Mapping) SetArgMem(md *machine.Model, id taskir.TaskID, arg int, mk mac
 // co-location fixed point (Algorithm 2) and by unconstrained tuners.
 func (m *Mapping) SetArgMemRaw(id taskir.TaskID, arg int, mk machine.MemKind) {
 	d := m.mutable(id)
-	if len(d.Mems[arg]) == 0 {
+	old := d.Mems[arg]
+	if len(old) == 0 {
 		d.Mems[arg] = []machine.MemKind{mk}
 		return
 	}
-	// Keep the old list as fallbacks, minus the new primary.
-	out := make([]machine.MemKind, 0, len(d.Mems[arg])+1)
-	out = append(out, mk)
-	for _, k := range d.Mems[arg] {
-		if k != mk {
-			out = append(out, k)
-		}
+	// Keep the old list as fallbacks, minus the new primary. Under
+	// copy-on-write the list is rewritten in place (see listBuf): each
+	// kept kind shifts right into a slot already read, and the list grows
+	// by one only when it did not hold mk.
+	out := old
+	if m.shared == nil {
+		out = make([]machine.MemKind, len(old), len(old)+1)
 	}
-	d.Mems[arg] = out
+	w, carry := 0, mk
+	for _, k := range old {
+		if k == mk {
+			continue
+		}
+		out[w] = carry
+		w++
+		carry = k
+	}
+	d.Mems[arg] = append(out[:w], carry)
 }
 
 // Sanitize restores validity in place: tasks mapped to kinds they have no
@@ -228,27 +272,35 @@ func (m *Mapping) SetArgMemRaw(id taskir.TaskID, arg int, mk machine.MemKind) {
 // primary is kept when addressable and replaced by the processor kind's
 // preferred memory otherwise.
 func (m *Mapping) Sanitize(g *taskir.Graph, md *machine.Model) {
-	for _, t := range g.Tasks {
-		if m.shared != nil && m.shared[t.ID] {
-			// A decision still shared with a COW parent/clone is an
-			// untouched copy from that mapping. COW clones are only
-			// taken of sanitized mappings (search incumbents), for
-			// which the rebuild below is an identical no-op — skipping
-			// keeps Sanitize from deep-copying every decision of every
-			// copy-on-write candidate.
-			continue
+	if m.shared != nil {
+		// A decision still shared with a COW parent/clone is an
+		// untouched copy from that mapping. COW clones are only taken of
+		// sanitized mappings (search incumbents), for which the rebuild
+		// below is an identical no-op — so only the decisions the
+		// setters copied since the clone need it, and a candidate costs
+		// what its move touched.
+		for _, id := range m.owned {
+			m.sanitize(g.Task(id), md)
 		}
-		d := m.mutable(t.ID)
-		if !t.HasVariant(d.Proc) || !md.HasProcKind(d.Proc) {
-			for _, k := range t.VariantKinds() {
-				if md.HasProcKind(k) {
-					d.Proc = k
-					break
-				}
+		return
+	}
+	for _, t := range g.Tasks {
+		m.sanitize(t, md)
+	}
+}
+
+// sanitize restores the validity of task t's decision (see Sanitize).
+func (m *Mapping) sanitize(t *taskir.GroupTask, md *machine.Model) {
+	d := m.mutable(t.ID)
+	if !t.HasVariant(d.Proc) || !md.HasProcKind(d.Proc) {
+		for _, k := range t.VariantKinds() {
+			if md.HasProcKind(k) {
+				d.Proc = k
+				break
 			}
 		}
-		m.RebuildPriorityLists(md, t.ID)
 	}
+	m.RebuildPriorityLists(md, t.ID)
 }
 
 // RebuildPriorityLists rebuilds every argument's priority list of task id,
@@ -257,12 +309,13 @@ func (m *Mapping) Sanitize(g *taskir.Graph, md *machine.Model) {
 // memory. This is used after moving a task between processor kinds.
 func (m *Mapping) RebuildPriorityLists(md *machine.Model, id taskir.TaskID) {
 	d := m.mutable(id)
+	n := len(md.Accessible(d.Proc))
 	for a := range d.Mems {
 		prim := PreferredMem(d.Proc)
 		if len(d.Mems[a]) > 0 && md.CanAccess(d.Proc, d.Mems[a][0]) {
 			prim = d.Mems[a][0]
 		}
-		d.Mems[a] = PriorityList(md, d.Proc, prim)
+		d.Mems[a] = appendPriorityList(m.listBuf(d.Mems[a], n), md, d.Proc, prim)
 	}
 }
 

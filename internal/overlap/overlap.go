@@ -13,6 +13,8 @@
 package overlap
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"automap/internal/taskir"
@@ -25,11 +27,24 @@ type Edge struct {
 }
 
 // Graph is the collection-overlap graph C.
+//
+// A Graph memoizes the overlap sets it serves (OverlapSet) until its edges
+// change, so a Graph that OverlapSet is called on must not be shared
+// between goroutines: CCD clones one per search.
 type Graph struct {
 	edges []Edge // sorted by (A, B)
 
 	// adj[c] lists the collections currently connected to c.
-	adj map[taskir.CollectionID][]taskir.CollectionID
+	adj [][]taskir.CollectionID
+
+	// uses[c] lists the task arguments that reference collection c, in
+	// (task, arg) order. It depends on the program only, so clones share
+	// it.
+	uses [][]TaskArg
+
+	// sets[c] memoizes OverlapSet(c) for the current edges; nil means not
+	// yet computed. rebuildAdj, the only place edges change, resets it.
+	sets [][]TaskArg
 
 	originalNumEdges int
 }
@@ -37,7 +52,12 @@ type Graph struct {
 // Build constructs the overlap graph of all collection pairs of g that
 // overlap.
 func Build(g *taskir.Graph) *Graph {
-	og := &Graph{adj: make(map[taskir.CollectionID][]taskir.CollectionID)}
+	og := &Graph{uses: make([][]TaskArg, len(g.Collections))}
+	for _, task := range g.Tasks {
+		for a, arg := range task.Args {
+			og.uses[arg.Collection] = append(og.uses[arg.Collection], TaskArg{Task: task.ID, Arg: a, Collection: arg.Collection})
+		}
+	}
 	for i := 0; i < len(g.Collections); i++ {
 		for j := i + 1; j < len(g.Collections); j++ {
 			w := g.Collections[i].OverlapBytes(g.Collections[j])
@@ -62,7 +82,8 @@ func Build(g *taskir.Graph) *Graph {
 }
 
 func (og *Graph) rebuildAdj() {
-	og.adj = make(map[taskir.CollectionID][]taskir.CollectionID)
+	og.adj = make([][]taskir.CollectionID, len(og.uses))
+	og.sets = make([][]TaskArg, len(og.uses))
 	for _, e := range og.edges {
 		og.adj[e.A] = append(og.adj[e.A], e.B)
 		og.adj[e.B] = append(og.adj[e.B], e.A)
@@ -139,30 +160,40 @@ func (og *Graph) PruneLightest(n int) []Edge {
 func (og *Graph) Clone() *Graph {
 	cp := &Graph{
 		edges:            append([]Edge(nil), og.edges...),
+		uses:             og.uses,
 		originalNumEdges: og.originalNumEdges,
 	}
 	cp.rebuildAdj()
 	return cp
 }
 
-// OverlapSet returns, for the pair (t, c), the set of (task, collection
-// argument) pairs whose collections overlap with c, including (t, c)
-// itself — the map O of Algorithm 1, line 5. Pairs are returned in
-// deterministic (task, arg) order.
-func OverlapSet(g *taskir.Graph, og *Graph, t taskir.TaskID, c taskir.CollectionID) []TaskArg {
-	want := map[taskir.CollectionID]bool{c: true}
-	for _, n := range og.Neighbors(c) {
-		want[n] = true
+// OverlapSet returns the set of (task, collection argument) pairs whose
+// collections overlap with c, including the arguments referencing c itself
+// — the map O of Algorithm 1, line 5, for any pair (t, c). Pairs are
+// returned in (task, arg) order. The set depends only on c and the current
+// edges, so it is computed once per collection between prunes; callers
+// must not modify the returned slice.
+func (og *Graph) OverlapSet(c taskir.CollectionID) []TaskArg {
+	if s := og.sets[c]; s != nil {
+		return s
 	}
-	var out []TaskArg
-	for _, task := range g.Tasks {
-		for a, arg := range task.Args {
-			if want[arg.Collection] {
-				out = append(out, TaskArg{Task: task.ID, Arg: a, Collection: arg.Collection})
-			}
+	n := len(og.uses[c])
+	for _, d := range og.adj[c] {
+		n += len(og.uses[d])
+	}
+	s := make([]TaskArg, 0, n)
+	s = append(s, og.uses[c]...)
+	for _, d := range og.adj[c] {
+		s = append(s, og.uses[d]...)
+	}
+	slices.SortFunc(s, func(x, y TaskArg) int {
+		if x.Task != y.Task {
+			return cmp.Compare(x.Task, y.Task)
 		}
-	}
-	return out
+		return cmp.Compare(x.Arg, y.Arg)
+	})
+	og.sets[c] = s
+	return s
 }
 
 // TaskArg identifies one collection argument of one task.

@@ -116,7 +116,7 @@ func TestOverlapSet(t *testing.T) {
 	g := overlapGraph(t)
 	og := Build(g)
 	// O[(t0, a)]: t0's a itself, plus t1's b and h (both overlap a).
-	set := OverlapSet(g, og, 0, 0)
+	set := og.OverlapSet(0)
 	if len(set) != 3 {
 		t.Fatalf("overlap set = %v", set)
 	}
@@ -130,9 +130,16 @@ func TestOverlapSet(t *testing.T) {
 			t.Errorf("unexpected member %+v", ta)
 		}
 	}
+	// A clone serves its own sets: pruning it leaves the original's
+	// memoized set intact.
+	cp := og.Clone()
+	cp.PruneLightest(3)
+	if got := og.OverlapSet(0); len(got) != 3 {
+		t.Fatalf("original's set after pruning a clone = %v", got)
+	}
 	// After pruning everything, only the pair itself remains.
 	og.PruneLightest(3)
-	set = OverlapSet(g, og, 0, 0)
+	set = og.OverlapSet(0)
 	if len(set) != 1 || set[0].Task != 0 || set[0].Arg != 0 {
 		t.Fatalf("post-prune overlap set = %v", set)
 	}

@@ -72,10 +72,13 @@ func (c *CCD) Search(p *Problem, ev Evaluator, budget Budget) *Outcome {
 		tr.best = start
 	}
 
-	// Line 3: induced graph over collections.
+	// Line 3: induced graph over collections, and the co-location
+	// context every candidate of this search reuses.
 	var og *overlap.Graph
+	var cl *colocator
 	if c.Constrained && p.Overlap != nil {
 		og = p.Overlap.Clone()
+		cl = newColocator(p, og)
 	}
 
 	taskOrder := p.Space.TasksByRuntime()
@@ -113,7 +116,7 @@ func (c *CCD) Search(p *Problem, ev Evaluator, budget Budget) *Outcome {
 				}
 				return tr.outcome(reason)
 			}
-			c.optimizeTask(p, tr, og, tid, budget)
+			c.optimizeTask(p, tr, cl, tid, budget)
 			// A cancellation inside the per-task sweep surfaces here so
 			// the outcome carries the interrupt instead of marching on
 			// to the next task.
@@ -182,8 +185,8 @@ func (c *CCD) enumerateMoves(p *Problem, tid taskir.TaskID) []move {
 // buildMove materializes mv as a candidate mapping derived from the current
 // incumbent. Candidates are copy-on-write clones: the sweep produces many
 // candidates that differ from the incumbent in one task's decision, so only
-// that decision is deep-copied.
-func (c *CCD) buildMove(p *Problem, tr *tracker, og *overlap.Graph, tid taskir.TaskID, mv move) *mapping.Mapping {
+// that decision is deep-copied. cl is nil when the search is unconstrained.
+func (c *CCD) buildMove(p *Problem, tr *tracker, cl *colocator, tid taskir.TaskID, mv move) *mapping.Mapping {
 	cand := tr.best.CloneCOW()
 	if mv.isDist {
 		cand.SetDistribute(tid, mv.dist)
@@ -192,8 +195,8 @@ func (c *CCD) buildMove(p *Problem, tr *tracker, og *overlap.Graph, tid taskir.T
 	cand.SetProc(tid, mv.k)
 	cand.RebuildPriorityLists(p.Model, tid)
 	cand.SetArgMem(p.Model, tid, mv.argIdx, mv.r)
-	if c.Constrained && og != nil {
-		applyColocation(p, og, cand, tid, mv.argIdx, mv.k, mv.r)
+	if cl != nil {
+		cl.apply(cand, tid, mv.argIdx, mv.k, mv.r)
 	}
 	return cand
 }
@@ -221,7 +224,7 @@ func setLabels(tr *tracker, taskName string, mv move) {
 // evaluator supports batch evaluation, each built set is also submitted
 // speculatively before it is tested, which leaves the trajectory
 // byte-identical (TestCCDPrefetchKeepsTrajectory).
-func (c *CCD) optimizeTask(p *Problem, tr *tracker, og *overlap.Graph, tid taskir.TaskID, budget Budget) {
+func (c *CCD) optimizeTask(p *Problem, tr *tracker, cl *colocator, tid taskir.TaskID, budget Budget) {
 	t := p.Graph.Task(tid)
 	observe := tr.obs.Enabled()
 	moves := c.enumerateMoves(p, tid)
@@ -230,7 +233,7 @@ func (c *CCD) optimizeTask(p *Problem, tr *tracker, og *overlap.Graph, tid taski
 		rest := moves[i:]
 		cands := make([]*mapping.Mapping, len(rest))
 		for j, mv := range rest {
-			cands[j] = c.buildMove(p, tr, og, tid, mv)
+			cands[j] = c.buildMove(p, tr, cl, tid, mv)
 		}
 		if batch != nil {
 			batch.Prefetch(cands)

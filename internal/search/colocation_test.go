@@ -15,7 +15,7 @@ func TestColocationMovesOverlappingCollections(t *testing.T) {
 	cand := p.Start.Clone()
 	// Decision: t0 stays GPU, its pa argument (arg 0) moves to ZeroCopy.
 	cand.SetArgMem(p.Model, 0, 0, machine.ZeroCopy)
-	applyColocation(p, og, cand, 0, 0, machine.GPU, machine.ZeroCopy)
+	newColocator(p, og).apply(cand, 0, 0, machine.GPU, machine.ZeroCopy)
 
 	// pb aliases pa, so t1's pb argument must follow to ZeroCopy.
 	if got := cand.Decision(1).PrimaryMem(0); got != machine.ZeroCopy {
@@ -41,7 +41,7 @@ func TestColocationRespectsAccessibility(t *testing.T) {
 	cand.SetProc(0, machine.GPU)
 	cand.RebuildPriorityLists(p.Model, 0)
 	cand.SetArgMem(p.Model, 0, 0, machine.FrameBuffer)
-	applyColocation(p, og, cand, 0, 0, machine.GPU, machine.FrameBuffer)
+	newColocator(p, og).apply(cand, 0, 0, machine.GPU, machine.FrameBuffer)
 
 	if err := cand.Validate(p.Graph, p.Model); err != nil {
 		t.Fatalf("mapping invalid after constrained co-location: %v", err)
@@ -64,7 +64,7 @@ func TestColocationMovesTasksToAccessNewKind(t *testing.T) {
 	og := p.Overlap.Clone()
 	cand := start.Clone()
 	cand.SetArgMem(p.Model, 0, 0, machine.FrameBuffer)
-	applyColocation(p, og, cand, 0, 0, machine.GPU, machine.FrameBuffer)
+	newColocator(p, og).apply(cand, 0, 0, machine.GPU, machine.FrameBuffer)
 
 	if err := cand.Validate(p.Graph, p.Model); err != nil {
 		t.Fatalf("invalid: %v", err)
@@ -82,7 +82,7 @@ func TestColocationNoOpWithoutEdges(t *testing.T) {
 	cand := p.Start.Clone()
 	before := cand.Decision(1).PrimaryMem(0)
 	cand.SetArgMem(p.Model, 0, 0, machine.ZeroCopy)
-	applyColocation(p, og, cand, 0, 0, machine.GPU, machine.ZeroCopy)
+	newColocator(p, og).apply(cand, 0, 0, machine.GPU, machine.ZeroCopy)
 	if got := cand.Decision(1).PrimaryMem(0); got != before {
 		t.Fatalf("co-location changed unrelated decision with no edges: %v", got)
 	}
@@ -111,7 +111,7 @@ func TestColocationTerminates(t *testing.T) {
 	})
 	p := &Problem{Graph: g, Model: md, Overlap: overlap.Build(g)}
 	mp := mapping.Default(g, md)
-	applyColocation(p, p.Overlap, mp, 0, 0, machine.GPU, machine.FrameBuffer)
+	newColocator(p, p.Overlap).apply(mp, 0, 0, machine.GPU, machine.FrameBuffer)
 	if err := mp.Validate(g, md); err != nil {
 		t.Fatalf("clique fixed point invalid: %v", err)
 	}

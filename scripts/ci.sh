@@ -4,7 +4,7 @@
 # self-check, the paper figures against results/, mapcheck
 # over every bundled application's default mapping on both machine models,
 # and smoke tests for telemetry, worker determinism, checkpoint/resume,
-# checkpoint and fleet fuzzing, and the mapd and mapfleet binaries
+# checkpoint, fleet and co-location fuzzing, and the mapd and mapfleet binaries
 # (including replica failover and load shedding). Any failure fails the
 # gate. Run from the repository root, directly or via `make check`.
 set -eu
@@ -122,6 +122,11 @@ echo "== fleet fuzz smoke"
 # half-validated install.
 $GO test -fuzz FuzzDecodeBundle -fuzztime 5s -run '^$' ./internal/fleet
 $GO test -fuzz FuzzRingChurn -fuzztime 5s -run '^$' ./internal/fleet
+
+echo "== co-location fuzz smoke"
+# CCD's co-location fixed point against its test-only map-and-scan
+# reference, on random programs, prunes, tunable sets and moves.
+$GO test -fuzz FuzzApplyColocation -fuzztime 5s -run '^$' ./internal/search
 
 echo "== mapcheck"
 $GO build -o bin/mapcheck ./cmd/mapcheck
