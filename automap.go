@@ -285,13 +285,10 @@ func Lint(m *Machine, g *Graph, mp *Mapping) *LintReport { return analyze.Check(
 
 // Infeasible reports whether mp is statically unexecutable on (m, g): it
 // fails validation or cannot fit in memory under the simulator's own
-// placement arithmetic. Search pre-pruning (Options.PrePrune) uses this
-// oracle to reject candidates without simulating them.
+// placement arithmetic. It is the verdict search pre-pruning
+// (Options.PrePrune) takes from validation and the simulator's placement
+// plan.
 func Infeasible(m *Machine, g *Graph, mp *Mapping) bool { return analyze.Infeasible(m, g, mp) }
-
-// NewPruningEvaluator wraps a search evaluator with static infeasibility
-// pre-pruning (see search.PruningEvaluator).
-var NewPruningEvaluator = search.NewPruningEvaluator
 
 // Observability (internal/telemetry): a typed event stream and metrics
 // registry over the search process. Attach an Observer via

@@ -14,8 +14,9 @@
 //
 //   - the cmd/mapcheck CLI lints bundled applications and saved mappings,
 //     exiting nonzero when Error diagnostics are present;
-//   - search.NewPruningEvaluator consults Infeasible to reject statically
-//     doomed candidates inside CCD without paying for simulation;
+//   - Infeasible answers whether a mapping can launch at all, the same
+//     verdict the driver's search-time pre-pruning takes from validation
+//     and the simulator's placement plan;
 //   - automap.Lint offers the same to library users.
 //
 // The memory-feasibility pass shares its arithmetic with the simulator
@@ -102,17 +103,17 @@ func Check(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) *Report {
 // pruning on them would veto every mapping of the program alike.
 // The capacity pass runs before feasibility: a lower-bound proof is
 // strictly contained in the exact placement verdict, so it never changes
-// the pruning set — it only explains provable misfits more cheaply (see
-// also analyze.ProvablyOOM, the allocation-free fast path the search's
-// PruningEvaluator consults first).
+// the verdict — it only explains provable misfits more cheaply (see also
+// analyze.ProvablyOOM, its boolean form).
 func executabilityPasses() []Pass {
 	return []Pass{variantPass{}, legalityPass{}, capacityPass{}, feasibilityPass{}}
 }
 
 // Infeasible reports whether mapping mp is statically unexecutable on
-// (m, g): it fails validation or cannot fit in memory. The search uses this
-// as a pre-pruning oracle; a true verdict means sim.Simulate is guaranteed
-// to fail, so the candidate can be discarded without paying for execution.
+// (m, g): it fails validation or cannot fit in memory. A true verdict means
+// sim.Simulate is guaranteed to fail. It equals the driver's pre-pruning
+// verdict (Validate, then sim.PlanPlacement), which
+// TestFeasibilityMatchesSimulator pins.
 func Infeasible(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) bool {
 	rep := Analyze(&Context{Graph: g, Machine: m, Mapping: mp}, executabilityPasses()...)
 	return rep.HasErrors()

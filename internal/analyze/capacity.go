@@ -30,9 +30,8 @@
 //
 // Soundness (a capacity proof implies PlanPlacement fails) is enforced by
 // TestCapacityImpliesPlacementFailure and the analyze fuzz cross-check; the
-// implication must never be weakened, because search.PruningEvaluator uses
-// ProvablyOOM as a pre-simulation verdict and an unsound proof would change
-// the search optimum.
+// implication must never be weakened: an unsound proof would report AM0011
+// errors, and an Infeasible verdict, on mappings that execute.
 
 package analyze
 
@@ -227,8 +226,6 @@ func proveCapacity(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) []c
 // without running the placement pass, that mp cannot fit on (m, g). A true
 // verdict implies sim.PlanPlacement (and therefore sim.Simulate) fails with
 // an OOMError; false means "no cheap proof", not "feasible".
-// search.PruningEvaluator consults this before paying for the full static
-// analysis.
 func ProvablyOOM(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) bool {
 	if m == nil || g == nil || mp == nil {
 		return false

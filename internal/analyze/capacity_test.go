@@ -15,9 +15,9 @@ import (
 
 // TestCapacityImpliesPlacementFailure enforces the soundness contract of the
 // capacity lower-bound prover: for every valid mapping, a true ProvablyOOM
-// verdict must imply sim.PlanPlacement fails with an OOMError. The search's
-// PruningEvaluator prunes on this verdict without confirmation, so any
-// counterexample here means the prover could change the search optimum.
+// verdict must imply sim.PlanPlacement fails with an OOMError. Infeasible
+// trusts the capacity pass's errors without confirmation, so any
+// counterexample here means Infeasible could reject a mapping that executes.
 //
 // The sweep enumerates, for every bundled application, every per-task
 // processor-kind assignment (capped to keep Pennant tractable) on a ladder of
@@ -111,8 +111,8 @@ func enumerateProcMappings(g *taskir.Graph, md *machine.Model, limit int) []*map
 	return out
 }
 
-// TestProvablyOOMNilInputs pins the defensive contract the PruningEvaluator
-// relies on: nil inputs yield "no proof", never a panic.
+// TestProvablyOOMNilInputs pins the defensive contract of ProvablyOOM: nil
+// inputs yield "no proof", never a panic.
 func TestProvablyOOMNilInputs(t *testing.T) {
 	m := tinyGPUMachine(1 << 19)
 	g := taskir.NewGraph("empty")

@@ -63,11 +63,11 @@ type Options struct {
 	// profile.DB.Save/LoadDB): previously measured mappings are
 	// recognized without re-execution.
 	WarmDB *profile.DB
-	// PrePrune wraps the evaluator with the static analyzer's
-	// infeasibility oracle (search.PruningEvaluator): statically doomed
-	// candidates are rejected without simulation. The search trajectory
-	// is unchanged — pruning is exact — but wasted Simulate calls are
-	// saved.
+	// PrePrune answers a candidate that cannot launch — it fails
+	// validation or placement — before it is suggested: no simulation, no
+	// database entry, and a checkCostSec charge instead of the failed
+	// launch's. The search trajectory is unchanged, since the measurement
+	// would fail the same candidate.
 	PrePrune bool
 	// Observer optionally receives search telemetry: the typed event
 	// stream and the metrics registry (see internal/telemetry). The
@@ -234,6 +234,14 @@ type Evaluator struct {
 	Suggested int
 	Evaluated int
 
+	// Pre-pruning state (Options.PrePrune), touched only by Evaluate:
+	// launchable caches each checked key's verdict, pruneChecked counts
+	// fresh checks, and pruned counts the evaluations answered without a
+	// launch, re-suggestions included.
+	launchable   map[string]bool
+	pruneChecked int
+	pruned       int
+
 	// noiseSeen is the deepest repeat index committed so far: the commit
 	// path's logical model of the simulator's noise-tape cache (tape i
 	// exists once any commit used repeat index i). Guarded by mu.
@@ -259,6 +267,10 @@ type Evaluator struct {
 	mCopyBytes   *telemetry.Counter
 	mNetBytes    *telemetry.Counter
 	mSpills      *telemetry.Counter
+	// Pre-pruning counters, registered only with Options.PrePrune so that
+	// a search without it reports no metric for them.
+	mPruneChecks *telemetry.Counter
+	mPruned      *telemetry.Counter
 	gEnergy      *telemetry.Gauge
 	gOverhead    *telemetry.Gauge
 	hEvalSec     *telemetry.Histogram
@@ -289,7 +301,7 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 		}
 	}
 	inst := sim.New(m, g)
-	return &Evaluator{
+	e := &Evaluator{
 		M: m, G: g, Opts: opts,
 		DB:      db,
 		top:     finalists{n: opts.FinalCandidates},
@@ -319,6 +331,12 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 
 		wall: newWallStats(opts.WallMetrics, workers),
 	}
+	if opts.PrePrune {
+		e.launchable = make(map[string]bool)
+		e.mPruneChecks = obs.Counter("search.eval.prune_checks")
+		e.mPruned = obs.Counter("search.eval.pruned")
+	}
+	return e
 }
 
 // specResult is one speculative measurement awaiting commit: the
@@ -395,11 +413,17 @@ func (e *Evaluator) repeats() int {
 // stored results are committed here — seeds are key-derived, so they are
 // bit-identical to what measuring now would produce. If the run is a
 // checkpoint resume and mp's measurements were recorded, the recorded runs
-// are committed instead of re-simulating.
+// are committed instead of re-simulating. With Options.PrePrune, a
+// candidate that cannot launch is answered first (see prune).
 func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
+	key := mp.Key()
+	if e.Opts.PrePrune {
+		if verdict, pruned := e.prune(key, mp); pruned {
+			return verdict
+		}
+	}
 	e.mu.Lock()
 	e.Suggested++
-	key := mp.Key()
 	if s, ok := e.DB.Lookup(key); ok {
 		e.mCacheHits.Add(1)
 		e.mu.Unlock()
@@ -442,6 +466,42 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	e.maybeCheckpointLocked()
 	e.mu.Unlock()
 	return verdict
+}
+
+// checkCostSec is the simulated search time a fresh pre-pruning check
+// charges: a placement plan costs microseconds of real time, and 10 ms keeps
+// the accounting honest while staying two orders of magnitude below the
+// 1-second failed launch it replaces.
+const checkCostSec = 0.01
+
+// prune reports whether mp cannot launch — it fails validation or its
+// placement plan fails — and, if so, the verdict Evaluate returns for it.
+// It runs ahead of the suggestion count and the database lookup, so a
+// pruned candidate is never recorded or checkpointed; Report.Suggested
+// adds the pruned count back. Verdicts are cached by key, and only a fresh
+// check charges checkCostSec. The plan goes through the instance's plan
+// cache, outside e.mu, so the measurement of a launchable candidate reuses
+// it, and a Prefetch job that already planned the candidate leaves the
+// check a cache hit.
+func (e *Evaluator) prune(key string, mp *mapping.Mapping) (search.Evaluation, bool) {
+	ok, seen := e.launchable[key]
+	if !seen {
+		ok = mp.Validate(e.G, e.model) == nil
+		if ok {
+			_, err := e.inst.PlanPlacement(mp)
+			ok = err == nil
+		}
+		e.launchable[key] = ok
+		e.pruneChecked++
+		e.mPruneChecks.Add(1)
+		e.ChargeOverhead(checkCostSec)
+	}
+	if ok {
+		return search.Evaluation{}, false
+	}
+	e.pruned++
+	e.mPruned.Add(1)
+	return search.Evaluation{MeanSec: inf(), Failed: true, Cached: seen, Pruned: true}, true
 }
 
 // toRuns normalizes measured Summaries to checkpoint run records: the
@@ -848,9 +908,9 @@ type Report struct {
 	// Suggested/Evaluated are the Section 5.3 counters.
 	Suggested int
 	Evaluated int
-	// Pruned counts candidates rejected by static pre-pruning without
-	// simulation, and PruneChecked the fresh static checks performed
-	// (both zero unless Options.PrePrune).
+	// Pruned counts the evaluations pre-pruning answered without a
+	// launch, and PruneChecked its fresh checks (both zero unless
+	// Options.PrePrune). Suggested includes Pruned.
 	Pruned       int
 	PruneChecked int
 	// StopReason records why the search phase ended (time budget,
@@ -942,8 +1002,9 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 			return nil, fmt.Errorf("space file describes %d tasks, program has %d", len(sp.Tasks), len(g.Tasks))
 		}
 		// A provided space says nothing about whether the default
-		// start executes; check and fall back like the profiler does.
-		if _, err := sim.Simulate(m, g, start, sim.Config{}); err != nil {
+		// start executes; plan its placement and fall back like the
+		// profiler does.
+		if _, err := sim.PlanPlacement(m, g, start); err != nil {
 			start = safestStart(g, md)
 		}
 	}
@@ -969,13 +1030,6 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 		Seed:     opts.Seed,
 		Observer: opts.Observer,
 	}
-	var searchEv search.Evaluator = ev
-	var pruner *search.PruningEvaluator
-	if opts.PrePrune {
-		pruner = search.NewPruningEvaluator(ev, m, g)
-		pruner.SetObserver(opts.Observer)
-		searchEv = pruner
-	}
 	obs := opts.Observer
 	if obs.Enabled() {
 		obs.Emit(telemetry.SearchStarted{
@@ -993,7 +1047,7 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	rootSpan := obs.StartSpan(0, "search", alg.Name()+" "+g.Name+"@"+m.Name, 0)
 	searchSpan := obs.StartSpan(rootSpan, "search_phase", "", 0)
 	prob.Span = searchSpan
-	out := alg.Search(prob, searchEv, budget)
+	out := alg.Search(prob, ev, budget)
 
 	// A cancellation that lands after the algorithm's last budget check
 	// still counts: the user asked the run to stop, so skip the final
@@ -1010,15 +1064,12 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 		SearchBestSec: out.BestSec,
 		SearchSec:     ev.SearchTimeSec(),
 		EvalSec:       ev.EvalTimeSec(),
-		Suggested:     ev.Suggested,
+		Suggested:     ev.Suggested + ev.pruned,
 		Evaluated:     ev.Evaluated,
+		Pruned:        ev.pruned,
+		PruneChecked:  ev.pruneChecked,
 		StopReason:    stopReason,
 		Trace:         out.Trace,
-	}
-	if pruner != nil {
-		rep.Pruned = pruner.Pruned
-		rep.PruneChecked = pruner.Checked
-		rep.Suggested += pruner.Pruned
 	}
 	// The end-of-search checkpoint is written before the SearchFinished
 	// event in every outcome, so a snapshot's EventSeq never includes it

@@ -41,8 +41,9 @@ type Evaluation struct {
 	Cached bool
 	// Failed reports invalid or unexecutable mappings.
 	Failed bool
-	// Pruned reports that the verdict came from the static analyzer
-	// (PruningEvaluator) without executing the mapping; implies Failed.
+	// Pruned reports that the evaluator answered without launching the
+	// mapping, because it cannot launch (the driver's Options.PrePrune);
+	// implies Failed.
 	Pruned bool
 }
 

@@ -70,8 +70,8 @@ type Evaluated struct {
 	Cached bool `json:"cached,omitempty"`
 	// Failed: the mapping was invalid or unexecutable (e.g. OOM).
 	Failed bool `json:"failed,omitempty"`
-	// Pruned: the static analyzer rejected the mapping without
-	// simulation (search.PruningEvaluator).
+	// Pruned: pre-pruning rejected the mapping without simulation,
+	// because it fails validation or placement (driver Options.PrePrune).
 	Pruned bool `json:"pruned,omitempty"`
 	// StartSec/EndSec bracket the evaluation on the simulated search
 	// clock; EndSec-StartSec is the search time the candidate cost.

@@ -169,6 +169,19 @@ $GO run ./scripts/telemetrycheck "$tdir/w1.jsonl" "$tdir/m1.txt" "$tdir/w8.jsonl
     -events "$tdir/a8.jsonl" >/dev/null
 cmp "$tdir/a1.jsonl" "$tdir/a8.jsonl" || {
     echo "annealing event stream differs between -workers 1 and -workers 8" >&2; exit 1; }
+# The same with pre-pruning (-check) on a memory-starved node, where
+# candidates that cannot launch are answered without a simulation; a run
+# that prunes nothing would compare nothing, so it fails the smoke.
+starved=testdata/machines/shepard-starved.json
+./bin/automap search -app stencil -input 500x500 -nodes 1 -cluster "$starved" -check -seed 7 -workers 1 \
+    -events "$tdir/p1.jsonl" -metrics "$tdir/pm1.txt" >/dev/null
+./bin/automap search -app stencil -input 500x500 -nodes 1 -cluster "$starved" -check -seed 7 -workers 8 \
+    -events "$tdir/p8.jsonl" >/dev/null
+cmp "$tdir/p1.jsonl" "$tdir/p8.jsonl" || {
+    echo "pre-pruned event stream differs between -workers 1 and -workers 8" >&2; exit 1; }
+pruned=$(awk '$1 == "search_eval_pruned_total" { print $2 }' "$tdir/pm1.txt")
+[ "${pruned:-0}" -gt 0 ] || {
+    echo "pre-pruning smoke pruned no candidate (search_eval_pruned_total=${pruned:-absent})" >&2; exit 1; }
 
 echo "== worker scaling smoke"
 # Regression gate for parallel evaluation: with more than one core, htr
