@@ -103,8 +103,7 @@ func Check(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) *Report {
 // pruning on them would veto every mapping of the program alike.
 // The capacity pass runs before feasibility: a lower-bound proof is
 // strictly contained in the exact placement verdict, so it never changes
-// the verdict — it only explains provable misfits more cheaply (see also
-// analyze.ProvablyOOM, its boolean form).
+// the verdict — it only explains provable misfits more cheaply.
 func executabilityPasses() []Pass {
 	return []Pass{variantPass{}, legalityPass{}, capacityPass{}, feasibilityPass{}}
 }

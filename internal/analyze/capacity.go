@@ -222,17 +222,6 @@ func proveCapacity(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) []c
 	return proofs
 }
 
-// ProvablyOOM reports whether the capacity lower-bound prover can prove,
-// without running the placement pass, that mp cannot fit on (m, g). A true
-// verdict implies sim.PlanPlacement (and therefore sim.Simulate) fails with
-// an OOMError; false means "no cheap proof", not "feasible".
-func ProvablyOOM(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) bool {
-	if m == nil || g == nil || mp == nil {
-		return false
-	}
-	return len(proveCapacity(m, g, mp)) > 0
-}
-
 // capacityPass reports AM0011 for every violated kind subset. It runs
 // before the feasibility pass in DefaultPasses: its diagnostics carry the
 // counting argument (which kinds, how many bytes over), which the exact

@@ -14,8 +14,8 @@ import (
 )
 
 // TestCapacityImpliesPlacementFailure enforces the soundness contract of the
-// capacity lower-bound prover: for every valid mapping, a true ProvablyOOM
-// verdict must imply sim.PlanPlacement fails with an OOMError. Infeasible
+// capacity lower-bound prover: for every valid mapping, a ProveCapacity
+// proof must imply sim.PlanPlacement fails with an OOMError. Infeasible
 // trusts the capacity pass's errors without confirmation, so any
 // counterexample here means Infeasible could reject a mapping that executes.
 //
@@ -48,7 +48,7 @@ func TestCapacityImpliesPlacementFailure(t *testing.T) {
 				if mp.Validate(g, md) != nil {
 					continue
 				}
-				oom := analyze.ProvablyOOM(m, g, mp)
+				oom := analyze.ProveCapacity(m, g, mp)
 				_, planErr := sim.PlanPlacement(m, g, mp)
 				if planErr != nil {
 					rejected++
@@ -58,7 +58,7 @@ func TestCapacityImpliesPlacementFailure(t *testing.T) {
 				}
 				proved++
 				if planErr == nil {
-					t.Fatalf("%s/%s: unsound: ProvablyOOM=true but placement succeeded for %s",
+					t.Fatalf("%s/%s: unsound: ProveCapacity=true but placement succeeded for %s",
 						app.Name, tier.name, mp.Key())
 				}
 				var oomErr *sim.OOMError
@@ -69,7 +69,7 @@ func TestCapacityImpliesPlacementFailure(t *testing.T) {
 				// is Infeasible, so pruning on the cheap verdict prunes a
 				// subset of what the full analysis would.
 				if !analyze.Infeasible(m, g, mp) {
-					t.Fatalf("%s/%s: ProvablyOOM=true but Infeasible=false for %s", app.Name, tier.name, mp.Key())
+					t.Fatalf("%s/%s: ProveCapacity=true but Infeasible=false for %s", app.Name, tier.name, mp.Key())
 				}
 			}
 			if proved > 0 || rejected > 0 {
@@ -111,17 +111,23 @@ func enumerateProcMappings(g *taskir.Graph, md *machine.Model, limit int) []*map
 	return out
 }
 
-// TestProvablyOOMNilInputs pins the defensive contract of ProvablyOOM: nil
-// inputs yield "no proof", never a panic.
-func TestProvablyOOMNilInputs(t *testing.T) {
+// TestCapacityPassNilInputs pins the defensive contract of the capacity
+// pass: without a machine or without a mapping it reports nothing rather
+// than panicking, and the prover finds no proof for an empty program.
+func TestCapacityPassNilInputs(t *testing.T) {
 	m := tinyGPUMachine(1 << 19)
 	g := taskir.NewGraph("empty")
 	mp := mapping.New(g)
-	if analyze.ProvablyOOM(nil, g, mp) || analyze.ProvablyOOM(m, nil, mp) || analyze.ProvablyOOM(m, g, nil) {
-		t.Error("ProvablyOOM claimed a proof with nil inputs")
+	for _, ctx := range []*analyze.Context{
+		{Graph: g, Model: m.Model(), Mapping: mp},
+		{Graph: g, Machine: m},
+	} {
+		if rep := analyze.Analyze(ctx, analyze.CapacityPass); len(rep.Diags) != 0 {
+			t.Errorf("capacity pass reported %d diagnostics without a machine or a mapping", len(rep.Diags))
+		}
 	}
-	if analyze.ProvablyOOM(m, g, mp) {
-		t.Error("ProvablyOOM claimed a proof for an empty program")
+	if analyze.ProveCapacity(m, g, mp) {
+		t.Error("capacity prover claimed a proof for an empty program")
 	}
 }
 
@@ -163,7 +169,7 @@ func TestCapacityProofAgreesOnBundledDefaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if analyze.ProvablyOOM(m, g, mapping.Default(g, md)) {
+			if analyze.ProveCapacity(m, g, mapping.Default(g, md)) {
 				t.Errorf("prover rejected the feasible default mapping of %s on %s", app.Name, m.Name)
 			}
 		}

@@ -18,7 +18,7 @@ import (
 //     actually be unexecutable: mapping.Validate rejects it or sim.Simulate
 //     fails. (The converse — completeness — is the cross-check test's job.)
 //  3. soundness of the capacity lower-bound prover — on a mapping that
-//     validates, a ProvablyOOM verdict must come with a placement failure,
+//     validates, a ProveCapacity proof must come with a placement failure,
 //     because the search prunes on that verdict without confirmation.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(uint8(2), uint8(3), int64(1<<20), []byte{})
@@ -43,10 +43,10 @@ func FuzzAnalyze(f *testing.F) {
 			}
 		}
 
-		if analyze.ProvablyOOM(m, g, mp) { // must not panic either
+		if analyze.ProveCapacity(m, g, mp) { // must not panic either
 			if err := mp.Validate(g, md); err == nil {
 				if _, planErr := sim.PlanPlacement(m, g, mp); planErr == nil {
-					t.Fatalf("capacity prover unsound: ProvablyOOM=true but placement succeeded for %s", mp.Key())
+					t.Fatalf("capacity prover unsound: ProveCapacity=true but placement succeeded for %s", mp.Key())
 				}
 			}
 		}

@@ -18,7 +18,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -90,8 +89,6 @@ type Replica struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	fp *fpCache
-
 	mPushOK    *telemetry.Counter
 	mPushFail  *telemetry.Counter
 	mStaged    *telemetry.Counter
@@ -118,7 +115,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		pushCh:    make(chan string, 256),
 		ctx:       ctx,
 		cancel:    cancel,
-		fp:        newFPCache(),
 	}
 	if rep.client == nil {
 		rep.client = &http.Client{Timeout: 30 * time.Second}
@@ -133,6 +129,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		Replica:      cfg.Name,
 		OnCheckpoint: rep.nudge,
 		OnFinished:   rep.nudge,
+		BeforeBegin:  rep.reclaim,
 	})
 	if err != nil {
 		cancel()
@@ -150,7 +147,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/internal/replicate", rep.handleReplicate)
 	mux.HandleFunc("GET /v1/internal/result/{id}", rep.handleInternalResult)
-	mux.HandleFunc("POST /v1/search", rep.handleSubmit)
 	mux.Handle("/", http.HandlerFunc(rep.handleDefault))
 	rep.mux = mux
 	rep.wg.Add(1)
@@ -386,7 +382,7 @@ func (r *Replica) stage(b *Bundle) error {
 // checkpoint and event prefix into the store's paths for the key, so the
 // submit that follows resumes the search exactly where the dead owner's
 // last replicated snapshot left it. Consuming the staged file makes the
-// reclaim exactly-once per staging: handleSubmit serializes adopts under
+// reclaim exactly-once per staging: reclaim serializes adopts under
 // adoptMu, one wins the file, the rest fall through to plain coalescing.
 // An unreadable bundle is discarded — the owner may still be alive and
 // will re-push.
@@ -496,38 +492,21 @@ func (r *Replica) handleInternalResult(w http.ResponseWriter, req *http.Request)
 	w.Write(data)
 }
 
-// handleSubmit intercepts POST /v1/search: before delegating to the
-// daemon it reclaims a staged search for the fingerprint (the owner died
-// and this replica inherited the key) or pulls the finished result a
-// peer already holds (ring topology changed after completion). Either
-// way the daemon's own coalescing then does the rest.
-func (r *Replica) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxRequestBytes))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+// reclaim runs in the daemon's submit path for a fingerprint its store
+// does not hold: it adopts a staged search for the key (the owner died and
+// this replica inherited it) or pulls the finished result a peer already
+// holds (ring topology changed after completion). Either way the daemon's
+// own coalescing then does the rest.
+func (r *Replica) reclaim(key string) {
+	r.adoptMu.Lock()
+	defer r.adoptMu.Unlock()
+	if _, ok := r.srv.Store().Get(key); !ok {
+		r.adopt(key)
 	}
-	req.Body = io.NopCloser(bytes.NewReader(body))
-	key, err := r.fp.key(body)
-	if err == nil {
-		if _, ok := r.srv.Store().Get(key); !ok {
-			r.adoptMu.Lock()
-			if _, ok := r.srv.Store().Get(key); !ok {
-				r.adopt(key)
-			}
-			if _, ok := r.srv.Store().Get(key); !ok {
-				r.tryPull(key)
-			}
-			r.adoptMu.Unlock()
-		}
+	if _, ok := r.srv.Store().Get(key); !ok {
+		r.tryPull(key)
 	}
-	// Fingerprint errors fall through: the daemon rejects the request
-	// with its own diagnostics.
-	r.base.ServeHTTP(w, req)
 }
-
-// maxRequestBytes mirrors the daemon's request-body bound.
-const maxRequestBytes = 1 << 20
 
 // handleDefault intercepts reads for unknown fingerprints with
 // pull-on-miss, then delegates everything to the daemon.
@@ -552,52 +531,4 @@ func searchPathKey(path string) (string, bool) {
 		rest = rest[:i]
 	}
 	return rest, rest != ""
-}
-
-// fpCache memoizes serve fingerprints by request body. Fingerprinting
-// builds the whole problem (graph + machine), which is far too slow to
-// redo per routed request at fleet QPS; bodies repeat heavily (the same
-// popular requests), so a small exact-bytes cache removes almost all of
-// the cost.
-type fpCache struct {
-	mu   sync.Mutex
-	keys map[string]string
-}
-
-// fpCacheCap bounds the cache; on overflow it resets (the working set of
-// distinct bodies is tiny compared to the cap).
-const fpCacheCap = 4096
-
-func newFPCache() *fpCache {
-	return &fpCache{keys: make(map[string]string)}
-}
-
-// key returns the serve fingerprint for a raw request body.
-func (c *fpCache) key(body []byte) (string, error) {
-	c.mu.Lock()
-	if k, ok := c.keys[string(body)]; ok {
-		c.mu.Unlock()
-		return k, nil
-	}
-	c.mu.Unlock()
-	var req serve.Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return "", err
-	}
-	if err := req.Normalize(); err != nil {
-		return "", err
-	}
-	k, err := req.Fingerprint()
-	if err != nil {
-		return "", err
-	}
-	c.mu.Lock()
-	if len(c.keys) >= fpCacheCap {
-		c.keys = make(map[string]string)
-	}
-	c.keys[string(body)] = k
-	c.mu.Unlock()
-	return k, nil
 }

@@ -39,7 +39,7 @@ func TestStageAdoptableOnceVisible(t *testing.T) {
 		if _, err := os.Stat(rep.stagedPath(key)); err != nil {
 			t.Errorf("hook ran before the staged file was visible: %v", err)
 		}
-		rep.adopt(key) // what handleSubmit does for an unknown fingerprint
+		rep.adopt(key) // what reclaim does for an unknown fingerprint
 	}
 	if err := rep.stage(b); err != nil {
 		t.Fatal(err)

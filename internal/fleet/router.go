@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"automap/internal/serve"
 	"automap/internal/telemetry"
 )
 
@@ -70,7 +71,7 @@ type Router struct {
 	cfg       RouterConfig
 	admission *Admission
 	reg       *telemetry.Registry
-	fp        *fpCache
+	fp        *serve.FingerprintCache
 
 	mu       sync.Mutex
 	ring     *Ring
@@ -126,7 +127,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:         cfg,
 		admission:   NewAdmission(cfg.Quota, cfg.TenantQuotas, clock),
 		reg:         reg,
-		fp:          newFPCache(),
+		fp:          serve.NewFingerprintCache(),
 		ring:        NewRing(cfg.Vnodes),
 		replicas:    make(map[string]*replicaState),
 		proxy:       &http.Client{Transport: transport},
@@ -313,12 +314,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.inflight.Add(-1)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
+	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxRequestBody))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	key, err := rt.fp.key(body)
+	key, err := rt.fp.Key(body)
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)

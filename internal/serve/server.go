@@ -35,6 +35,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -84,6 +85,11 @@ type Config struct {
 	// persisted. The fleet uses it to push the finished result to the
 	// fingerprint's backup replica.
 	OnFinished func(key string)
+	// BeforeBegin, when set, runs in a submit whose fingerprint the store
+	// does not hold yet, before the daemon begins a search for it. The
+	// fleet uses it to adopt a staged search or pull a peer's finished
+	// result for the key first, so the submit resumes or serves it.
+	BeforeBegin func(key string)
 }
 
 // Server is the mapd daemon: an HTTP handler plus the search worker pool
@@ -93,6 +99,7 @@ type Server struct {
 	st  *store.Store
 	reg *telemetry.Registry
 	mux *http.ServeMux
+	fp  *FingerprintCache
 
 	// draining flips once, when Drain starts: /healthz turns 503 so a
 	// fleet router ejects the replica before its searches suspend.
@@ -174,6 +181,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		st:         st,
 		reg:        reg,
+		fp:         NewFingerprintCache(),
 		sem:        make(chan struct{}, searches),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -495,38 +503,71 @@ func entryStatus(e *store.Entry) statusResponse {
 	return resp
 }
 
-// maxRequestBody bounds a request document; real requests are a few
-// hundred bytes.
-const maxRequestBody = 1 << 20
+// statusDoc returns e's status document as writeJSON encodes it, and
+// whether it is a finished one. Both come from one snapshot of the entry,
+// so a document is never part unfinished, part finished. A finished
+// entry's document is encoded once per coalesced value and kept with the
+// entry; an unfinished entry's is encoded per request.
+func statusDoc(e *store.Entry, coalesced bool) (doc []byte, finished bool) {
+	slot := 0
+	if coalesced {
+		slot = 1
+	}
+	finished = true // only a finished entry's document is kept
+	doc = e.Render(slot, func(status store.Status, result []byte, errMsg string) []byte {
+		finished = status.Finished()
+		return encodeJSON(statusResponse{ID: e.Key, Status: status, Coalesced: coalesced, Error: errMsg, Result: result})
+	})
+	return doc, finished
+}
 
-// handleSubmit accepts (or coalesces) a search request.
+// handleSubmit accepts (or coalesces) a search request. A hit — a body
+// fingerprinted before whose entry the store holds — coalesces at the cost
+// of a cache lookup and a write of the entry's status document; decoding,
+// normalizing, fingerprinting and the canonical request document run only
+// on a miss.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mRequests.Add(1)
-	var req Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBody))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
-	if err := req.Normalize(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	key, hit := s.fp.lookup(body)
+	var e *store.Entry
+	if hit {
+		e, hit = s.st.Get(key)
 	}
-	key, err := req.Fingerprint()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	canonical, err := json.MarshalIndent(&req, "", "  ")
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	e, owner, err := s.st.Begin(key, canonical)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
+	var req Request
+	owner := false
+	if !hit {
+		if req, err = decodeRequest(body); err != nil {
+			httpError(w, http.StatusBadRequest, "parsing request: %v", err)
+			return
+		}
+		if err := req.Normalize(); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if key, err = req.Fingerprint(); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.fp.add(body, key)
+		canonical, err := json.MarshalIndent(&req, "", "  ")
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		if s.cfg.BeforeBegin != nil {
+			if _, ok := s.st.Get(key); !ok {
+				s.cfg.BeforeBegin(key)
+			}
+		}
+		if e, owner, err = s.st.Begin(key, canonical); err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
 	}
 	// Serve-side spans: one http_request span per submit that resolved to
 	// an entry, with the coalescing decision as an instant child, all
@@ -545,14 +586,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sl.instant(trace, reqSpan, "coalesce", "hit")
 		s.mCoalesced.Add(1)
 	}
-	resp := entryStatus(e)
-	resp.Coalesced = !owner
+	doc, finished := statusDoc(e, !owner)
 	code := http.StatusAccepted
-	if resp.Status.Finished() {
+	if finished {
 		code = http.StatusOK
 	}
 	sl.end(reqSpan)
-	writeJSON(w, code, resp)
+	writeDoc(w, code, doc)
 }
 
 // handleStatus reports one search.
@@ -562,7 +602,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown search %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, entryStatus(e))
+	doc, _ := statusDoc(e, false)
+	writeDoc(w, http.StatusOK, doc)
 }
 
 // handleEvents streams a search's telemetry as NDJSON: everything emitted
@@ -698,11 +739,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON writes v as an indented JSON response.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	writeDoc(w, code, encodeJSON(v))
+}
+
+// encodeJSON encodes v as writeJSON sends it: indented and
+// newline-terminated. A value that fails to encode yields no bytes.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+	return buf.Bytes()
+}
+
+// writeDoc writes an encoded JSON document as the response.
+func writeDoc(w http.ResponseWriter, code int, doc []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(doc)
 }
 
 // httpError writes a JSON error body.

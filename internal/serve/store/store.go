@@ -76,6 +76,9 @@ type Entry struct {
 	errMsg  string
 	done    chan struct{}
 	events  *EventLog
+	// rendered keeps the renderings of the terminal state, by slot (see
+	// Render).
+	rendered map[int][]byte
 }
 
 // Status returns the entry's current lifecycle state.
@@ -98,6 +101,27 @@ func (e *Entry) Result() (result []byte, errMsg string, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.result, e.errMsg, e.status.Finished()
+}
+
+// Render returns what render makes of the entry's state (status, result
+// document and error message, read under one lock). A terminal state never
+// changes, so its rendering is kept per slot for the entry's lifetime and
+// render runs once per slot; an unfinished state is rendered on every call.
+// render runs under the entry's lock: it must not call back into the entry.
+func (e *Entry) Render(slot int, render func(Status, []byte, string) []byte) []byte {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if data, ok := e.rendered[slot]; ok {
+		return data
+	}
+	data := render(e.status, e.result, e.errMsg)
+	if e.status.Finished() {
+		if e.rendered == nil {
+			e.rendered = make(map[int][]byte)
+		}
+		e.rendered[slot] = data
+	}
+	return data
 }
 
 // Done returns a channel closed when the entry reaches a terminal state.

@@ -3,7 +3,9 @@
 // HTTP, verifies that a duplicate request coalesces instead of starting a
 // second search, streams the event log, stops the daemon with SIGTERM, and
 // restarts it to check that the finished result is served from the store
-// byte-identically with no new search started. Everything the in-process
+// byte-identically with no new search started. In both lives, repeated
+// submits and status reads of the finished search must answer with
+// byte-identical whole response bodies. Everything the in-process
 // tests prove about package serve, this proves about the shipped binary —
 // flag wiring, signal handling, and the store surviving a process exit.
 //
@@ -108,6 +110,45 @@ func waitDone(id string) status {
 	}
 }
 
+// raw performs one request and returns its whole response body.
+func raw(method, path, body string) []byte {
+	req, err := http.NewRequest(method, url(path), strings.NewReader(body))
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		log.Fatalf("%s %s: %v", method, path, err)
+	}
+	return data
+}
+
+// repeatable submits the finished search twice and reads its status twice;
+// each pair of whole response bodies must be byte-identical. It returns
+// the submit and status bodies.
+func repeatable(life, id string) (submitted, status []byte) {
+	for _, r := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/search", request},
+		{http.MethodGet, "/v1/search/" + id, ""},
+	} {
+		a, b := raw(r.method, r.path, r.body), raw(r.method, r.path, r.body)
+		if !bytes.Equal(a, b) {
+			log.Fatalf("%s: two %s %s of the finished search answered differently:\n%s\n%s", life, r.method, r.path, a, b)
+		}
+		if r.method == http.MethodPost {
+			submitted = a
+		} else {
+			status = a
+		}
+	}
+	return submitted, status
+}
+
 // metric reads one unlabeled series from /metrics by its exposed name.
 func metric(name string) float64 {
 	resp, err := http.Get(url("/metrics"))
@@ -172,6 +213,7 @@ func main() {
 			first.ID, dup.ID, dup.Coalesced)
 	}
 	done := waitDone(first.ID)
+	submitted, status := repeatable("first life", first.ID)
 	resp, err := http.Get(url("/v1/search/" + first.ID + "/events"))
 	if err != nil {
 		log.Fatal(err)
@@ -193,6 +235,10 @@ func main() {
 	again := submit()
 	if again.Status != "done" || !bytes.Equal(again.Result, done.Result) {
 		log.Fatalf("restarted daemon did not serve the stored result (status %s)", again.Status)
+	}
+	submittedAgain, statusAgain := repeatable("after restart", first.ID)
+	if !bytes.Equal(submittedAgain, submitted) || !bytes.Equal(statusAgain, status) {
+		log.Fatal("restarted daemon answered the finished search with different bytes than its first life")
 	}
 	if n := metric("serve_searches_started_total"); n != 0 {
 		log.Fatalf("restarted daemon started %g searches for a stored result, want 0", n)
