@@ -27,6 +27,7 @@ package analyze
 import (
 	"automap/internal/machine"
 	"automap/internal/mapping"
+	"automap/internal/sim"
 	"automap/internal/taskir"
 )
 
@@ -65,7 +66,6 @@ func DefaultPasses() []Pass {
 		distributePass{},
 		deadNodePass{},
 		colocationPass{},
-		capacityPass{},
 		feasibilityPass{},
 	}
 }
@@ -96,24 +96,15 @@ func Check(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) *Report {
 	return Analyze(&Context{Graph: g, Machine: m, Mapping: mp})
 }
 
-// executabilityPasses are the passes whose Error diagnostics imply the
-// mapping cannot execute: mapping.Validate would reject it or sim.Simulate
-// would fail with an OOMError. The race and dead-node passes are excluded —
-// their findings are properties of the program, not of the candidate, so
-// pruning on them would veto every mapping of the program alike.
-// The capacity pass runs before feasibility: a lower-bound proof is
-// strictly contained in the exact placement verdict, so it never changes
-// the verdict — it only explains provable misfits more cheaply.
-func executabilityPasses() []Pass {
-	return []Pass{variantPass{}, legalityPass{}, capacityPass{}, feasibilityPass{}}
-}
-
 // Infeasible reports whether mapping mp is statically unexecutable on
 // (m, g): it fails validation or cannot fit in memory. A true verdict means
-// sim.Simulate is guaranteed to fail. It equals the driver's pre-pruning
-// verdict (Validate, then sim.PlanPlacement), which
-// TestFeasibilityMatchesSimulator pins.
+// sim.Simulate is guaranteed to fail. It is the driver's pre-pruning verdict
+// (Validate, then sim.PlanPlacement), which TestFeasibilityMatchesSimulator
+// pins.
 func Infeasible(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) bool {
-	rep := Analyze(&Context{Graph: g, Machine: m, Mapping: mp}, executabilityPasses()...)
-	return rep.HasErrors()
+	if mp.Validate(g, m.Model()) != nil {
+		return true
+	}
+	_, err := sim.PlanPlacement(m, g, mp)
+	return err != nil
 }

@@ -48,7 +48,7 @@ func cpuOnlyMachine() *machine.Machine {
 }
 
 // passByName fetches a default pass by its Name().
-func passByName(t *testing.T, name string) analyze.Pass {
+func passByName(t testing.TB, name string) analyze.Pass {
 	t.Helper()
 	for _, p := range analyze.DefaultPasses() {
 		if p.Name() == name {
@@ -171,21 +171,6 @@ func TestPassGolden(t *testing.T) {
 				mp.SetArgMem(md, 0, 0, machine.SysMem)
 				mp.SetArgMem(md, 1, 0, machine.ZeroCopy)
 				return &analyze.Context{Graph: g, Machine: m, Mapping: mp}
-			},
-		},
-		{
-			name: "capacity",
-			pass: "capacity",
-			ctx: func(t *testing.T) *analyze.Context {
-				// 512 KiB of FrameBuffer and of Zero-Copy: the 2 MiB
-				// collection cannot fit the GPU-addressable kinds combined,
-				// so the lower-bound prover fires without a placement walk.
-				m := tinyGPUMachine(1 << 19)
-				g := taskir.NewGraph("capacity-demo")
-				c := g.AddCollection(taskir.Collection{Name: "data", Space: "d", Lo: 0, Hi: 2 << 20, Partitioned: true})
-				g.AddTask(taskir.GroupTask{Name: "kernel", Points: 4, Variants: bothVariants(),
-					Args: []taskir.Arg{{Collection: c.ID, Privilege: taskir.ReadWrite, BytesPerPoint: 64}}})
-				return &analyze.Context{Graph: g, Machine: m, Mapping: mapping.Default(g, m.Model())}
 			},
 		},
 		{

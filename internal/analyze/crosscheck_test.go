@@ -11,7 +11,6 @@ import (
 	"automap/internal/mapper"
 	"automap/internal/mapping"
 	"automap/internal/sim"
-	"automap/internal/taskir"
 	"automap/internal/xrand"
 )
 
@@ -170,23 +169,5 @@ func checkWalks(t *testing.T) {
 				t.Logf("%d mappings: %d infeasible, %d of them invalid", walks*steps, infeasible, invalid)
 			})
 		}
-	}
-}
-
-// TestShardBytes pins the shared shard arithmetic both sides consume.
-func TestShardBytes(t *testing.T) {
-	part := &taskir.Collection{Space: "s", Lo: 0, Hi: 1000, Partitioned: true}
-	shared := &taskir.Collection{Space: "s", Lo: 0, Hi: 1000}
-	if got := sim.ShardBytes(part, 1, 4); got != 250 {
-		t.Errorf("partitioned shard = %d, want 250", got)
-	}
-	if got := sim.ShardBytes(part, 0, 4); got != 0 {
-		t.Errorf("empty shard = %d, want 0", got)
-	}
-	if got := sim.ShardBytes(shared, 1, 4); got != 1000 {
-		t.Errorf("shared shard = %d, want full 1000", got)
-	}
-	if got := sim.ShardBytes(part, 2, 0); got != 1000 {
-		t.Errorf("zero-point shard = %d, want full 1000", got)
 	}
 }

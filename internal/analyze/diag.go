@@ -78,10 +78,6 @@ const (
 	// CodeMemPressure: a concrete memory is nearly full under the
 	// mapping's placement; small input growth will spill or OOM.
 	CodeMemPressure Code = "AM0010"
-	// CodeCapacityLB: the capacity lower-bound prover found a kind subset
-	// whose confined collections provably exceed its capacity — the
-	// mapping cannot fit under any placement order.
-	CodeCapacityLB Code = "AM0011"
 )
 
 // Diagnostic is one finding of one pass.

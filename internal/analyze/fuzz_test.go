@@ -11,21 +11,22 @@ import (
 )
 
 // FuzzAnalyze drives the passes with procedurally generated programs and
-// arbitrarily mutated mappings. Two properties must hold:
+// arbitrarily mutated mappings. Three properties must hold:
 //
 //  1. no pass may panic, whatever the mutations did to the mapping;
 //  2. soundness of Error severity — a mapping with Error diagnostics must
 //     actually be unexecutable: mapping.Validate rejects it or sim.Simulate
 //     fails. (The converse — completeness — is the cross-check test's job.)
-//  3. soundness of the capacity lower-bound prover — on a mapping that
-//     validates, a ProveCapacity proof must come with a placement failure,
-//     because the search prunes on that verdict without confirmation.
+//  3. the lint's executability passes (variants, legality, feasibility)
+//     report an Error exactly when Infeasible, the launch verdict of
+//     validation and placement, rejects the mapping.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(uint8(2), uint8(3), int64(1<<20), []byte{})
 	f.Add(uint8(3), uint8(2), int64(4<<20), []byte{0, 2})          // move a task to GPU
 	f.Add(uint8(4), uint8(4), int64(1<<22), []byte{2, 0, 12, 1})   // empty a list, invalid kind
 	f.Add(uint8(1), uint8(1), int64(64), []byte{3, 3, 18, 0})      // duplicate, drop an arg list
 	f.Add(uint8(6), uint8(6), int64(8<<20), []byte{24, 9, 6, 200}) // big program, big mutations
+	executability := []analyze.Pass{passByName(f, "variants"), passByName(f, "legality"), passByName(f, "feasibility")}
 	f.Fuzz(func(t *testing.T, nTasks, nCols uint8, size int64, muts []byte) {
 		g := fuzzGraph(nTasks, nCols, size)
 		m := tinyGPUMachine(4 << 20) // small GPU memories keep OOM reachable
@@ -43,12 +44,9 @@ func FuzzAnalyze(f *testing.F) {
 			}
 		}
 
-		if analyze.ProveCapacity(m, g, mp) { // must not panic either
-			if err := mp.Validate(g, md); err == nil {
-				if _, planErr := sim.PlanPlacement(m, g, mp); planErr == nil {
-					t.Fatalf("capacity prover unsound: ProveCapacity=true but placement succeeded for %s", mp.Key())
-				}
-			}
+		lint := analyze.Analyze(&analyze.Context{Graph: g, Machine: m, Mapping: mp}, executability...).HasErrors()
+		if verdict := analyze.Infeasible(m, g, mp); lint != verdict {
+			t.Fatalf("executability lint has errors = %v but Infeasible = %v on\n%v", lint, verdict, mp)
 		}
 	})
 }

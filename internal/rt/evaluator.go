@@ -6,26 +6,22 @@ package rt
 
 import (
 	"context"
-	"errors"
 	"math"
-	"time"
 
 	"automap/internal/mapping"
 	"automap/internal/profile"
 	"automap/internal/search"
 )
 
-// failureTokenSec is the search-time charge for a candidate whose execution
-// failed permanently, matching the driver's accounting: the time spent on
-// completed sibling repeats plus this token for the failed launch itself.
+// failureTokenSec is the search-time charge for a candidate that ran out of
+// memory, matching the driver's accounting: the time spent on completed
+// sibling repeats plus this token for the failed launch itself.
 const failureTokenSec = 1.0
 
-// Evaluator measures candidate mappings by really executing them. Real
-// executions can fail transiently (the OS preempts, a worker hiccups), so
-// failed runs are retried with exponential backoff before the candidate is
-// declared dead; only genuinely un-executable mappings (validation or
-// out-of-memory failures) and retry-exhausted candidates are recorded as
-// failures in the database.
+// Evaluator measures candidate mappings by really executing them. Only
+// genuinely un-executable mappings (validation or out-of-memory failures)
+// are recorded as failures in the database; the executor has no other
+// failure, and placement is deterministic, so nothing is retried.
 type Evaluator struct {
 	Ex *Executor
 	// Repeats is the number of runs averaged per candidate (the paper
@@ -35,48 +31,25 @@ type Evaluator struct {
 	// DB caches measurements per canonical mapping key.
 	DB *profile.DB
 
-	// MaxRetries bounds re-execution attempts after a transient failure
-	// (NewEvaluator defaults it to 2). Permanent failures — validation
-	// errors, out of memory — are never retried: re-running cannot
-	// change a deterministic placement verdict.
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt (NewEvaluator defaults it to 10ms).
-	RetryBackoff time.Duration
 	// Ctx optionally cancels in-flight executions. A candidate cut short
 	// by cancellation reports Failed to stop the sweep but is NOT
 	// recorded in the database: the mapping is not at fault, and a
 	// resumed search must be free to measure it for real.
 	Ctx context.Context
 
-	// Exec overrides the single-run execution function; nil runs
-	// Ex.ExecuteContext. Tests inject flaky executors here.
-	Exec func(*mapping.Mapping) (time.Duration, error)
-	// Sleep overrides the backoff sleep; nil sleeps for real (waking
-	// early on cancellation).
-	Sleep func(time.Duration)
-
-	// Retries counts retry attempts performed across all candidates.
-	Retries int
-
 	searchSec float64
-	evalSec   float64
 	// Suggested/Evaluated mirror the driver's Section 5.3 accounting.
 	Suggested int
 	Evaluated int
 }
 
 // NewEvaluator returns a real-runtime evaluator with the given repetition
-// count and the default retry policy (2 retries, 10ms initial backoff).
+// count.
 func NewEvaluator(ex *Executor, repeats int) *Evaluator {
 	if repeats < 1 {
 		repeats = 1
 	}
-	return &Evaluator{
-		Ex: ex, Repeats: repeats, DB: profile.NewDB(),
-		MaxRetries:   2,
-		RetryBackoff: 10 * time.Millisecond,
-	}
+	return &Evaluator{Ex: ex, Repeats: repeats, DB: profile.NewDB()}
 }
 
 // Evaluate really executes mp Repeats times and returns the mean wall time.
@@ -87,24 +60,27 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 		return search.Evaluation{MeanSec: s.Mean(), Cached: true, Failed: s.Failed}
 	}
 	// Pre-validate so ill-formed mappings are rejected permanently
-	// without spending an execution (or a retry budget) on them.
+	// without spending an execution on them.
 	if err := mp.Validate(e.Ex.G, e.Ex.M.Model()); err != nil {
 		e.DB.RecordFailure(key)
 		return search.Evaluation{MeanSec: math.Inf(1), Failed: true}
 	}
+	ctx := e.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	times := make([]float64, 0, e.Repeats)
 	var spent float64
 	for i := 0; i < e.Repeats; i++ {
-		d, err := e.execute(mp)
+		d, err := e.Ex.ExecuteContext(ctx, mp)
 		if err != nil {
-			if e.canceled() {
+			if ctx.Err() != nil {
 				return search.Evaluation{MeanSec: math.Inf(1), Failed: true}
 			}
-			// Permanent failure or retries exhausted: charge the time
-			// actually spent on the completed sibling repeats plus the
-			// failure token (the driver's policy), then poison the key.
+			// Out of memory: charge the time actually spent on the
+			// completed sibling repeats plus the failure token (the
+			// driver's policy), then poison the key.
 			e.searchSec += spent + failureTokenSec
-			e.evalSec += spent + failureTokenSec
 			e.DB.RecordFailure(key)
 			return search.Evaluation{MeanSec: math.Inf(1), Failed: true}
 		}
@@ -113,73 +89,9 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 		spent += sec
 	}
 	e.searchSec += spent
-	e.evalSec += spent
 	s := e.DB.Record(key, times)
 	e.Evaluated++
 	return search.Evaluation{MeanSec: s.Mean()}
-}
-
-// execute runs mp once, retrying transient failures up to MaxRetries times
-// with exponential backoff.
-func (e *Evaluator) execute(mp *mapping.Mapping) (time.Duration, error) {
-	exec := e.Exec
-	if exec == nil {
-		exec = func(m *mapping.Mapping) (time.Duration, error) {
-			return e.Ex.ExecuteContext(e.ctx(), m)
-		}
-	}
-	backoff := e.RetryBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	for attempt := 0; ; attempt++ {
-		d, err := exec(mp)
-		if err == nil {
-			return d, nil
-		}
-		if e.canceled() || permanentFailure(err) || attempt >= e.MaxRetries {
-			return 0, err
-		}
-		e.Retries++
-		e.sleep(backoff)
-		backoff *= 2
-	}
-}
-
-// permanentFailure reports failures that retrying cannot fix: placement is
-// deterministic, so an out-of-memory mapping fails every time.
-func permanentFailure(err error) bool {
-	var oom *OOMError
-	return errors.As(err, &oom)
-}
-
-func (e *Evaluator) ctx() context.Context {
-	if e.Ctx != nil {
-		return e.Ctx
-	}
-	return context.Background()
-}
-
-func (e *Evaluator) canceled() bool {
-	return e.Ctx != nil && e.Ctx.Err() != nil
-}
-
-// sleep waits for the backoff delay, returning early on cancellation.
-func (e *Evaluator) sleep(d time.Duration) {
-	if e.Sleep != nil {
-		e.Sleep(d)
-		return
-	}
-	if e.Ctx == nil {
-		time.Sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-e.Ctx.Done():
-	}
 }
 
 // SearchTimeSec returns the wall time spent executing candidates.

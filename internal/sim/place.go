@@ -220,11 +220,11 @@ func (p *PlacementPlan) unitsSpanned(pk machine.ProcKind, mk machine.MemKind, n,
 	}
 }
 
-// ShardBytes returns the bytes of collection c resident on one node for a
+// shardBytes returns the bytes of collection c resident on one node for a
 // task with pointsOnNode of totalPoints points. Partitioned collections are
 // divided among points; shared (non-partitioned) collections are whole on
 // every node that touches them.
-func ShardBytes(c *taskir.Collection, pointsOnNode, totalPoints int) int64 {
+func shardBytes(c *taskir.Collection, pointsOnNode, totalPoints int) int64 {
 	if !c.Partitioned || totalPoints == 0 {
 		return c.SizeBytes()
 	}
@@ -237,7 +237,7 @@ func (p *PlacementPlan) footprint(t *taskir.GroupTask, c *taskir.Collection, mk 
 	pts := p.pointsOnNode(t, n)
 	d := p.mp.Decision(t.ID)
 	units := p.unitsSpanned(d.Proc, mk, n, pts)
-	sb := ShardBytes(c, pts, t.Points)
+	sb := shardBytes(c, pts, t.Points)
 	if !c.Partitioned && units > 1 {
 		// Shared collections are replicated per socket/device.
 		return sb * int64(units), units

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"automap/internal/taskir"
+)
 
 // planAllocs is the allocation count of one placement plan: the plan
 // header, its placement table, node list and node offsets, the per-memory
@@ -68,4 +72,22 @@ func TestRunRepeatsAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestShardBytes pins the per-node shard arithmetic placement charges.
+func TestShardBytes(t *testing.T) {
+	part := &taskir.Collection{Space: "s", Lo: 0, Hi: 1000, Partitioned: true}
+	shared := &taskir.Collection{Space: "s", Lo: 0, Hi: 1000}
+	if got := shardBytes(part, 1, 4); got != 250 {
+		t.Errorf("partitioned shard = %d, want 250", got)
+	}
+	if got := shardBytes(part, 0, 4); got != 0 {
+		t.Errorf("empty shard = %d, want 0", got)
+	}
+	if got := shardBytes(shared, 1, 4); got != 1000 {
+		t.Errorf("shared shard = %d, want full 1000", got)
+	}
+	if got := shardBytes(part, 2, 0); got != 1000 {
+		t.Errorf("zero-point shard = %d, want full 1000", got)
+	}
 }

@@ -516,7 +516,7 @@ func (s *state) runTask(tid taskir.TaskID) {
 			c := s.g.Collection(arg.Collection)
 			if arg.Privilege.Reads() {
 				if c.Partitioned {
-					sb := ShardBytes(c, pts, t.Points)
+					sb := shardBytes(c, pts, t.Points)
 					if d.Distribute {
 						s.ensureShard(c, n, n, pl.kind, sb)
 					} else {
@@ -559,7 +559,7 @@ func (s *state) runTask(tid taskir.TaskID) {
 					continue
 				}
 				c := s.g.Collection(arg.Collection)
-				share := ShardBytes(c, pts, t.Points)
+				share := shardBytes(c, pts, t.Points)
 				if c.Partitioned && pl.units > 1 {
 					share /= int64(pl.units)
 				}

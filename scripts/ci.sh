@@ -136,6 +136,14 @@ for app in circuit htr maestro pennant stencil; do
         ./bin/mapcheck -app "$app" -machine "$m"
     done
 done
+# The default stencil mapping cannot fit the starved node's GPU memories:
+# mapcheck must fail it with the placement verdict, AM0002.
+echo "-- mapcheck -app stencil -machine testdata/machines/shepard-starved.json (must fail)"
+rc=0
+./bin/mapcheck -app stencil -machine testdata/machines/shepard-starved.json >"$tdir/starved.txt" || rc=$?
+cat "$tdir/starved.txt"
+[ "$rc" -eq 1 ] && grep -q AM0002 "$tdir/starved.txt" || {
+    echo "mapcheck exited $rc on an unfittable mapping; want 1 with AM0002" >&2; exit 1; }
 
 echo "== telemetry smoke"
 $GO build -o bin/automap ./cmd/automap
