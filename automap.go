@@ -338,7 +338,7 @@ var (
 // telemetry sequence counter behind an atomic rename — and a search with
 // Options.ResumeFrom replays a snapshot to the interrupted run's exact
 // state before continuing, reproducing the uninterrupted run's Report and
-// telemetry stream byte for byte at any worker count.
+// telemetry stream byte for byte.
 type (
 	// SearchCheckpoint is one persisted search snapshot.
 	SearchCheckpoint = checkpoint.Snapshot

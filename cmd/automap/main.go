@@ -167,7 +167,6 @@ func cmdSearch(args []string) {
 	eventsFile := c.fs.String("events", "", "write the search telemetry event stream to this JSONL file")
 	metricsFile := c.fs.String("metrics", "", "write the final metrics snapshot to this file (Prometheus text format)")
 	searchTraceFile := c.fs.String("search-trace", "", "write a chrome://tracing JSON of the search timeline to this file")
-	workers := c.fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS); results are identical at any value")
 	ckptPath := c.fs.String("checkpoint", "", "periodically save search state to this file (and once more on exit)")
 	ckptEvery := c.fs.Int("checkpoint-every", 0, "fresh measurements between periodic checkpoints (0 = default, 25)")
 	resume := c.fs.Bool("resume", false, "resume from the -checkpoint file: replay to the interrupted run's exact state, then continue")
@@ -202,7 +201,6 @@ func cmdSearch(args []string) {
 	opts := driver.DefaultOptions()
 	opts.Seed = *c.seed
 	opts.PrePrune = *check
-	opts.Workers = *workers
 	opts.CheckpointPath = *ckptPath
 	opts.CheckpointEvery = *ckptEvery
 	if *c.app == "maestro" {

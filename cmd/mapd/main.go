@@ -39,7 +39,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:8357); off when empty — keep it loopback-only, it is unauthenticated")
 	replica := flag.String("replica", "", "this daemon's fleet name; joins the fleet in -peers (standalone when empty)")
 	peersFlag := flag.String("peers", "", "fleet replica list as name=url,name=url (requires -replica; must include it)")
-	vnodes := flag.Int("vnodes", 0, "fleet ring virtual nodes per replica (0 = default); all members and the router must agree")
 	flag.Parse()
 
 	// In fleet mode the daemon wraps itself in a replication agent: same
@@ -60,7 +59,6 @@ func main() {
 			Peers:    peers,
 			Dir:      *dir,
 			Searches: *searches,
-			Vnodes:   *vnodes,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -82,8 +80,8 @@ func main() {
 	}
 	if *debugAddr != "" {
 		// Mutex and block profiling are off in the runtime by default;
-		// sample them whenever the pprof listener is up, so worker-pool
-		// contention regressions (DESIGN §15) are diagnosable against a
+		// sample them whenever the pprof listener is up, so contention
+		// between concurrent searches (DESIGN §15) is diagnosable against a
 		// live daemon without a rebuild. One mutex event in 100 and one
 		// block sample per 100µs blocked are noise next to a simulation.
 		runtime.SetMutexProfileFraction(100)

@@ -57,7 +57,6 @@ func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", ":8360", "listen address")
 	replicas := flag.String("replicas", "", "replica list as name=url,name=url (required)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica (0 = default); must match the replicas")
 	rps := flag.Float64("rps", 0, "default per-tenant quota in requests/sec (0 = unlimited)")
 	burst := flag.Int("burst", 0, "default per-tenant burst (0 = ceil(rps))")
 	maxInflight := flag.Int("max-inflight", 0, "global in-flight request cap (0 = unlimited)")
@@ -72,7 +71,6 @@ func main() {
 	}
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
 		Replicas:     peers,
-		Vnodes:       *vnodes,
 		Quota:        fleet.Quota{RPS: *rps, Burst: *burst},
 		TenantQuotas: tenantQuotas,
 		MaxInflight:  *maxInflight,

@@ -144,27 +144,9 @@ func cmdTop(base string) {
 		"serve_coalesce_hit_ratio":       true,
 	}
 	fmt.Println("daemon:")
-	// Wall-clock evaluation telemetry (driver.* — per-worker throughput,
-	// synchronous evaluations, superseded speculation) is collected by
-	// prefix: the per-worker series are labeled, so their names are
-	// open-ended. Histogram buckets are left out; _sum and _count stay.
-	var workerLines []string
 	for _, s := range samples {
-		value := strconv.FormatFloat(s.Value, 'g', -1, 64)
-		switch {
-		case want[s.Name]:
-			fmt.Printf("  %-32s %s\n", s.Name+s.Labels, value)
-		case strings.HasSuffix(s.Name, "_bucket"):
-		case strings.HasPrefix(s.Name, "driver_worker_") ||
-			strings.HasPrefix(s.Name, "driver_commit_") ||
-			strings.HasPrefix(s.Name, "driver_prefetch_"):
-			workerLines = append(workerLines, fmt.Sprintf("  %-38s %s", s.Name+s.Labels, value))
-		}
-	}
-	if len(workerLines) > 0 {
-		fmt.Println("workers:")
-		for _, l := range workerLines {
-			fmt.Println(l)
+		if want[s.Name] {
+			fmt.Printf("  %-32s %s\n", s.Name+s.Labels, strconv.FormatFloat(s.Value, 'g', -1, 64))
 		}
 	}
 }

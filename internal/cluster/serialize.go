@@ -9,22 +9,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"automap/internal/fsatomic"
 )
 
-// SaveSpec writes a node specification as indented JSON. The write is
-// atomic (fsatomic.WriteFile) so a crash mid-save cannot tear a spec file.
-func SaveSpec(spec NodeSpec, path string) error {
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return fsatomic.WriteFile(path, data)
-}
-
-// LoadSpec reads a node specification written by SaveSpec (or authored by
-// hand) and validates it.
+// LoadSpec reads a node specification from a JSON file (bare Go field
+// names) and validates it.
 func LoadSpec(path string) (NodeSpec, error) {
 	var spec NodeSpec
 	data, err := os.ReadFile(path)

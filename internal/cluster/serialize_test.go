@@ -1,18 +1,30 @@
 package cluster
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"testing"
 
+	"automap/internal/fsatomic"
 	"automap/internal/machine"
 )
+
+// writeSpec writes spec to path as indented JSON.
+func writeSpec(t *testing.T, spec NodeSpec, path string) {
+	t.Helper()
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fsatomic.WriteFile(path, data); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestSpecSaveLoadRoundtrip(t *testing.T) {
 	spec := ShepardNode()
 	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := SaveSpec(spec, path); err != nil {
-		t.Fatal(err)
-	}
+	writeSpec(t, spec, path)
 	got, err := LoadSpec(path)
 	if err != nil {
 		t.Fatal(err)
@@ -26,9 +38,7 @@ func TestLoadSpecRejectsInvalid(t *testing.T) {
 	bad := ShepardNode()
 	bad.Sockets = 0
 	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := SaveSpec(bad, path); err != nil {
-		t.Fatal(err)
-	}
+	writeSpec(t, bad, path)
 	if _, err := LoadSpec(path); err == nil {
 		t.Fatal("invalid spec accepted")
 	}

@@ -1,4 +1,4 @@
-// Checkpoint/resume and prefetch-gating tests for the driver evaluator.
+// Checkpoint/resume tests for the driver evaluator.
 
 package driver
 
@@ -13,73 +13,6 @@ import (
 	"automap/internal/mapping"
 	"automap/internal/search"
 )
-
-func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
-	forceParallel(t, 4)
-	m := cluster.Shepard(1)
-	g := driverGraph(t)
-	opts := quickOpts()
-	opts.Workers = 4
-	md := m.Model()
-	cands := []*mapping.Mapping{mapping.Default(g, md)}
-
-	// Unbounded budget: speculation proceeds.
-	ev := NewEvaluator(m, g, opts)
-	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{}, nil)
-	ev.Prefetch(cands)
-	if len(ev.spec) != 1 {
-		t.Fatalf("unbounded prefetch speculated %d candidates, want 1", len(ev.spec))
-	}
-
-	// Suggestion budget exhausted: nothing may speculate.
-	ev = NewEvaluator(m, g, opts)
-	ev.Suggested = 10
-	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSuggestions: 10}, nil)
-	ev.Prefetch(cands)
-	if len(ev.spec) != 0 {
-		t.Fatal("prefetch speculated past an exhausted suggestion budget")
-	}
-
-	// Time budget exhausted.
-	ev = NewEvaluator(m, g, opts)
-	ev.searchSec = 2
-	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSearchSec: 1}, nil)
-	ev.Prefetch(cands)
-	if len(ev.spec) != 0 {
-		t.Fatal("prefetch speculated past an exhausted time budget")
-	}
-
-	// Cancelled context.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ev = NewEvaluator(m, g, opts)
-	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{Context: ctx}, nil)
-	ev.Prefetch(cands)
-	if len(ev.spec) != 0 {
-		t.Fatal("prefetch speculated after cancellation")
-	}
-}
-
-func TestPrefetchCappedByRemainingSuggestions(t *testing.T) {
-	forceParallel(t, 4)
-	m := cluster.Shepard(1)
-	g := driverGraph(t)
-	opts := quickOpts()
-	opts.Workers = 4
-	md := m.Model()
-	a := mapping.Default(g, md)
-	b := a.Clone()
-	b.SetDistribute(g.Tasks[0].ID, !a.Decision(g.Tasks[0].ID).Distribute)
-	cands := []*mapping.Mapping{a, b}
-
-	ev := NewEvaluator(m, g, opts)
-	ev.Suggested = 9 // budget leaves room for exactly one more proposal
-	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSuggestions: 10}, nil)
-	ev.Prefetch(cands)
-	if len(ev.spec) != 1 {
-		t.Fatalf("prefetch speculated %d candidates with room for 1", len(ev.spec))
-	}
-}
 
 func TestCheckpointWrittenAndResumeReplays(t *testing.T) {
 	m := cluster.Shepard(1)

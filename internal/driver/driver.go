@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"automap/internal/checkpoint"
 	"automap/internal/machine"
@@ -76,27 +75,17 @@ type Options struct {
 	// into the registry; the search algorithms emit the decision-level
 	// events. Nil disables observation at zero cost.
 	Observer *telemetry.Observer
-	// Workers bounds the number of candidates a Prefetch batch measures
-	// at once, each with all its repeats in one simulator call; Evaluate
-	// and the final phase measure on the search goroutine. Zero or negative
-	// means GOMAXPROCS; positive values are clamped to GOMAXPROCS, since
-	// simulations are CPU-bound and workers beyond the scheduler's
-	// parallelism can only add context-switch overhead and wasted
-	// speculation (on a single-core host, -workers 8 therefore behaves
-	// exactly like -workers 1). The search trajectory, report, and
-	// telemetry stream are byte-identical at every worker count: noise
-	// seeds are derived from (Seed, repeat index) rather than execution
-	// order, and all measurement side effects commit in enumeration
-	// order.
+	// Workers is ignored: the driver measures one candidate at a time, on
+	// the search goroutine. The field stays only because
+	// benchmark/searchbench.go sets it; ROADMAP item 2, the benchmark
+	// change, deletes it.
 	Workers int
-	// WallMetrics optionally receives wall-clock operational telemetry:
-	// per-worker evaluation throughput, synchronous evaluations,
-	// superseded speculation (see wallstats.go). These measure real time
-	// and scheduling, so they are deliberately kept OUT of the
-	// deterministic Observer registry — two byte-identical searches will
-	// report different wall metrics. The mapd daemon passes its serve
-	// registry here so `mapstat top` and /metrics surface them; nil
-	// disables the instrumentation at zero cost.
+	// WallMetrics optionally receives wall-clock operational telemetry,
+	// kept out of the deterministic Observer registry. Nothing records
+	// into it today: it stays for ROADMAP item 1's layer timers, because
+	// benchmark/searchbench.go sets it and the mapd daemon passes its serve
+	// registry here. ROADMAP item 2, the benchmark change, deletes it if
+	// item 1 has not given it instruments by then.
 	WallMetrics *telemetry.Registry
 	// CheckpointPath, when non-empty, makes the driver persist a search
 	// snapshot (internal/checkpoint) atomically to this path: every
@@ -119,7 +108,7 @@ type Options struct {
 	// committing the snapshot's recorded measurements instead of
 	// re-simulating them — and continues fresh past the recorded prefix,
 	// reaching a Report and telemetry stream byte-identical to an
-	// uninterrupted run at any worker count. The snapshot fingerprint
+	// uninterrupted run. The snapshot fingerprint
 	// (algorithm, program, machine, seed, protocol, budget) is validated;
 	// a mismatch fails the search rather than silently diverging.
 	ResumeFrom *checkpoint.Snapshot
@@ -155,14 +144,11 @@ func DefaultOptions() Options {
 }
 
 // Evaluator executes candidate mappings on the simulated runtime. It
-// implements search.Evaluator and search.BatchEvaluator.
+// implements search.Evaluator.
 //
-// Evaluate commits all observable side effects (search clock, counters,
-// database writes, telemetry) and must be called from one goroutine at a
-// time — the search loop. Prefetch may run simulations concurrently but
-// has no observable side effects; its speculative results are committed by
-// the subsequent sequential Evaluate calls, which is what keeps the
-// trajectory and event stream byte-identical at any worker count.
+// Evaluate measures one candidate at a time, commits all observable side
+// effects (search clock, counters, database writes, telemetry), and must be
+// called from one goroutine at a time — the search loop.
 type Evaluator struct {
 	M    *machine.Machine
 	G    *taskir.Graph
@@ -177,14 +163,12 @@ type Evaluator struct {
 	evalSec   float64
 
 	// inst amortizes simulator topology tables, placement plans, and
-	// run scratch across every simulation of the search; workers bounds
-	// the goroutines a Prefetch batch measures on. delta wraps inst with
-	// classification against the search incumbent (sim.DeltaInstance),
-	// which feeds the attribution counters below; every measurement
-	// goes through inst.
-	inst    *sim.Instance
-	delta   *sim.DeltaInstance
-	workers int
+	// run scratch across every simulation of the search. delta wraps inst
+	// with classification against the search incumbent (sim.DeltaInstance),
+	// which feeds the attribution counters below; every measurement goes
+	// through inst.
+	inst  *sim.Instance
+	delta *sim.DeltaInstance
 
 	// Commit-path attribution of evaluations (guarded by mu): how many
 	// committed candidate measurements classified as bounded deltas
@@ -214,7 +198,6 @@ type Evaluator struct {
 	sinceCkpt int
 	ckptErr   error
 	eventSeq  func() int
-	budget    search.Budget
 
 	// mu guards the sequential-commit state above (top, counters,
 	// clocks). It orders results; it is NEVER held across a simulation —
@@ -223,11 +206,6 @@ type Evaluator struct {
 	// and misuse of the commit contract shows up under -race instead of
 	// as silent corruption.
 	mu sync.Mutex
-	// spec holds the latest Prefetch batch's measurement results, keyed
-	// by mapping key, awaiting commit by Evaluate; specMu guards it
-	// against overlapping Prefetch calls.
-	specMu sync.Mutex
-	spec   map[string]specResult
 
 	// Suggested counts Evaluate calls; Evaluated counts distinct
 	// mappings actually measured (Section 5.3's accounting).
@@ -255,8 +233,8 @@ type Evaluator struct {
 	mIncEvals  *telemetry.Counter
 	mFbEvals   *telemetry.Counter
 	// Logical cache counters, attributed on the sequential commit path —
-	// a pure function of the commit sequence, so byte-identical at any
-	// worker count and across resume. They restate Repeats and the commit
+	// a pure function of the commit sequence, so byte-identical across
+	// runs and resume. They restate Repeats and the commit
 	// count, and stay only because benchmark/expected.json pins them: its
 	// digest hashes every metric of the report.
 	mPlanHits    *telemetry.Counter
@@ -274,10 +252,6 @@ type Evaluator struct {
 	gEnergy      *telemetry.Gauge
 	gOverhead    *telemetry.Gauge
 	hEvalSec     *telemetry.Histogram
-
-	// Wall-clock side instrumentation (wallstats.go); all fields nil
-	// without Options.WallMetrics.
-	wall *wallStats
 }
 
 // evalSecBuckets are the histogram bucket bounds for candidate mean
@@ -292,7 +266,6 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 		db = profile.NewDB()
 	}
 	obs := opts.Observer
-	workers := resolveWorkers(opts.Workers)
 	var replay map[string][]checkpoint.Run
 	if snap := opts.ResumeFrom; snap != nil {
 		replay = make(map[string][]checkpoint.Run, len(snap.Evals))
@@ -303,14 +276,12 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 	inst := sim.New(m, g)
 	e := &Evaluator{
 		M: m, G: g, Opts: opts,
-		DB:      db,
-		top:     finalists{n: opts.FinalCandidates},
-		model:   m.Model(),
-		inst:    inst,
-		delta:   sim.NewDelta(inst),
-		workers: workers,
-		spec:    make(map[string]specResult),
-		replay:  replay,
+		DB:     db,
+		top:    finalists{n: opts.FinalCandidates},
+		model:  m.Model(),
+		inst:   inst,
+		delta:  sim.NewDelta(inst),
+		replay: replay,
 
 		mCacheHits:   obs.Counter("search.eval.cache_hits"),
 		mFailures:    obs.Counter("search.eval.failures"),
@@ -328,8 +299,6 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 		gEnergy:      obs.Gauge("sim.energy_joules"),
 		gOverhead:    obs.Gauge("search.overhead_sec"),
 		hEvalSec:     obs.Histogram("search.eval.mean_sec", evalSecBuckets),
-
-		wall: newWallStats(opts.WallMetrics, workers),
 	}
 	if opts.PrePrune {
 		e.launchable = make(map[string]bool)
@@ -337,13 +306,6 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 		e.mPruned = obs.Counter("search.eval.pruned")
 	}
 	return e
-}
-
-// specResult is one speculative measurement awaiting commit: the
-// per-repeat Summaries and the error, as measureRuns returns them.
-type specResult struct {
-	sums []sim.Summary
-	err  error
 }
 
 // finalists is this run's top n committed mappings in the final phase's
@@ -409,12 +371,10 @@ func (e *Evaluator) repeats() int {
 
 // Evaluate measures mp with Opts.Repeats noisy runs (or returns the cached
 // mean for repeated suggestions) and advances the search clock by the
-// execution time spent. If Prefetch already measured mp speculatively, the
-// stored results are committed here — seeds are key-derived, so they are
-// bit-identical to what measuring now would produce. If the run is a
-// checkpoint resume and mp's measurements were recorded, the recorded runs
-// are committed instead of re-simulating. With Options.PrePrune, a
-// candidate that cannot launch is answered first (see prune).
+// execution time spent. If the run is a checkpoint resume and mp's
+// measurements were recorded, the recorded runs are committed instead of
+// re-simulating. With Options.PrePrune, a candidate that cannot launch is
+// answered first (see prune).
 func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	key := mp.Key()
 	if e.Opts.PrePrune {
@@ -451,16 +411,9 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	// commits; it only keeps clock/metric readers and checkpoint writers
 	// responsive while a candidate executes.
 	e.mu.Unlock()
-	e.specMu.Lock()
-	s, ok := e.spec[key]
-	delete(e.spec, key)
-	e.specMu.Unlock()
-	if !ok {
-		e.wall.syncEval()
-		s.sums, s.err = measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed)
-	}
+	sums, err := measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed)
 	e.mu.Lock()
-	verdict := e.commitRuns(key, mp, toRuns(s.sums, s.err, e.Opts.objective()))
+	verdict := e.commitRuns(key, mp, toRuns(sums, err, e.Opts.objective()))
 	// Only fresh measurements advance the periodic-checkpoint counter:
 	// replayed commits re-cover ground an earlier snapshot already holds.
 	e.maybeCheckpointLocked()
@@ -481,8 +434,7 @@ const checkCostSec = 0.01
 // adds the pruned count back. Verdicts are cached by key, and only a fresh
 // check charges checkCostSec. The plan goes through the instance's plan
 // cache, outside e.mu, so the measurement of a launchable candidate reuses
-// it, and a Prefetch job that already planned the candidate leaves the
-// check a cache hit.
+// it.
 func (e *Evaluator) prune(key string, mp *mapping.Mapping) (search.Evaluation, bool) {
 	ok, seen := e.launchable[key]
 	if !seen {
@@ -541,8 +493,7 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 	// full); it stays because benchmark/expected.json pins its totals.
 	// Classification is pure and the commit sequence (including the
 	// SetDeltaBase calls interleaved by the search) is deterministic, so
-	// these counters are identical across worker counts, prefetch timing,
-	// and resume.
+	// these counters are identical across runs and resume.
 	if e.delta.Classify(key, mp) {
 		e.incEvals++
 		e.mIncEvals.Add(1)
@@ -632,12 +583,11 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 }
 
 // bindSearch attaches the per-search checkpointing context: the snapshot
-// fingerprint template, the budget (consulted by Prefetch's gating), and
-// the observer's event-sequence reader. SearchFromSpace calls it once
-// before handing the evaluator to the algorithm.
-func (e *Evaluator) bindSearch(tmpl checkpoint.Snapshot, budget search.Budget, eventSeq func() int) {
+// fingerprint template and the observer's event-sequence reader.
+// SearchFromSpace calls it once before handing the evaluator to the
+// algorithm.
+func (e *Evaluator) bindSearch(tmpl checkpoint.Snapshot, eventSeq func() int) {
 	e.tmpl = tmpl
-	e.budget = budget
 	e.eventSeq = eventSeq
 	e.ckptPath = e.Opts.CheckpointPath
 	e.ckptEvery = e.Opts.CheckpointEvery
@@ -704,145 +654,11 @@ func (e *Evaluator) CheckpointErr() error {
 	return e.ckptErr
 }
 
-// Prefetch speculatively measures candidates concurrently and returns once
-// the batch is measured. It has no observable side effects: no counters
-// move, no search time is charged, nothing is recorded or emitted. The
-// results wait in the speculative map for the sequential Evaluate calls
-// that commit them in enumeration order, so speculation can only change
-// wall-clock time, never the trajectory. With a single worker, speculation
-// cannot overlap anything and wasted speculative runs would cost real
-// time, so Prefetch is a no-op.
-//
-// The batch's results REPLACE the speculative map: an entry the new batch
-// still contains is kept rather than re-measured, and every other entry —
-// stale once CCD re-batches from a new incumbent after an accept — is
-// dropped unconsumed and counted as superseded.
-func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
-	if e.workers <= 1 {
-		return
-	}
-	// Budget gate: speculation past the point where the search will stop
-	// is pure waste — with a cancelled context or an exhausted time
-	// budget, none of the speculative results can ever commit. Bound the
-	// batch by what can still commit. (Skipping speculation can never
-	// change the trajectory: Prefetch has no observable effects.)
-	if e.budget.ContextStop() != "" {
-		return
-	}
-	limit := len(cands)
-	e.mu.Lock()
-	searchSec, evalSec := e.searchSec, e.evalSec
-	suggested, evaluated := e.Suggested, e.Evaluated
-	e.mu.Unlock()
-	if max := e.budget.MaxSearchSec; max > 0 {
-		remSec := max - searchSec
-		if remSec <= 0 {
-			return
-		}
-		// Cap by how many average-cost evaluations still fit; +1 because
-		// the evaluation that crosses the budget line still commits.
-		if evaluated > 0 {
-			if avg := evalSec / float64(evaluated); avg > 0 {
-				if n := int(remSec/avg) + 1; n < limit {
-					limit = n
-				}
-			}
-		}
-	}
-	if max := e.budget.MaxSuggestions; max > 0 {
-		rem := max - suggested
-		if rem <= 0 {
-			return
-		}
-		if rem < limit {
-			limit = rem
-		}
-	}
-	var keep []string
-	var jobs []specJob
-	seen := make(map[string]bool, len(cands))
-	for _, mp := range cands {
-		if len(keep)+len(jobs) >= limit {
-			break
-		}
-		key := mp.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := e.DB.Lookup(key); ok {
-			continue
-		}
-		// Keys with recorded measurements will be replayed, not
-		// simulated; speculating on them wastes wall-clock time.
-		if _, ok := e.replay[key]; ok {
-			continue
-		}
-		e.specMu.Lock()
-		_, have := e.spec[key]
-		e.specMu.Unlock()
-		if have {
-			keep = append(keep, key)
-			continue
-		}
-		if mp.Validate(e.G, e.model) != nil {
-			continue
-		}
-		jobs = append(jobs, specJob{key: key, mp: mp})
-	}
-	e.measureJobs(jobs)
-
-	e.specMu.Lock()
-	next := make(map[string]specResult, len(keep)+len(jobs))
-	for _, key := range keep {
-		if s, ok := e.spec[key]; ok {
-			next[key] = s
-		}
-	}
-	e.wall.supersede(len(e.spec) - len(next))
-	for _, j := range jobs {
-		if j.res.sums != nil {
-			next[j.key] = j.res
-		}
-	}
-	e.spec = next
-	e.specMu.Unlock()
-}
-
-// specJob is one candidate of a Prefetch batch; res stays empty if the
-// batch stopped before measuring it.
-type specJob struct {
-	key string
-	mp  *mapping.Mapping
-	res specResult
-}
-
-// measureJobs measures jobs on min(workers, len(jobs)) goroutines and
-// returns when all have finished. Each goroutine takes the next unmeasured
-// job, measures all its repeats with one measureRuns call — the pool is
-// the parallelism unit — and takes no new job once the budget's context
-// stops.
-func (e *Evaluator) measureJobs(jobs []specJob) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for slot := range min(e.workers, len(jobs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || e.budget.ContextStop() != "" {
-					return
-				}
-				j := &jobs[i]
-				start := e.wall.now()
-				j.res.sums, j.res.err = measureRuns(e.inst, j.key, j.mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed)
-				e.wall.workerEval(slot, e.wall.now()-start)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// Prefetch does nothing: the driver measures one candidate at a time, and
+// no product code calls it. It stays only because benchmark/trace.go
+// type-asserts the evaluator to search.BatchEvaluator and fails otherwise;
+// ROADMAP item 2, the benchmark change, deletes it.
+func (e *Evaluator) Prefetch([]*mapping.Mapping) {}
 
 // SearchTimeSec returns the simulated search time consumed so far.
 func (e *Evaluator) SearchTimeSec() float64 {
@@ -1019,7 +835,7 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	}
 
 	ev := NewEvaluator(m, g, opts)
-	ev.bindSearch(tmpl, budget, opts.Observer.EventSeq)
+	ev.bindSearch(tmpl, opts.Observer.EventSeq)
 	prob := &search.Problem{
 		Graph:    g,
 		Model:    md,
@@ -1040,7 +856,7 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	}
 	// Span tree rooted at the whole search, all on the simulated search
 	// clock (never wall time): the tree is part of the deterministic
-	// stream, byte-identical across worker counts and checkpoint/resume.
+	// stream, byte-identical across runs and checkpoint/resume.
 	// An interrupted run leaves its spans open; the resumed run, replaying
 	// the same trajectory, closes them at the positions the uninterrupted
 	// run would have.

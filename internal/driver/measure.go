@@ -1,23 +1,18 @@
 // The shared measurement path: every repeated-run protocol in the driver —
-// candidate evaluation (7 repeats), final re-measurement (31 repeats),
-// Prefetch batch jobs, and baseline MeasureMapping — funnels through
-// measureRuns, which measures all of a candidate's repeats in one
-// simulator call (one schedule, one lane-wise fold over all seeds) with
-// order-independent noise seeds. Parallelism comes from measuring
-// different candidates at once, never from splitting one candidate's
-// repeats: measureJobs runs at most `workers` goroutines and joins them
-// before Prefetch returns, and Evaluate and the final phase measure on
-// the search goroutine, so no more than `workers` calls ever run at once.
+// candidate evaluation (7 repeats), final re-measurement (31 repeats), and
+// baseline MeasureMapping — funnels through measureRuns, which measures all
+// of a candidate's repeats in one simulator call (one schedule, one
+// lane-wise fold over all seeds) with order-independent noise seeds. The
+// driver measures one candidate at a time, on the search goroutine, as the
+// paper's driver does (Section 3.3, Algorithm 1).
 //
 // Seed derivation: each run's seed is a hash of (base seed, repeat index).
 // This replaced a sequential runSeed++ counter, whose seeds depended on how
 // many runs had executed before — meaning the measurement of a mapping
-// changed with suggestion order, and concurrent or speculative evaluation
-// would have perturbed results. With derived seeds a mapping's measurement
-// is a pure function of (base seed, mapping), so candidates may be measured
-// in any order and on any number of workers, speculative results are exactly the
-// results a later sequential evaluation would produce, and the search
-// trajectory is identical at every worker count.
+// changed with suggestion order. With derived seeds a mapping's measurement
+// is a pure function of (base seed, mapping), so a resumed search that
+// replays recorded measurements and measures the rest reaches the same
+// trajectory as an uninterrupted one.
 //
 // The seed deliberately does NOT include the mapping key: every candidate's
 // repeat i experiences the same noise draw sequence (common random numbers,
@@ -32,7 +27,6 @@ package driver
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"runtime"
 
 	"automap/internal/mapping"
 	"automap/internal/sim"
@@ -48,23 +42,6 @@ func runSeed(base uint64, repeat int) uint64 {
 	binary.LittleEndian.PutUint64(b[:], uint64(repeat))
 	h.Write(b[:])
 	return h.Sum64()
-}
-
-// resolveWorkers maps an Options.Workers value to the effective pool width:
-// non-positive means GOMAXPROCS, and positive values are clamped to
-// GOMAXPROCS. Simulations are pure CPU work, so workers beyond the
-// scheduler's parallelism cannot add throughput — they only add context
-// switches and, worse, wasted speculation: on a single-core host an
-// unclamped `-workers 8` made every search SLOWER than `-workers 1`
-// because eight prefetch goroutines took turns burning the one core on
-// candidates that re-batching then threw away. The clamp makes
-// `-workers N` mean "up to N", never "pretend you have N cores".
-func resolveWorkers(w int) int {
-	max := runtime.GOMAXPROCS(0)
-	if w <= 0 || w > max {
-		return max
-	}
-	return w
 }
 
 // measureRuns measures `repeats` simulations of mp (whose canonical key is

@@ -133,7 +133,7 @@ func startFleet(t *testing.T, n int) *testFleet {
 		reps:    make(map[string]*fleet.Replica),
 		servers: make(map[string]*httptest.Server),
 		peers:   make(map[string]string),
-		ring:    fleet.NewRing(0),
+		ring:    fleet.NewRing(fleet.Vnodes),
 	}
 	// Listeners first: every replica needs the full peer map.
 	listeners := make(map[string]*httptest.Server, n)
@@ -195,7 +195,7 @@ func startFleet(t *testing.T, n int) *testFleet {
 func (f *testFleet) kill(name string) {
 	f.reps[name].Close()
 	f.servers[name].Close()
-	f.router.MarkDown(name)
+	f.router.SetHealth(name, false)
 	delete(f.servers, name)
 }
 
@@ -234,7 +234,7 @@ func TestFleetByteIdentity(t *testing.T) {
 
 	// Satellite: a replica that never ran the search serves the same
 	// bytes. Hitting a non-owner directly exercises pull-on-miss.
-	owner := f.ring.Owner(id)
+	owner := f.ring.OwnerN(id, 1)[0]
 	var nonOwner string
 	for _, name := range f.names {
 		if name != owner {

@@ -40,15 +40,13 @@ type ReplicaConfig struct {
 	// Name is this replica's fleet-wide name; it must appear in Peers.
 	Name string
 	// Peers maps every replica name (including this one) to its base
-	// URL. All members must agree on this set and on Vnodes — placement
-	// is computed locally from it.
+	// URL. All members must agree on this set — placement is computed
+	// locally from it.
 	Peers map[string]string
 	// Dir is the store directory; Searches bounds concurrent searches
 	// (both as in serve.Config).
 	Dir      string
 	Searches int
-	// Vnodes is the ring's virtual-node count (0 = DefaultVnodes).
-	Vnodes int
 	// Client performs replication and pull requests; nil means a client
 	// with a 30s timeout.
 	Client *http.Client
@@ -109,7 +107,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rep := &Replica{
 		cfg:       cfg,
-		ring:      NewRing(cfg.Vnodes),
+		ring:      NewRing(Vnodes),
 		client:    cfg.Client,
 		stagedDir: filepath.Join(cfg.Dir, "fleet"),
 		pushCh:    make(chan string, 256),

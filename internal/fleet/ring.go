@@ -27,11 +27,12 @@ import (
 	"sort"
 )
 
-// DefaultVnodes is the number of virtual nodes per replica. Routers and
-// replicas must agree on it (it is part of the placement function); 64
-// keeps the per-replica load spread within a few percent for small fleets
-// while the ring stays tiny.
-const DefaultVnodes = 64
+// Vnodes is the number of virtual nodes per replica. It is part of the
+// placement function, so it is a constant rather than a setting: a router
+// and a replica that disagreed on it would route keys to replicas that do
+// not own them. 64 keeps the per-replica load spread within a few percent
+// for small fleets while the ring stays tiny.
+const Vnodes = 64
 
 // point is one virtual node: a position on the hash circle owned by a
 // replica.
@@ -49,12 +50,9 @@ type Ring struct {
 	names  map[string]bool
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// replica (<= 0 means DefaultVnodes).
+// NewRing returns an empty ring with vnodes virtual nodes per replica. The
+// fleet's rings use Vnodes; tests build smaller ones.
 func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
 	return &Ring{vnodes: vnodes, names: make(map[string]bool)}
 }
 
@@ -140,18 +138,8 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Owner returns the replica owning key: the first virtual node clockwise
-// from the key's hash. An empty ring owns nothing ("").
-func (r *Ring) Owner(key string) string {
-	owners := r.OwnerN(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
-
 // OwnerN returns up to n distinct replicas for key in ring order: the
-// owner first, then the successors that inherit the key if the replicas
+// owner (the first virtual node clockwise from the key's hash) first, then the successors that inherit the key if the replicas
 // before them leave. OwnerN(k, 2)[1] is therefore exactly the replica
 // that becomes k's owner when the current owner is removed — which is why
 // checkpoint bundles replicate to it.

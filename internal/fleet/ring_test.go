@@ -18,8 +18,8 @@ func testKeys(n int) []string {
 // member set — every router and replica computes it independently, so two
 // rings built in different insertion orders must agree on every owner.
 func TestRingPlacementAgreement(t *testing.T) {
-	a := NewRing(0)
-	b := NewRing(0)
+	a := NewRing(Vnodes)
+	b := NewRing(Vnodes)
 	for _, name := range []string{"r0", "r1", "r2", "r3", "r4"} {
 		a.Add(name)
 	}
@@ -30,26 +30,26 @@ func TestRingPlacementAgreement(t *testing.T) {
 	b.Add("transient")
 	b.Remove("transient")
 	for _, key := range testKeys(2000) {
-		if ao, bo := a.Owner(key), b.Owner(key); ao != bo {
+		if ao, bo := a.OwnerN(key, 1)[0], b.OwnerN(key, 1)[0]; ao != bo {
 			t.Fatalf("rings disagree on %s: %q vs %q", key, ao, bo)
 		}
 	}
 }
 
-// TestRingBalance: with DefaultVnodes the per-replica key share stays
+// TestRingBalance: with Vnodes the per-replica key share stays
 // within a constant factor of fair (the bound the package comment
 // promises: a few tens of percent; we assert the conservative 2x / x/3
 // envelope so the test is not a coin flip).
 func TestRingBalance(t *testing.T) {
 	const replicas = 5
-	r := NewRing(0)
+	r := NewRing(Vnodes)
 	for i := 0; i < replicas; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
 	}
 	counts := make(map[string]int)
 	keys := testKeys(20000)
 	for _, key := range keys {
-		owner := r.Owner(key)
+		owner := r.OwnerN(key, 1)[0]
 		if owner == "" {
 			t.Fatalf("no owner for %s", key)
 		}
@@ -69,7 +69,7 @@ func TestRingBalance(t *testing.T) {
 // keys it owned, and each must land on its recorded ring successor —
 // the replica its checkpoint bundles were pushed to.
 func TestRingRemoveRemapsOnlyArc(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing(Vnodes)
 	for i := 0; i < 5; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
 	}
@@ -82,7 +82,7 @@ func TestRingRemoveRemapsOnlyArc(t *testing.T) {
 	r.Remove(victim)
 	moved := 0
 	for _, key := range keys {
-		after := r.Owner(key)
+		after := r.OwnerN(key, 1)[0]
 		prev := before[key]
 		if prev[0] != victim {
 			if after != prev[0] {
@@ -105,19 +105,19 @@ func TestRingRemoveRemapsOnlyArc(t *testing.T) {
 // TestRingAddRemapsOnlyToNew: adding a replica must only steal keys for
 // itself; no key may move between two pre-existing replicas.
 func TestRingAddRemapsOnlyToNew(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing(Vnodes)
 	for i := 0; i < 4; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
 	}
 	keys := testKeys(5000)
 	before := make(map[string]string, len(keys))
 	for _, key := range keys {
-		before[key] = r.Owner(key)
+		before[key] = r.OwnerN(key, 1)[0]
 	}
 	r.Add("new")
 	stolen := 0
 	for _, key := range keys {
-		after := r.Owner(key)
+		after := r.OwnerN(key, 1)[0]
 		if after == before[key] {
 			continue
 		}
@@ -135,7 +135,7 @@ func TestRingAddRemapsOnlyToNew(t *testing.T) {
 // and extend the shorter list (OwnerN(k, m) is a prefix of OwnerN(k, n)
 // for m < n — the failover order is stable).
 func TestRingOwnerN(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing(Vnodes)
 	for i := 0; i < 4; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
 	}
@@ -167,20 +167,17 @@ func TestRingOwnerN(t *testing.T) {
 
 // TestRingEmptyAndSingle covers the degenerate memberships.
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(0)
-	if got := r.Owner("abc123"); got != "" {
-		t.Fatalf("empty ring owns %q", got)
-	}
+	r := NewRing(Vnodes)
 	if got := r.OwnerN("abc123", 3); got != nil {
 		t.Fatalf("empty ring OwnerN = %v", got)
 	}
 	r.Add("only")
 	r.Add("only") // duplicate adds must not double the vnodes
-	if n := len(r.points); n != DefaultVnodes {
-		t.Fatalf("single member has %d points, want %d", n, DefaultVnodes)
+	if n := len(r.points); n != Vnodes {
+		t.Fatalf("single member has %d points, want %d", n, Vnodes)
 	}
 	for _, key := range testKeys(50) {
-		if got := r.Owner(key); got != "only" {
+		if got := r.OwnerN(key, 1)[0]; got != "only" {
 			t.Fatalf("single-member ring owner = %q", got)
 		}
 	}

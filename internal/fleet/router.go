@@ -42,9 +42,6 @@ type RouterConfig struct {
 	// Replicas maps replica names to base URLs; the set must match the
 	// replicas' own Peers configuration.
 	Replicas map[string]string
-	// Vnodes is the ring's virtual-node count (0 = DefaultVnodes); it
-	// must match the replicas'.
-	Vnodes int
 	// Quota is the default per-tenant admission quota (zero =
 	// unlimited); TenantQuotas overrides it per tenant.
 	Quota        Quota
@@ -128,7 +125,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		admission:   NewAdmission(cfg.Quota, cfg.TenantQuotas, clock),
 		reg:         reg,
 		fp:          serve.NewFingerprintCache(),
-		ring:        NewRing(cfg.Vnodes),
+		ring:        NewRing(Vnodes),
 		replicas:    make(map[string]*replicaState),
 		proxy:       &http.Client{Transport: transport},
 		probe:       &http.Client{Timeout: 2 * time.Second},
@@ -236,10 +233,6 @@ func (rt *Router) setHealth(name string, healthy bool) {
 	}
 	rt.gHealthy.Set(float64(n))
 }
-
-// MarkDown ejects a replica immediately (tests and operators; the health
-// loop re-adds it when it answers again).
-func (rt *Router) MarkDown(name string) { rt.setHealth(name, false) }
 
 // owners returns up to n healthy replicas for key in ring order.
 func (rt *Router) owners(key string, n int) []replicaState {

@@ -208,7 +208,7 @@ func TestRouterFleetStatus(t *testing.T) {
 			t.Fatalf("replica %q unhealthy or missing URL in %+v", r.Name, fs)
 		}
 	}
-	rt.MarkDown("b")
+	rt.setHealth("b", false)
 	fs = fetch()
 	if fs.Replicas[1].Healthy {
 		t.Fatalf("marked-down replica still healthy: %+v", fs)

@@ -62,25 +62,10 @@ type Evaluator interface {
 	ChargeOverhead(sec float64)
 }
 
-// BatchEvaluator is an optional Evaluator extension for speculative batch
-// evaluation. Prefetch MAY measure any of the candidates concurrently but
-// MUST have no observable side effects: no counters, no search-time
-// charges, no database or telemetry writes. All effects commit in the
-// subsequent sequential Evaluate calls, so an algorithm that prefetches a
-// batch and then evaluates its members in enumeration order produces a
-// trajectory byte-identical to not prefetching at all. Implementations are
-// free to ignore any or all candidates (Prefetch is purely advisory).
-//
-// Supersede semantics: Prefetch blocks until the batch is measured, and
-// each call REPLACES the previous batch — the contract algorithms rely on
-// when they re-batch from a new incumbent after an accept (see
-// CCD.optimizeTask). Results for candidates the new batch still contains
-// are kept; the rest are dropped unconsumed, which is invisible to the
-// trajectory because speculation has no observable effects and costs only
-// the wall-clock time spent measuring them. Algorithms should prefetch the
-// full remaining enumeration each time: after an accept the remainder
-// must be rebuilt from the new incumbent anyway, so a batch is wasted only
-// from the accepted move on.
+// BatchEvaluator is a shim with no product caller: no algorithm calls
+// Prefetch, and every search measures one candidate at a time. It stays
+// only because benchmark/trace.go type-asserts the driver's evaluator to it
+// and fails otherwise; ROADMAP item 2, the benchmark change, deletes it.
 type BatchEvaluator interface {
 	Evaluator
 	Prefetch(cands []*mapping.Mapping)

@@ -45,9 +45,11 @@ type Request struct {
 	NoiseSigma      float64 `json:"noise_sigma,omitempty"`
 	// PrePrune enables static infeasibility pre-pruning.
 	PrePrune bool `json:"pre_prune,omitempty"`
-	// Workers bounds the search's simulation worker pool (0 = GOMAXPROCS).
-	// It affects only wall-clock speed — results are byte-identical at any
-	// worker count — so it is deliberately outside the fingerprint.
+	// Workers is decoded and ignored: a search measures one candidate at a
+	// time, and the field is outside the fingerprint. It stays only because
+	// the benchmark's cold request bodies carry "workers" and
+	// decodeRequest rejects unknown fields; ROADMAP item 2, the benchmark
+	// change, deletes it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -138,7 +140,6 @@ func (r *Request) build() (*problem, error) {
 	opts.FinalRepeats = r.FinalRepeats
 	opts.NoiseSigma = r.NoiseSigma
 	opts.PrePrune = r.PrePrune
-	opts.Workers = r.Workers
 	if r.App == "maestro" {
 		opts.Tunable = apps.MaestroTunable(g)
 	}

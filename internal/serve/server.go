@@ -67,8 +67,9 @@ type Config struct {
 	// Dir is the result store directory.
 	Dir string
 	// Searches bounds concurrently running searches (<= 0: half of
-	// GOMAXPROCS, at least 1 — each search has its own internal
-	// simulation worker pool).
+	// GOMAXPROCS, at least 1). A search measures one candidate at a time
+	// on its own goroutine, so this is the daemon's simulation
+	// parallelism.
 	Searches int
 	// Replica, when non-empty, names this daemon inside a fleet. The
 	// name is stamped onto every Prometheus sample as a replica label
@@ -249,9 +250,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // DebugHandler returns the profiling mux (net/http/pprof). It is served
 // only on mapd's -debug-addr listener, never registered on the API mux.
 func (s *Server) DebugHandler() http.Handler {
@@ -418,10 +416,11 @@ func (s *Server) runSearch(e *store.Entry, req *Request, trace string) {
 	sink.Resume(skip)
 
 	p.opts.Observer = &telemetry.Observer{Sink: sink, Metrics: telemetry.NewRegistry()}
-	// Wall-clock evaluation telemetry (per-worker throughput, synchronous
-	// evaluations) goes to the daemon registry, not the per-search one:
-	// it is operational, non-deterministic, and must never leak into the
-	// result document's metrics snapshot.
+	// Wall-clock driver telemetry goes to the daemon registry, not the
+	// per-search one: it is operational, non-deterministic, and must never
+	// leak into the result document's metrics snapshot. The driver records
+	// nothing there until ROADMAP item 1's layer timers; item 2 deletes
+	// the option if they have not landed by then.
 	p.opts.WallMetrics = s.reg
 	p.opts.CheckpointPath = ckptPath
 	if s.cfg.OnCheckpoint != nil {

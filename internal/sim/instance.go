@@ -34,12 +34,13 @@
 // DeltaInstance (delta.go) adds only classification on top: it serves
 // every run through these same paths.
 //
-// The worker pool measures independent candidates, each with one
-// RunRepeats call: one plan probe and one lane-block noise lookup, each a
-// short critical section under the Instance's one mutex, around a record
-// and a fold that share nothing mutable (DESIGN §15). Every cached value
-// is a pure function of its key and computed outside the lock, so a
-// racing duplicate is byte-identical and its second store is harmless.
+// The driver measures one candidate at a time, but an Instance stays safe
+// for concurrent callers: a RunRepeats call takes one plan probe and one
+// lane-block noise lookup, each a short critical section under the
+// Instance's one mutex, around a record and a fold that share nothing
+// mutable (DESIGN §15). Every cached value is a pure function of its key
+// and computed outside the lock, so a racing duplicate is byte-identical
+// and its second store is harmless.
 
 package sim
 

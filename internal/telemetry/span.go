@@ -8,8 +8,8 @@
 // Determinism rule: spans emitted by the deterministic packages (sim,
 // search, driver) are stamped with the simulated search clock
 // (search.Evaluator's SearchTimeSec), never wall-clock, so the span
-// stream is byte-identical under a fixed seed at any worker count and
-// across checkpoint/resume. Only serve-side spans — which describe real
+// stream is byte-identical under a fixed seed and across
+// checkpoint/resume. Only serve-side spans — which describe real
 // HTTP traffic — use wall-clock time, obtained exclusively through the
 // WallClock shim below; `mapvet nowallclock` enforces that no other
 // time source leaks in.

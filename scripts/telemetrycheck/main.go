@@ -5,9 +5,10 @@
 // search_finished with a stop reason), the span envelope must be well
 // formed (unique IDs, parents before children, every span closed, the root
 // "search" span closing last), and the metrics file (Prometheus text) must
-// parse and name the series the observability layer promises. With a third argument, the two event
-// streams' span subsequences must additionally be byte-identical — the
-// worker-count-invariance gate for spans.
+// parse and name the series the observability layer promises. With a
+// third argument, the two event streams' span subsequences must
+// additionally be byte-identical — the run-to-run determinism gate for
+// spans.
 //
 // Usage: go run ./scripts/telemetrycheck events.jsonl metrics.txt [other-events.jsonl]
 package main
