@@ -82,10 +82,9 @@ type Options struct {
 	Workers int
 	// WallMetrics optionally receives wall-clock operational telemetry,
 	// kept out of the deterministic Observer registry. Nothing records
-	// into it today: it stays for ROADMAP item 1's layer timers, because
-	// benchmark/searchbench.go sets it and the mapd daemon passes its serve
-	// registry here. ROADMAP item 2, the benchmark change, deletes it if
-	// item 1 has not given it instruments by then.
+	// into it and no product code sets it: it stays only because
+	// benchmark/searchbench.go sets it. ROADMAP item 2, the benchmark
+	// change, deletes it unless item 1's layer timers record into it.
 	WallMetrics *telemetry.Registry
 	// CheckpointPath, when non-empty, makes the driver persist a search
 	// snapshot (internal/checkpoint) atomically to this path: every
@@ -654,10 +653,10 @@ func (e *Evaluator) CheckpointErr() error {
 	return e.ckptErr
 }
 
-// Prefetch does nothing: the driver measures one candidate at a time, and
-// no product code calls it. It stays only because benchmark/trace.go
-// type-asserts the evaluator to search.BatchEvaluator and fails otherwise;
-// ROADMAP item 2, the benchmark change, deletes it.
+// Prefetch ignores the announced candidates: the driver measures one
+// candidate at a time, in Evaluate. CCD still calls it, and benchmark/
+// trace.go type-asserts the evaluator to search.BatchEvaluator; ROADMAP
+// item 2, the benchmark change, deletes it with CCD's call.
 func (e *Evaluator) Prefetch([]*mapping.Mapping) {}
 
 // SearchTimeSec returns the simulated search time consumed so far.

@@ -215,22 +215,52 @@ func setLabels(tr *tracker, taskName string, mv move) {
 
 // optimizeTask is Algorithm 1's OptimizeTask: greedily optimize the
 // distribution setting, then jointly sweep processor kinds and per-argument
-// memory kinds. Each move is built from the incumbent current at its turn
-// and tested before the next is built, so a move after an accepted
-// improvement derives from the new incumbent.
+// memory kinds.
+//
+// The remaining move set is built against the incumbent and tested in
+// order; on an accepted improvement the moves after it are rebuilt from
+// the new incumbent. Every candidate passed to Evaluate is therefore built
+// from the incumbent current at its turn: the sequential sweep. When the
+// evaluator is a BatchEvaluator, each built set is also announced through
+// Prefetch before it is tested, which leaves the trajectory byte-identical
+// (TestCCDPrefetchKeepsTrajectory). The set and the call stay until the
+// benchmark change (ROADMAP item 2) makes this a one-move-at-a-time loop.
 func (c *CCD) optimizeTask(p *Problem, tr *tracker, cl *colocator, tid taskir.TaskID, budget Budget) {
 	t := p.Graph.Task(tid)
 	observe := tr.obs.Enabled()
-	for _, mv := range c.enumerateMoves(p, tid) {
-		// Deterministic budget bounds are only checked per task, but a
-		// cancellation stops the sweep mid-task: with a real-runtime
-		// evaluator every further move is a real execution.
-		if budget.ContextStop() != "" {
-			return
+	moves := c.enumerateMoves(p, tid)
+	batch, _ := tr.ev.(BatchEvaluator)
+	for i := 0; i < len(moves); {
+		rest := moves[i:]
+		cands := make([]*mapping.Mapping, len(rest))
+		for j, mv := range rest {
+			cands[j] = c.buildMove(p, tr, cl, tid, mv)
 		}
-		if observe {
-			setLabels(tr, t.Name, mv)
+		if batch != nil {
+			batch.Prefetch(cands)
 		}
-		tr.test(c.buildMove(p, tr, cl, tid, mv))
+		advanced := false
+		for j, mv := range rest {
+			// Deterministic budget bounds are only checked per task,
+			// but a cancellation stops the sweep mid-task: with a
+			// real-runtime evaluator every further move is a real
+			// execution.
+			if budget.ContextStop() != "" {
+				return
+			}
+			if observe {
+				setLabels(tr, t.Name, mv)
+			}
+			if tr.test(cands[j]) {
+				// New incumbent: the remaining moves must derive
+				// from it.
+				i += j + 1
+				advanced = true
+				break
+			}
+		}
+		if !advanced {
+			break
+		}
 	}
 }

@@ -62,10 +62,13 @@ type Evaluator interface {
 	ChargeOverhead(sec float64)
 }
 
-// BatchEvaluator is a shim with no product caller: no algorithm calls
-// Prefetch, and every search measures one candidate at a time. It stays
-// only because benchmark/trace.go type-asserts the driver's evaluator to it
-// and fails otherwise; ROADMAP item 2, the benchmark change, deletes it.
+// BatchEvaluator is an optional Evaluator extension: Prefetch announces
+// the candidates an algorithm is about to evaluate, in order. It is purely
+// advisory and MUST have no observable effect; the driver's evaluator
+// ignores it and measures one candidate at a time. CCD still announces each
+// move set it builds (see CCD.optimizeTask) only because the benchmark's
+// trace test asserts that a CCD search calls Prefetch; ROADMAP item 2, the
+// benchmark change, deletes the interface and that call together.
 type BatchEvaluator interface {
 	Evaluator
 	Prefetch(cands []*mapping.Mapping)

@@ -285,24 +285,41 @@ func (r *recordingEval) Evaluate(mp *mapping.Mapping) Evaluation {
 	return r.fakeEval.Evaluate(mp)
 }
 
-// prefetchingEval makes a recordingEval a BatchEvaluator that counts its
-// Prefetch calls.
+// prefetchingEval makes a recordingEval a BatchEvaluator. Prefetch measures
+// nothing; it keeps the batch's keys so Evaluate can count the calls the
+// latest batch covered.
 type prefetchingEval struct {
 	*recordingEval
-	prefetches int
+	batches int
+	batch   map[string]bool
+	covered int
 }
 
-func (p *prefetchingEval) Prefetch([]*mapping.Mapping) { p.prefetches++ }
+func (p *prefetchingEval) Prefetch(cands []*mapping.Mapping) {
+	p.batches++
+	p.batch = make(map[string]bool, len(cands))
+	for _, c := range cands {
+		p.batch[c.Key()] = true
+	}
+}
 
-// TestCCDSweepsWithoutPrefetch runs CCD over a BatchEvaluator and over a
-// plain Evaluator: the sweep measures one candidate at a time, so it never
-// calls Prefetch, and both runs evaluate the same key sequence to the same
-// Outcome.
-func TestCCDSweepsWithoutPrefetch(t *testing.T) {
-	run := func(batch bool) (*Outcome, *recordingEval, *prefetchingEval) {
+func (p *prefetchingEval) Evaluate(mp *mapping.Mapping) Evaluation {
+	if p.batch[mp.Key()] {
+		p.covered++
+	}
+	return p.recordingEval.Evaluate(mp)
+}
+
+// TestCCDPrefetchKeepsTrajectory runs CCD over the same recording
+// evaluator with and without Prefetch: the Evaluate key sequence and the
+// Outcome must be identical, every evaluation after the start must come
+// from the latest prefetched batch, and some task must have re-batched
+// after an accept.
+func TestCCDPrefetchKeepsTrajectory(t *testing.T) {
+	run := func(prefetch bool) (*Outcome, *recordingEval, *prefetchingEval) {
 		p := searchProblem(t)
 		rec := &recordingEval{fakeEval: newFakeEval(p.Graph, p.Model, [2]taskir.CollectionID{0, 1})}
-		if !batch {
+		if !prefetch {
 			return NewCCD().Search(p, rec, Budget{}), rec, nil
 		}
 		pf := &prefetchingEval{recordingEval: rec}
@@ -310,15 +327,18 @@ func TestCCDSweepsWithoutPrefetch(t *testing.T) {
 	}
 	seq, seqRec, _ := run(false)
 	bat, batRec, pf := run(true)
-	if pf.prefetches != 0 {
-		t.Errorf("CCD made %d Prefetch calls, want 0", pf.prefetches)
-	}
-	if len(seqRec.keys) < 2 || !slices.Equal(seqRec.keys, batRec.keys) {
-		t.Fatalf("Evaluate key sequences differ: %d calls over a plain Evaluator, %d over a BatchEvaluator", len(seqRec.keys), len(batRec.keys))
+	if !slices.Equal(seqRec.keys, batRec.keys) {
+		t.Fatalf("Evaluate key sequences differ: %d calls without Prefetch, %d with", len(seqRec.keys), len(batRec.keys))
 	}
 	if !seq.Best.Equal(bat.Best) || seq.BestSec != bat.BestSec || seq.Suggested != bat.Suggested ||
 		seq.Evaluated != bat.Evaluated || seq.StopReason != bat.StopReason || !reflect.DeepEqual(seq.Trace, bat.Trace) {
-		t.Fatalf("outcomes differ: %+v over a plain Evaluator, %+v over a BatchEvaluator", seq, bat)
+		t.Fatalf("outcomes differ: %+v without Prefetch, %+v with", seq, bat)
+	}
+	if pf.covered != len(batRec.keys)-1 {
+		t.Errorf("%d of %d evaluations after the start were in the latest prefetched batch", pf.covered, len(batRec.keys)-1)
+	}
+	if sweeps := NewCCD().Rotations * len(searchProblem(t).Graph.Tasks); pf.batches <= sweeps {
+		t.Errorf("%d batches for %d task sweeps: no sweep re-batched after an accept", pf.batches, sweeps)
 	}
 }
 

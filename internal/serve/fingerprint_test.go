@@ -37,3 +37,34 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeWorkers checks that "workers" accepts only 0 and 1, and that
+// it stays outside the fingerprint: a search measures one candidate at a
+// time, so a larger value would be silently meaningless.
+func TestNormalizeWorkers(t *testing.T) {
+	fp := func(body string) (string, error) {
+		var req serve.Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := req.Normalize(); err != nil {
+			return "", err
+		}
+		return req.Fingerprint()
+	}
+	want, err := fp(`{"app":"stencil","input":"500x500"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fp(`{"app":"stencil","input":"500x500","workers":1}`); err != nil || got != want {
+		t.Errorf(`"workers":1: fingerprint %s, %v; want %s`, got, err, want)
+	}
+	for _, body := range []string{
+		`{"app":"stencil","input":"500x500","workers":8}`,
+		`{"app":"stencil","input":"500x500","workers":-1}`,
+	} {
+		if _, err := fp(body); err == nil {
+			t.Errorf("%s: Normalize accepted it", body)
+		}
+	}
+}

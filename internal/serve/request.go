@@ -45,11 +45,11 @@ type Request struct {
 	NoiseSigma      float64 `json:"noise_sigma,omitempty"`
 	// PrePrune enables static infeasibility pre-pruning.
 	PrePrune bool `json:"pre_prune,omitempty"`
-	// Workers is decoded and ignored: a search measures one candidate at a
-	// time, and the field is outside the fingerprint. It stays only because
-	// the benchmark's cold request bodies carry "workers" and
-	// decodeRequest rejects unknown fields; ROADMAP item 2, the benchmark
-	// change, deletes it.
+	// Workers may only be 0 or 1, and Normalize rejects any other value: a
+	// search measures one candidate at a time, and the field is outside the
+	// fingerprint. It stays only because the benchmark's cold request
+	// bodies carry "workers":1 and decodeRequest rejects unknown fields;
+	// ROADMAP item 2, the benchmark change, deletes it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -100,6 +100,9 @@ func (r *Request) Normalize() error {
 	r.BudgetSec = bound.MaxSearchSec
 	if r.BudgetSec < 0 || r.MaxSuggestions < 0 {
 		return fmt.Errorf("budget bounds must be non-negative")
+	}
+	if r.Workers < 0 || r.Workers > 1 {
+		return fmt.Errorf("workers = %d: a search measures one candidate at a time; omit workers or set it to 1", r.Workers)
 	}
 	return nil
 }

@@ -416,12 +416,6 @@ func (s *Server) runSearch(e *store.Entry, req *Request, trace string) {
 	sink.Resume(skip)
 
 	p.opts.Observer = &telemetry.Observer{Sink: sink, Metrics: telemetry.NewRegistry()}
-	// Wall-clock driver telemetry goes to the daemon registry, not the
-	// per-search one: it is operational, non-deterministic, and must never
-	// leak into the result document's metrics snapshot. The driver records
-	// nothing there until ROADMAP item 1's layer timers; item 2 deletes
-	// the option if they have not landed by then.
-	p.opts.WallMetrics = s.reg
 	p.opts.CheckpointPath = ckptPath
 	if s.cfg.OnCheckpoint != nil {
 		key := e.Key

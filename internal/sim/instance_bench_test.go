@@ -169,8 +169,9 @@ func BenchmarkInstanceRepeatsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkInstanceRunParallel times the worker pool's real call with
-// concurrent runners sharing one Instance: RunRepeats over the driver's 7
+// BenchmarkInstanceRunParallel times concurrent runners sharing one
+// Instance, which its locking allows but no search does (each search uses
+// its Instance from one goroutine): RunRepeats over the driver's 7
 // seeds on a distinct, cold candidate per iteration (a key no earlier call
 // used), so every call plans placement, records the structure and folds a
 // lane block, and only the noise block is warm. ns/op is wall time per
