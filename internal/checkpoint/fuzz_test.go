@@ -1,6 +1,8 @@
 // Fuzzing for checkpoint loading: whatever bytes land in a snapshot file —
 // torn writes, version skew, hostile edits — Load must either return a
-// valid snapshot or a clean error, never panic. The seed corpus starts
+// valid snapshot or a clean error, never panic. The fuzzer drives Decode,
+// Load's byte-level half, in memory; a unit test takes the seed corpus
+// through the files. The seed corpus starts
 // from snapshots a real short search wrote, plus the standard corruption
 // shapes (truncation, bit flips, version skew, junk).
 //
@@ -10,6 +12,8 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,44 +67,87 @@ func realSnapshot(tb testing.TB) []byte {
 	return data
 }
 
-func FuzzLoadCheckpoint(f *testing.F) {
-	real := realSnapshot(f)
-	f.Add(real)
-	f.Add(real[:len(real)/2])                                                     // truncated mid-write
-	f.Add(bytes.Replace(real, []byte(`"version":1`), []byte(`"version":999`), 1)) // version skew
-	f.Add(bytes.Replace(real, []byte(`{`), []byte(`[`), 1))                       // type confusion
-	f.Add([]byte(``))                                                             // empty file
-	f.Add([]byte(`{}`))                                                           // no fields at all
-	f.Add([]byte(`{"version":1,"evals":[{"key":"x","runs":[{"ok":true}]}]}`))
-	f.Add([]byte(`nonsense`))
+// fuzzSeeds returns the seed corpus: a snapshot a real search wrote, and
+// the standard corruption shapes of one.
+func fuzzSeeds(tb testing.TB) [][]byte {
+	real := realSnapshot(tb)
+	return [][]byte{
+		real,
+		real[:len(real)/2], // truncated mid-write
+		bytes.Replace(real, []byte(`"version":1`), []byte(`"version":999`), 1), // version skew
+		bytes.Replace(real, []byte(`{`), []byte(`[`), 1),                       // type confusion
+		[]byte(``),   // empty file
+		[]byte(`{}`), // no fields at all
+		[]byte(`{"version":1,"evals":[{"key":"x","runs":[{"ok":true}]}]}`),
+		[]byte(`nonsense`),
+	}
+}
 
+// requireRoundTrip checks what Decode accepted: it carries this build's
+// version, and encoding it again (as Save does) decodes to a snapshot with
+// the same fingerprint.
+func requireRoundTrip(t *testing.T, snap *checkpoint.Snapshot, encode func(*checkpoint.Snapshot) ([]byte, error)) {
+	t.Helper()
+	if snap.Version != checkpoint.Version {
+		t.Fatalf("accepted snapshot with version %d", snap.Version)
+	}
+	fp := snap.Fingerprint() // must not panic on arbitrary field values
+	data, err := encode(snap)
+	if err != nil {
+		t.Fatalf("accepted snapshot does not re-encode: %v", err)
+	}
+	again, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatalf("re-encoded snapshot does not decode: %v", err)
+	}
+	if again.Fingerprint() != fp {
+		t.Fatal("fingerprint changed across a round trip")
+	}
+}
+
+// FuzzLoadCheckpoint fuzzes the byte-level half of Load, in memory: Decode
+// returns a snapshot or an error, never both and never a panic, and what
+// it accepts round-trips through json.Marshal, the encoding Save writes.
+// TestSaveLoadSeedCorpus takes the seed corpus through the files.
+func FuzzLoadCheckpoint(f *testing.F) {
+	for _, data := range fuzzSeeds(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		snap, err := checkpoint.Decode(data)
+		if err != nil {
+			if snap != nil {
+				t.Fatal("Decode returned both a snapshot and an error")
+			}
+			return
+		}
+		requireRoundTrip(t, snap, func(s *checkpoint.Snapshot) ([]byte, error) { return json.Marshal(s) })
+	})
+}
+
+// TestSaveLoadSeedCorpus is FuzzLoadCheckpoint's property over files: each
+// seed written to a file either fails Load cleanly or loads a snapshot
+// that Save writes and Load reads back with its fingerprint.
+func TestSaveLoadSeedCorpus(t *testing.T) {
+	dir := t.TempDir()
+	for i, data := range fuzzSeeds(t) {
+		path := filepath.Join(dir, fmt.Sprintf("seed%d.ckpt", i))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := checkpoint.Load(path)
 		if err != nil {
 			if snap != nil {
-				t.Fatal("Load returned both a snapshot and an error")
+				t.Fatalf("seed %d: Load returned both a snapshot and an error", i)
 			}
-			return
+			continue
 		}
-		// Whatever loads must be internally coherent and round-trip.
-		if snap.Version != checkpoint.Version {
-			t.Fatalf("accepted snapshot with version %d", snap.Version)
-		}
-		snap.Fingerprint() // must not panic on arbitrary field values
-		out := filepath.Join(t.TempDir(), "roundtrip.ckpt")
-		if err := snap.Save(out); err != nil {
-			t.Fatalf("loaded snapshot does not re-save: %v", err)
-		}
-		again, err := checkpoint.Load(out)
-		if err != nil {
-			t.Fatalf("re-saved snapshot does not re-load: %v", err)
-		}
-		if again.Fingerprint() != snap.Fingerprint() {
-			t.Fatal("fingerprint changed across a save/load round trip")
-		}
-	})
+		requireRoundTrip(t, snap, func(s *checkpoint.Snapshot) ([]byte, error) {
+			out := filepath.Join(dir, fmt.Sprintf("roundtrip%d.ckpt", i))
+			if err := s.Save(out); err != nil {
+				return nil, err
+			}
+			return os.ReadFile(out)
+		})
+	}
 }

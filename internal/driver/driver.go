@@ -18,6 +18,7 @@ package driver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -168,6 +169,13 @@ type Evaluator struct {
 	// through inst.
 	inst  *sim.Instance
 	delta *sim.DeltaInstance
+
+	// Measurement scratch, reused by every candidate: the seeds and
+	// Summaries of measureRuns, the run records toRuns fills, and the
+	// objective times commitRuns hands the database (which copies them).
+	scratch runScratch
+	runs    []checkpoint.Run
+	times   []float64
 
 	// Commit-path attribution of evaluations (guarded by mu): how many
 	// committed candidate measurements classified as bounded deltas
@@ -410,9 +418,10 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	// commits; it only keeps clock/metric readers and checkpoint writers
 	// responsive while a candidate executes.
 	e.mu.Unlock()
-	sums, err := measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed)
+	sums, err := e.scratch.measureRuns(e.inst, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed)
 	e.mu.Lock()
-	verdict := e.commitRuns(key, mp, toRuns(sums, err, e.Opts.objective()))
+	e.runs = toRuns(e.runs, sums, err, e.Opts.objective())
+	verdict := e.commitRuns(key, mp, e.runs)
 	// Only fresh measurements advance the periodic-checkpoint counter:
 	// replayed commits re-cover ground an earlier snapshot already holds.
 	e.maybeCheckpointLocked()
@@ -431,9 +440,9 @@ const checkCostSec = 0.01
 // It runs ahead of the suggestion count and the database lookup, so a
 // pruned candidate is never recorded or checkpointed; Report.Suggested
 // adds the pruned count back. Verdicts are cached by key, and only a fresh
-// check charges checkCostSec. The plan goes through the instance's plan
-// cache, outside e.mu, so the measurement of a launchable candidate reuses
-// it.
+// check charges checkCostSec. The plan is the instance's last, outside
+// e.mu, so the measurement of a launchable candidate, which follows at
+// once, reuses it.
 func (e *Evaluator) prune(key string, mp *mapping.Mapping) (search.Evaluation, bool) {
 	ok, seen := e.launchable[key]
 	if !seen {
@@ -455,13 +464,14 @@ func (e *Evaluator) prune(key string, mp *mapping.Mapping) (search.Evaluation, b
 	return search.Evaluation{MeanSec: inf(), Failed: true, Cached: seen, Pruned: true}, true
 }
 
-// toRuns normalizes measured Summaries to checkpoint run records: the
-// exact fields the commit path consumes, with the objective evaluated now
-// so a replay after the fact does not need the Summaries. A measurement
-// error fails every run.
-func toRuns(sums []sim.Summary, err error, obj func(*sim.Summary) float64) []checkpoint.Run {
-	runs := make([]checkpoint.Run, len(sums))
+// toRuns normalizes measured Summaries to checkpoint run records, written
+// over dst's array: the exact fields the commit path consumes, with the
+// objective evaluated now so a replay after the fact does not need the
+// Summaries. A measurement error fails every run.
+func toRuns(dst []checkpoint.Run, sums []sim.Summary, err error, obj func(*sim.Summary) float64) []checkpoint.Run {
+	runs := slices.Grow(dst[:0], len(sums))[:len(sums)]
 	if err != nil {
+		clear(runs)
 		return runs // zero values: OK == false
 	}
 	for i := range sums {
@@ -484,7 +494,8 @@ func toRuns(sums []sim.Summary, err error, obj func(*sim.Summary) float64) []che
 // sequential-commit state: search clock, counters, metric instruments,
 // profiles database, and the checkpoint log. It is the single commit path
 // for fresh measurements and checkpoint replays, which is what makes a
-// resumed search bit-identical to an uninterrupted one. Callers hold e.mu.
+// resumed search bit-identical to an uninterrupted one. runs is not kept:
+// the checkpoint log takes a copy. Callers hold e.mu.
 func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoint.Run) search.Evaluation {
 	// Attribute this evaluation to the incremental or the fallback
 	// counter, as classified against the incumbent at the commit point.
@@ -529,7 +540,7 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 			e.noiseSeen = nOK
 		}
 	}
-	times := make([]float64, 0, len(runs))
+	times := e.times[:0]
 	var spent float64
 	failed := false
 	for _, r := range runs {
@@ -540,10 +551,11 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 		times = append(times, r.ObjSec)
 		spent += r.MakespanSec
 	}
+	e.times = times
 	// Only checkpoint writes read the log. Gate on the option, not on
 	// ckptPath, which bindSearch sets only later.
 	if e.Opts.CheckpointPath != "" {
-		e.log = append(e.log, checkpoint.Eval{Key: key, Runs: runs})
+		e.log = append(e.log, checkpoint.Eval{Key: key, Runs: slices.Clone(runs)})
 	}
 	if failed {
 		// Out-of-memory mappings fail at startup. Charge the simulated
@@ -958,7 +970,7 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	// failed finalist completed before failing.
 	var finalSec float64
 	finalMeasure := func(mp *mapping.Mapping) ([]float64, bool) {
-		sums, err := measureRuns(ev.inst, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase)
+		sums, err := ev.scratch.measureRuns(ev.inst, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase)
 		if err != nil {
 			return nil, false
 		}
@@ -1019,7 +1031,8 @@ func MeasureMapping(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, re
 	if repeats < 1 {
 		repeats = 1
 	}
-	sums, err := measureRuns(sim.New(m, g), mp.Key(), mp, repeats, noise, seed)
+	var s runScratch
+	sums, err := s.measureRuns(sim.New(m, g), mp.Key(), mp, repeats, noise, seed)
 	if err != nil {
 		return 0, err
 	}

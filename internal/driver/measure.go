@@ -27,6 +27,7 @@ package driver
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 
 	"automap/internal/mapping"
 	"automap/internal/sim"
@@ -44,19 +45,36 @@ func runSeed(base uint64, repeat int) uint64 {
 	return h.Sum64()
 }
 
+// runScratch is the measurement scratch of one evaluator (or one
+// MeasureMapping call), reused by every measureRuns call: the seeds of
+// the last (base, repeats) pair, derived once for all the candidates
+// measured under it, and the Summaries of the last measurement. It lives
+// in its owner, never in package state, since searches run side by side.
+type runScratch struct {
+	base  uint64
+	seeds []uint64
+	sums  []sim.Summary
+}
+
 // measureRuns measures `repeats` simulations of mp (whose canonical key is
 // key) with seeds runSeed(base, i), in one RunRepeats call, and returns
-// their Summaries in repeat order. A simulation error (placement failure)
-// fails every repeat: it is returned with zero Summaries. A non-positive
-// repeat count returns nil.
-func measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64) ([]sim.Summary, error) {
+// their Summaries in repeat order, valid until the next call. A
+// simulation error (placement failure) fails every repeat: it is returned
+// with zero Summaries. A non-positive repeat count returns nil.
+func (s *runScratch) measureRuns(inst *sim.Instance, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64) ([]sim.Summary, error) {
 	if repeats < 1 {
 		return nil, nil
 	}
-	seeds := make([]uint64, repeats)
-	for i := range seeds {
-		seeds[i] = runSeed(base, i)
+	if len(s.seeds) != repeats || s.base != base {
+		s.base, s.seeds = base, s.seeds[:0]
+		for i := range repeats {
+			s.seeds = append(s.seeds, runSeed(base, i))
+		}
 	}
-	sums := make([]sim.Summary, repeats)
-	return sums, inst.RunRepeats(key, mp, noise, seeds, sums)
+	s.sums = slices.Grow(s.sums[:0], repeats)[:repeats]
+	err := inst.RunRepeats(key, mp, noise, s.seeds, s.sums)
+	if err != nil {
+		clear(s.sums)
+	}
+	return s.sums, err
 }

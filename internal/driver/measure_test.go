@@ -13,25 +13,30 @@ import (
 // TestMeasureRunsOneCall pins the measurement protocol: measureRuns
 // returns the Summaries of seeds runSeed(base, i) in repeat order, each
 // equal to the fields of RunKeyed's Result at that seed; a placement
-// failure is returned as the error with zero Summaries.
+// failure is returned as the error with zero Summaries. One scratch serves
+// every call, as in an evaluator: a new base re-derives the seeds, and a
+// failure after a success leaves none of the earlier Summaries behind.
 func TestMeasureRunsOneCall(t *testing.T) {
 	const repeats, base = 7, uint64(0xC0FFEE)
 	m := cluster.Shepard(1)
 	g := driverGraph(t)
 	mp := mapping.Default(g, m.Model())
 
-	sums, err := measureRuns(sim.New(m, g), mp.Key(), mp, repeats, 0.04, base)
-	if err != nil || len(sums) != repeats {
-		t.Fatalf("got %d summaries, error %v; want %d and no error", len(sums), err, repeats)
-	}
+	var s runScratch
 	ref := sim.New(m, g)
-	for i := range repeats {
-		want, err := ref.RunKeyed(mp.Key(), mp, sim.Config{NoiseSigma: 0.04, Seed: runSeed(base, i)})
-		if err != nil {
-			t.Fatal(err)
+	for _, b := range []uint64{base, base + 1} {
+		sums, err := s.measureRuns(sim.New(m, g), mp.Key(), mp, repeats, 0.04, b)
+		if err != nil || len(sums) != repeats {
+			t.Fatalf("got %d summaries, error %v; want %d and no error", len(sums), err, repeats)
 		}
-		if sums[i] != want.Summarize() {
-			t.Errorf("repeat %d: summary %+v; want the run under runSeed(base, %d), %+v", i, sums[i], i, want.Summarize())
+		for i := range repeats {
+			want, err := ref.RunKeyed(mp.Key(), mp, sim.Config{NoiseSigma: 0.04, Seed: runSeed(b, i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sums[i] != want.Summarize() {
+				t.Errorf("base %#x repeat %d: summary %+v; want the run under runSeed(base, %d), %+v", b, i, sums[i], i, want.Summarize())
+			}
 		}
 	}
 
@@ -43,7 +48,7 @@ func TestMeasureRunsOneCall(t *testing.T) {
 		Args:     []taskir.Arg{{Collection: c.ID, Privilege: taskir.ReadWrite, BytesPerPoint: 1 << 20}}})
 	og.Iterations = 2
 	oom := mapping.Default(og, m.Model())
-	sums, err = measureRuns(sim.New(m, og), oom.Key(), oom, repeats, 0.04, base)
+	sums, err := s.measureRuns(sim.New(m, og), oom.Key(), oom, repeats, 0.04, base)
 	if _, ok := err.(*sim.OOMError); !ok {
 		t.Fatalf("OOM: error %v, want *sim.OOMError", err)
 	}

@@ -404,7 +404,7 @@ func (m *Mapping) Validate(g *taskir.Graph, md *machine.Model) error {
 // suggested vs. evaluated counts).
 //
 // The encoding is a compact byte serialization rather than the printable
-// canonicalString: Key is on the per-candidate hot path (plan-cache and
+// canonicalString: Key is on the per-candidate hot path (plan and
 // profile-database identity for every evaluation), and the byte form
 // hashes from a stack buffer with a single allocation for the returned
 // string. Kind values are single bytes well below the 0xFE/0xFF

@@ -22,9 +22,8 @@ import (
 
 // DeltaInstance extends Instance with classification against a movable
 // base mapping. All Instance methods remain available and serve every
-// candidate the same way. SetBase and Classify are meant for one
-// goroutine, the search's commit path; the Instance methods are safe for
-// concurrent use as always.
+// candidate the same way, and like an Instance it belongs to one
+// goroutine.
 type DeltaInstance struct {
 	*Instance
 
@@ -42,9 +41,12 @@ type DeltaInstance struct {
 	neigh [][]taskir.CollectionID
 
 	// base is the current base mapping, nil before the first SetBase,
-	// and baseKey its key.
-	base    *mapping.Mapping
-	baseKey string
+	// and basePlan and baseErr its placement outcome. basePlan is a plan
+	// buffer SetBase took over from the Instance, so planning candidates
+	// never overwrites it.
+	base     *mapping.Mapping
+	basePlan *PlacementPlan
+	baseErr  error
 }
 
 // NewDelta wraps an Instance with classification state. The overlap graph
@@ -78,9 +80,18 @@ func NewDelta(in *Instance) *DeltaInstance {
 
 // SetBase declares mp the base mapping candidates are classified against
 // (typically the search incumbent; the caller owns mp and must not mutate
-// it afterwards — search incumbents are immutable by convention).
+// it afterwards — search incumbents are immutable by convention), and
+// plans it once for every Classify until the next SetBase. It is a
+// planning call: a base just planned (the accepted candidate) is not
+// planned again, and its plan stays valid as the Instance's last.
 func (d *DeltaInstance) SetBase(mp *mapping.Mapping) {
-	d.base, d.baseKey = mp, mp.Key()
+	plan, err := d.planFor(mp.Key(), mp)
+	if err == nil && plan == d.buf {
+		// Take the buffer over; the previous base's buffer, which no
+		// entry refers to any more, takes its place.
+		d.buf, d.basePlan = d.basePlan, plan
+	}
+	d.base, d.baseErr = mp, err
 }
 
 // Classify reports whether (key, mp) is a bounded delta of the current
@@ -100,14 +111,14 @@ func (d *DeltaInstance) Classify(key string, mp *mapping.Mapping) bool {
 	if d.base == nil {
 		return false
 	}
+	if d.baseErr != nil {
+		return false
+	}
 	plan, err := d.planFor(key, mp)
 	if err != nil {
 		return false
 	}
-	basePlan, err := d.planFor(d.baseKey, d.base)
-	if err != nil {
-		return false
-	}
+	basePlan := d.basePlan
 	changed := make([]bool, len(d.g.Tasks))
 	flips := 0
 	for tid := range changed {

@@ -1,19 +1,18 @@
 // Micro-benchmarks of the simulator hot path: one-shot Simulate (a
 // throwaway Instance per call, so topology, placement and the recorded
 // schedule are rebuilt every time) against the reusable Instance (cached
-// topology, plans and noise tapes, pooled run state), the worker pool's
-// call on one shared Instance, and the plan-cache hit and miss paths in
-// isolation. Allocation counts are part
-// of the contract: the search runs hundreds of thousands of simulations,
-// so allocs/op here dominate its GC load. The miss path also prices what
-// the cache retains per candidate: a flat plan of a few pointer-free
-// slices, whose allocation count TestPlanPlacementAllocs pins.
+// topology, recycled plan buffers, noise tapes and run scratch), and the
+// planning hit and miss paths in isolation. Allocation counts are part of
+// the contract: the search runs hundreds of thousands of simulations, so
+// allocs/op here dominate its GC load. The miss path builds a plan into
+// the Instance's recycled buffers and allocates nothing once they have
+// held the plan (TestRecycledPlanReuse); TestPlanPlacementAllocs pins
+// what a fresh plan allocates.
 package sim
 
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"automap/internal/apps"
@@ -71,10 +70,10 @@ func BenchmarkInstanceRun(b *testing.B) {
 // noise-free structure pass that records its schedule, then the fold of
 // that schedule under the run's config. Each iteration drops the cached
 // schedule, so every run records afresh, while the placement plan stays
-// cached (BenchmarkPlanCacheMiss prices planning). The recording goes into
-// a pooled state's recycled scratch, which stops growing once it has held
-// the longest schedule; B/op is the exact-length copy RunKeyed caches plus
-// the fold's Result.
+// the Instance's last (BenchmarkPlanCacheMiss prices planning). The
+// recording goes into the Instance's recycled scratch, which stops growing
+// once it has held the longest schedule; B/op is the exact-length copy
+// RunKeyed caches plus the fold's Result.
 func BenchmarkInstanceRecord(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)
@@ -167,38 +166,6 @@ func BenchmarkInstanceRepeatsCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkInstanceRunParallel times concurrent runners sharing one
-// Instance, which its locking allows but no search does (each search uses
-// its Instance from one goroutine): RunRepeats over the driver's 7
-// seeds on a distinct, cold candidate per iteration (a key no earlier call
-// used), so every call plans placement, records the structure and folds a
-// lane block, and only the noise block is warm. ns/op is wall time per
-// candidate across all runners: up to the host's core count it should
-// fall as -cpu grows, and a flat or rising ns/op means the runners
-// serialize on the Instance. Values of -cpu above the core count measure
-// oversubscription, not contention.
-func BenchmarkInstanceRunParallel(b *testing.B) {
-	m, g, mp := benchProblem(b)
-	inst := New(m, g)
-	key := mp.Key()
-	seeds := []uint64{0, 1, 2, 3, 4, 5, 6}
-	if err := inst.RunRepeats(key, mp, 0.04, seeds, make([]Summary, len(seeds))); err != nil {
-		b.Fatal(err)
-	}
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		out := make([]Summary, len(seeds))
-		for pb.Next() {
-			k := key + strconv.FormatInt(next.Add(1), 10)
-			if err := inst.RunRepeats(k, mp, 0.04, seeds, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkPlanCacheHit(b *testing.B) {

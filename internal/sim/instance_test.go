@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"sync"
+	"slices"
 	"testing"
 
 	"automap/internal/apps"
@@ -33,8 +33,8 @@ func TestInstanceRunMatchesSimulate(t *testing.T) {
 	}
 
 	inst := New(m, g)
-	// Interleave mappings and repeat the sweep so pooled state and cached
-	// plans are reused across differing runs — any cross-run aliasing or
+	// Interleave mappings and repeat the sweep so run scratch and plan
+	// buffers are reused across differing runs — any cross-run aliasing or
 	// stale scratch shows up as a result mismatch.
 	for round := 0; round < 3; round++ {
 		for i, mp := range mps {
@@ -69,7 +69,7 @@ func TestInstanceResultsDetached(t *testing.T) {
 	for k, v := range a.TaskWallSec {
 		wall[int64(k)] = v
 	}
-	// A second run recycles the pooled state; the first result must not
+	// A second run recycles the run scratch; the first result must not
 	// change underneath the caller.
 	if _, err := inst.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.1, Seed: 2}); err != nil {
 		t.Fatal(err)
@@ -86,57 +86,177 @@ func TestInstanceResultsDetached(t *testing.T) {
 
 // schedFor returns RunKeyed's cached schedule for key, or nil.
 func (in *Instance) schedFor(key string) *schedule {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.scheds[key]
 }
 
 // dropSchedule forgets key's cached schedule, so the next RunKeyed of key
 // records again.
 func (in *Instance) dropSchedule(key string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	delete(in.scheds, key)
 }
 
-// TestPlanCacheHitMiss pins the plan cache: a revisit of a mapping, under
-// any config and through either run path, returns the plan its first run
-// made, and another mapping gets a plan of its own.
+// requireSamePlan fails unless got and want hold the same placement of the
+// same mapping, table by table (capacities aside).
+func requireSamePlan(t *testing.T, ctx string, got, want *PlacementPlan) {
+	t.Helper()
+	switch {
+	case got.mp != want.mp || got.nodes != want.nodes:
+		t.Fatalf("%s: plan of another mapping or node count", ctx)
+	case !slices.Equal(got.placement, want.placement):
+		t.Fatalf("%s: placement tables differ", ctx)
+	case !slices.Equal(got.nodeList, want.nodeList) || !slices.Equal(got.nodeOff, want.nodeOff):
+		t.Fatalf("%s: node sets differ", ctx)
+	case !slices.Equal(got.memUsed, want.memUsed) || got.kindBytes != want.kindBytes:
+		t.Fatalf("%s: committed bytes differ: %v %v, want %v %v", ctx, got.memUsed, got.kindBytes, want.memUsed, want.kindBytes)
+	case got.Spills != want.Spills:
+		t.Fatalf("%s: %d spills, want %d", ctx, got.Spills, want.Spills)
+	}
+}
+
+// TestPlanCacheHitMiss pins the plan hand-off: a revisit of the key just
+// planned, under any config and through either run path, returns the plan
+// without planning again; another mapping gets a correct plan of its own;
+// and a delta base's plan survives the planning of candidates.
 func TestPlanCacheHitMiss(t *testing.T) {
 	m := cluster.Shepard(1)
 	g := simpleGraph(4, 1<<20)
 	md := m.Model()
-	inst := New(m, g)
+	in := NewDelta(New(m, g))
 
 	mp := mapping.Default(g, md)
-	if _, err := inst.RunKeyed(mp.Key(), mp, Config{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := inst.PlanPlacement(mp)
+	plan, err := in.PlanPlacement(mp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same mapping (the 7-repeat protocol): plan is reused.
+	// Same key (the 7-repeat protocol, then classification): served from
+	// the last plan. A clone carries the key but is another object, so a
+	// re-plan would show as a plan of the clone.
+	clone := mp.Clone()
 	for i := 0; i < 6; i++ {
-		if _, err := inst.RunKeyed(mp.Key(), mp, Config{Seed: uint64(2 + i)}); err != nil {
+		if _, err := in.RunKeyed(mp.Key(), clone, Config{Seed: uint64(2 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := runRepeats(hostLanes, inst, mp, 0.04, repeatSeeds(7)); err != nil {
+	if _, err := runRepeats(hostLanes, in.Instance, clone, 0.04, repeatSeeds(7)); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := inst.PlanPlacement(mp); again != plan {
-		t.Fatal("a revisit of the mapping planned placement again")
+	if again, _ := in.PlanPlacement(clone); again != plan || again.mp != mp {
+		t.Fatal("a revisit of the key just planned planned placement again")
 	}
-	// A different mapping gets its own plan.
+	// A different mapping gets a correct plan.
 	mp2 := mapping.Default(g, md)
 	mp2.SetDistribute(0, !mp2.Decision(0).Distribute)
-	if _, err := inst.RunKeyed(mp2.Key(), mp2, Config{Seed: 9}); err != nil {
+	if _, err := in.RunKeyed(mp2.Key(), mp2, Config{Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if plan2, _ := inst.PlanPlacement(mp2); plan2 == plan {
-		t.Fatal("another mapping was served the first mapping's plan")
+	plan2, err := in.PlanPlacement(mp2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	fresh2, err := PlanPlacement(m, g, mp2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePlan(t, "second mapping", plan2, fresh2)
+
+	// SetBase takes the plan just made over instead of planning again,
+	// and candidates planned afterwards leave it as it was.
+	in.SetBase(mp2.Clone())
+	if in.basePlan != plan2 || in.basePlan.mp != mp2 {
+		t.Fatal("SetBase planned the mapping just planned again")
+	}
+	for _, cand := range []*mapping.Mapping{mp, mp2, mp} {
+		if _, err := in.RunKeyed(cand.Key(), cand, Config{Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		in.Classify(cand.Key(), cand)
+		requireSamePlan(t, "base after candidate planning", in.basePlan, fresh2)
+	}
+	fresh, err := PlanPlacement(m, g, mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := in.PlanPlacement(mp); got == in.basePlan {
+		t.Fatal("a candidate was planned into the base's buffer")
+	} else {
+		requireSamePlan(t, "candidate beside the base", got, fresh)
+	}
+}
+
+// TestRecycledPlanReuse plans one Instance through mappings of very
+// different plan contents (large → small → OOM → large → small), so every
+// plan is built into buffers an earlier plan, finished or failed, left
+// filled. Each must equal a fresh PlanPlacement table for table: the step
+// after the OOM is the one that shows a failed build's partial state. Once
+// the buffers have held the largest plan, planning allocates nothing.
+func TestRecycledPlanReuse(t *testing.T) {
+	m, g, large, small := reuseProblem(t)
+	oom := starve(t, m, g, large)
+	in := New(m, g)
+	for i, mp := range []*mapping.Mapping{large, small, oom, large, small} {
+		ctx := fmt.Sprintf("step %d", i)
+		want, werr := PlanPlacement(m, g, mp)
+		got, err := in.PlanPlacement(mp)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("%s: err %v, fresh plan err %v", ctx, err, werr)
+		}
+		if (mp == oom) != (err != nil) {
+			t.Fatalf("%s: err %v; only the starved mapping may fail", ctx, err)
+		}
+		if err == nil {
+			requireSamePlan(t, ctx, got, want)
+		} else if got != nil {
+			t.Fatalf("%s: a failed plan was returned with its error", ctx)
+		}
+	}
+	lk, sk := large.Key(), small.Key()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := in.planFor(lk, large); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.planFor(sk, small); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("planning into recycled buffers allocates %.0f times per pair of plans, want 0", allocs)
+	}
+}
+
+// starve shrinks every Frame-Buffer memory of m to a quarter of the most
+// mp's plan puts in one, so mp spills, and returns a copy of mp whose
+// arguments may live only in Frame-Buffer memory, which does not fit.
+func starve(t *testing.T, m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) *mapping.Mapping {
+	t.Helper()
+	plan, err := PlanPlacement(m, g, mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var most int64
+	for _, u := range plan.MemUsage() {
+		if u.Kind == machine.FrameBuffer {
+			most = max(most, u.UsedBytes)
+		}
+	}
+	if most == 0 {
+		t.Fatal("the mapping puts nothing in Frame-Buffer memory")
+	}
+	for i := range m.Mems {
+		if m.Mems[i].Kind == machine.FrameBuffer {
+			m.Mems[i].Capacity = most / 4
+		}
+	}
+	oom := mp.Clone()
+	for id := range g.Tasks {
+		dec := oom.Decision(taskir.TaskID(id))
+		if dec.Proc != machine.GPU {
+			continue
+		}
+		for a := range dec.Mems {
+			dec.Mems[a] = []machine.MemKind{machine.FrameBuffer}
+		}
+	}
+	return oom
 }
 
 // TestNoiseTapeBound pins the noise tape length: every app × node count ×
@@ -353,65 +473,4 @@ func TestRecycledScheduleReuse(t *testing.T) {
 	if nl, ns := len(in.schedFor(large.Key()).ops), len(in.schedFor(small.Key()).ops); nl < 4*ns {
 		t.Fatalf("large mapping records %d ops, small %d: too close to exercise buffer reuse", nl, ns)
 	}
-}
-
-// TestRecycledScheduleReuseConcurrent is TestRecycledScheduleReuse with 4
-// goroutines sharing one Instance: every worker records into pooled
-// scratch, and every result must still equal a fresh instance's. Run
-// under -race it checks that no scratch is shared between concurrent
-// evaluations.
-func TestRecycledScheduleReuseConcurrent(t *testing.T) {
-	m, g, large, small := reuseProblem(t)
-	seeds := repeatSeeds(7)
-	var mps []*mapping.Mapping
-	for _, base := range []*mapping.Mapping{large, small} {
-		cand := base.CloneCOW()
-		cand.SetDistribute(0, !base.Decision(0).Distribute)
-		mps = append(mps, base, cand)
-	}
-	want := make([][]*Result, len(mps))
-	for i, mp := range mps {
-		ref := New(m, g)
-		for _, seed := range seeds {
-			res, err := ref.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.04, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = append(want[i], res)
-		}
-	}
-
-	in := New(m, g)
-	rounds := 6
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				i := (w + r) % len(mps)
-				mp := mps[i]
-				got, err := runRepeats(hostLanes, in, mp, 0.04, seeds)
-				if err != nil {
-					t.Errorf("worker %d round %d: %v", w, r, err)
-					return
-				}
-				res, err := in.RunKeyed(mp.Key(), mp, Config{NoiseSigma: 0.04, Seed: seeds[r%len(seeds)]})
-				if err != nil {
-					t.Errorf("worker %d round %d: %v", w, r, err)
-					return
-				}
-				in.dropSchedule(mp.Key())
-				for l := range got {
-					if got[l] != want[i][l].Summarize() {
-						t.Errorf("worker %d round %d mapping %d lane %d: summary differs from a fresh instance's RunKeyed", w, r, i, l)
-					}
-				}
-				if !reflect.DeepEqual(res, want[i][r%len(seeds)]) {
-					t.Errorf("worker %d round %d mapping %d: RunKeyed differs from a fresh instance", w, r, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -10,17 +10,17 @@
 // as its memory-feasibility check, so the static analyzer can never drift
 // from the simulator's out-of-memory accounting.
 //
-// Because the plan is a pure function of the mapping, it is also cacheable:
-// sim.Instance keys plans by mapping.Key so the repeated measurements of one
-// candidate plan placement exactly once (see instance.go). A committed plan
-// is immutable and may be shared by concurrent timing passes.
+// Because the plan is a pure function of the mapping, a search need not
+// keep it: sim.Instance rebuilds each candidate's plan into buffers it owns
+// and recycles (see instance.go), so planning a candidate allocates nothing
+// once those buffers have held the largest plan. The package-level
+// PlanPlacement returns a fresh plan the caller keeps.
 //
-// The cache holds one plan per evaluated candidate, so a committed plan is
-// flat: each table is one pointer-free slice, indexed through the
+// A plan is flat: each table is one pointer-free slice, indexed through the
 // topology's per-task argument offsets, that the garbage collector never
 // scans. The capacity ledger that decides spills (bytes already charged per
-// collection, node and memory kind) lives only while place runs; the plan
-// keeps the per-memory and per-kind totals it produced.
+// collection, node and memory kind) is scratch the plan does not keep; the
+// plan keeps the per-memory and per-kind totals it produced.
 
 package sim
 
@@ -44,8 +44,9 @@ type argPlacement struct {
 // every task under a mapping: which memory kind each instance landed in,
 // over how many socket-/device-local units, and the resulting bytes per
 // concrete memory. It is produced by PlanPlacement and consumed by the
-// simulator's timing pass and by the static analyzer. After place() commits
-// it is read-only and safe to share across concurrent simulations.
+// simulator's timing pass and by the static analyzer. A plan PlanPlacement
+// returns is the caller's and read-only; one an Instance returns lives in
+// the Instance's recycled buffers (Instance.PlanPlacement).
 //
 // Its tables hold no pointers: placement is one task-major slice (see at),
 // and the node sets are one list sliced by per-task offsets (see
@@ -88,24 +89,32 @@ func PlanPlacement(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping) (*P
 	return planPlacement(newTopology(m, g), mp)
 }
 
-// planPlacement is PlanPlacement against a prebuilt topology (the path
-// Instance takes, amortizing the topology across every plan of a search).
+// planPlacement is PlanPlacement against a prebuilt topology: a fresh plan
+// with a fresh ledger.
 func planPlacement(topo *topology, mp *mapping.Mapping) (*PlacementPlan, error) {
-	p := newPlan(topo, mp)
-	ledger := make([]int64, len(topo.g.Collections)*p.nodes*machine.NumMemKinds)
-	if err := p.place(ledger); err != nil {
+	p := new(PlacementPlan)
+	if _, err := p.build(topo, mp, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func newPlan(topo *topology, mp *mapping.Mapping) *PlacementPlan {
+// build plans mp into p, reusing the arrays of p's tables and of ledger
+// (the capacity-ledger scratch, which it returns resized) where they are
+// large enough, and clearing whatever an earlier plan, failed or not, left
+// in them. On an *OOMError p holds a partial plan that must not be read.
+func (p *PlacementPlan) build(topo *topology, mp *mapping.Mapping, ledger []int64) ([]int64, error) {
 	m, g := topo.m, topo.g
-	p := &PlacementPlan{m: m, g: g, mp: mp, topo: topo, nodes: m.Nodes}
-	p.placement = make([]argPlacement, topo.argOff[len(g.Tasks)]*p.nodes)
-
-	p.nodeList = make([]int, 0, len(g.Tasks)*p.nodes)
-	p.nodeOff = make([]int32, len(g.Tasks)+1)
+	*p = PlacementPlan{
+		m: m, g: g, mp: mp, topo: topo, nodes: m.Nodes,
+		placement: cleared(p.placement, topo.argOff[len(g.Tasks)]*m.Nodes),
+		nodeList:  p.nodeList[:0],
+		nodeOff:   cleared(p.nodeOff, len(g.Tasks)+1),
+		memUsed:   cleared(p.memUsed, len(m.Mems)),
+	}
+	if p.nodeList == nil {
+		p.nodeList = make([]int, 0, len(g.Tasks)*p.nodes)
+	}
 	for i := range g.Tasks {
 		t := g.Tasks[i]
 		if !mp.Decision(t.ID).Distribute {
@@ -119,8 +128,19 @@ func newPlan(topo *topology, mp *mapping.Mapping) *PlacementPlan {
 		}
 		p.nodeOff[i+1] = int32(len(p.nodeList))
 	}
-	p.memUsed = make([]int64, len(m.Mems))
-	return p
+	ledger = cleared(ledger, len(g.Collections)*p.nodes*machine.NumMemKinds)
+	return ledger, p.place(ledger)
+}
+
+// cleared returns s resliced to n zero elements, reusing its array when it
+// holds n.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // at returns where argument a of task tid lives on node n (units 0 if it

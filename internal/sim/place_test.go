@@ -11,10 +11,11 @@ import (
 // totals, and the capacity ledger that place discards.
 const planAllocs = 6
 
-// TestPlanPlacementAllocs pins the flat plan layout. The plan cache keeps
-// one plan per evaluated candidate, so a map or a per-task slice returning
-// to the plan multiplies across a whole search; either shows up here as
-// extra allocations.
+// TestPlanPlacementAllocs pins the flat plan layout of a fresh plan, the
+// one the package-level PlanPlacement returns and the one an Instance's
+// buffers hold: a map or a per-task slice returning to the plan would show
+// up here as extra allocations, and as allocations an Instance's recycled
+// buffers no longer absorb (TestRecycledPlanReuse).
 func TestPlanPlacementAllocs(t *testing.T) {
 	m, g, mp := benchProblem(t)
 	topo := newTopology(m, g)

@@ -2,6 +2,7 @@
 
 package sim
 
-// raceEnabled reports a race-detector build, whose sync.Pool drops a
-// share of the items put back on purpose, so pooled scratch reallocates.
+// raceEnabled reports a race-detector build, whose instrumentation is not
+// the product's allocation behaviour, so allocation counts are not pinned
+// under it.
 const raceEnabled = true

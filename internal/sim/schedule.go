@@ -250,7 +250,7 @@ func rewind[T any](sch *schedule, noise []T) (int, int, int, []T) {
 	return sch.body, op, ex, noise
 }
 
-// foldScratch is the pooled working set of the folds: the availability
+// foldScratch is the recycled working set of the folds: the availability
 // timelines and launch finish ring of a timing replay.
 type foldScratch struct {
 	procAvail []float64 // [node*NumProcKinds + kind]

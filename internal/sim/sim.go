@@ -224,7 +224,7 @@ type partialInfo struct {
 // schedule. It embeds the committed placement plan (see place.go), which
 // provides the machine/program/mapping triple and the per-argument
 // instance placements. A state is reusable: init rebinds it to a new plan,
-// recycling all scratch storage (Instance keeps a pool of them).
+// recycling all scratch storage (every Instance keeps one).
 type state struct {
 	*PlacementPlan
 
@@ -284,7 +284,7 @@ func (c *coherence) sameState(o *coherence) bool {
 }
 
 // init binds s to a plan, allocating scratch on first use and recycling it
-// afterwards. A pooled state may be rebound to a different plan of the
+// afterwards. A state may be rebound to a different plan of the
 // same (machine, program) pair: every dimension below is a function of
 // (machine, program) only.
 func (s *state) init(plan *PlacementPlan) {

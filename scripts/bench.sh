@@ -1,9 +1,8 @@
 #!/bin/sh
 # Search-pipeline micro-benchmarks. Runs the simulator hot-path and
 # candidate-construction micro-benchmarks (ns/op, allocs/op) -count 10
-# times each, all at -cpu 1 except InstanceRunParallel, which also runs at
-# the host's GOMAXPROCS so the worker pool's parallel scaling is visible,
-# and writes the median and interquartile range of every row as JSON
+# times each, all at -cpu 1 (a search runs on one goroutine), and writes
+# the median and interquartile range of every row as JSON
 # (default: BENCH_search.json). End-to-end searches are measured by the
 # repository's benchmark (benchmark/run.sh), not here. Run from the
 # repository root, directly or via `make bench-search`.
@@ -37,7 +36,6 @@ bench() { # package, -cpu list, -bench regexp
 
 echo "== micro-benchmarks (-benchtime $BENCHTIME, -count 10; host gomaxprocs $GMP)"
 bench ./internal/sim/ 1 'SimulateOneShot|InstanceRun$|InstanceRecord|InstanceRepeats|PlanCacheHit|PlanCacheMiss'
-bench ./internal/sim/ "1,$GMP" 'InstanceRunParallel'
 bench ./internal/search/ 1 'CCDCandidateConstruction'
 
 # One JSON object per (benchmark, gomaxprocs): the median and the
